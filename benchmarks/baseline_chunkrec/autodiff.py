@@ -1,0 +1,527 @@
+"""Minimal dense-tensor autodiff on numpy.
+
+Reverse-mode only, covering exactly the operations the streaming transducer
+model needs: matmul, masked softmax, layer norm, GLU, time-axis convolution
+and a handful of structural ops (reshape / transpose / slice / stack).
+Broadcasting is limited to leading batch dimensions (a parameter of shape
+(d,) may be added to a (..., d) activation); anything fancier is a
+deliberate non-goal.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+
+from .errors import (ContractError, EmptyInputError, InvalidMaskError,
+                     NumericError, ShapeError)
+
+# Flipped off inside no_grad(); ops then skip recording backward closures.
+_grad_enabled = True
+# Forward results are checked for NaN/Inf unless disabled (hot loops).
+check_finite = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
+class Tensor:
+    """A dense real tensor, optionally tracking gradients.
+
+    ``data`` is immutable by convention once the tensor has been produced by
+    a forward op; ``grad`` accumulates across backward() calls until
+    zero_grad() resets it.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+
+    def __init__(self, data, requires_grad=False, dtype=np.float64):
+        self.data = np.asarray(data, dtype=dtype)
+        self.requires_grad = bool(requires_grad)
+        self.grad = None
+        self._parents = ()
+        self._backward = None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+    def zero_grad(self):
+        self.grad = None
+
+    def item(self):
+        return float(self.data)
+
+    # -- graph construction -------------------------------------------------
+
+    def _accumulate(self, g):
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad += g
+
+    def backward(self):
+        """Populate grads of every requires_grad tensor reachable from self.
+
+        self must be scalar. Repeated calls accumulate into existing grads.
+        """
+        if self.data.shape != ():
+            raise ContractError(f"backward requires a scalar, got shape {self.data.shape}")
+        order = _toposort(self)
+        grads = {id(self): np.ones((), dtype=self.data.dtype)}
+        for t in order:
+            g = grads.pop(id(t), None)
+            if g is None:
+                continue
+            if t.requires_grad:
+                t._accumulate(g)
+            if t._backward is not None:
+                for parent, pg in zip(t._parents, t._backward(g)):
+                    if pg is None:
+                        continue
+                    if id(parent) in grads:
+                        grads[id(parent)] = grads[id(parent)] + pg
+                    else:
+                        grads[id(parent)] = pg
+
+    # -- operator sugar -----------------------------------------------------
+
+    def __add__(self, other):
+        return add(self, _as_tensor(other))
+
+    def __radd__(self, other):
+        return add(_as_tensor(other), self)
+
+    def __mul__(self, other):
+        if np.isscalar(other):
+            return scale(self, float(other))
+        return mul(self, other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        return add(self, scale(_as_tensor(other), -1.0))
+
+    def __neg__(self):
+        return scale(self, -1.0)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+    def __getitem__(self, idx):
+        return take(self, idx)
+
+    def reshape(self, *shape):
+        return reshape(self, shape)
+
+    def transpose(self, *axes):
+        return transpose(self, axes)
+
+
+def _as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _toposort(root):
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    order.reverse()
+    return order
+
+
+def _make(data, parents, backward):
+    if check_finite and not np.all(np.isfinite(data)):
+        raise NumericError("non-finite value produced in forward op")
+    out = Tensor(data, dtype=data.dtype)
+    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
+        out._parents = tuple(parents)
+        out._backward = backward
+        out.requires_grad = any(p.requires_grad for p in parents)
+    return out
+
+
+def _unbroadcast(g, shape):
+    """Sum gradient g down to `shape` (leading-batch broadcasting only)."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+# -- arithmetic -------------------------------------------------------------
+
+
+def add(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    data = a.data + b.data
+
+    def bwd(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+
+    return _make(data, (a, b), bwd)
+
+
+def mul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    data = a.data * b.data
+
+    def bwd(g):
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+
+    return _make(data, (a, b), bwd)
+
+
+def scale(a, c):
+    a = _as_tensor(a)
+    c = float(c)
+
+    def bwd(g):
+        return (g * c,)
+
+    return _make(a.data * c, (a,), bwd)
+
+
+def matmul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError("matmul requires >=2-d operands")
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeError(f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
+    data = np.matmul(a.data, b.data)
+
+    def bwd(g):
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+
+    return _make(data, (a, b), bwd)
+
+
+def tsum(a, axis=None):
+    a = _as_tensor(a)
+    data = a.data.sum(axis=axis)
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
+
+    return _make(data, (a,), bwd)
+
+
+def tmean(a):
+    n = a.data.size
+    return scale(tsum(a), 1.0 / n)
+
+
+# -- nonlinearities ---------------------------------------------------------
+
+
+def relu(a):
+    a = _as_tensor(a)
+    pos = a.data > 0
+
+    def bwd(g):
+        return (g * pos,)
+
+    return _make(np.where(pos, a.data, 0.0), (a,), bwd)
+
+
+def sigmoid(a):
+    a = _as_tensor(a)
+    s = 1.0 / (1.0 + np.exp(-a.data))
+
+    def bwd(g):
+        return (g * s * (1.0 - s),)
+
+    return _make(s, (a,), bwd)
+
+
+def glu(a):
+    """Gated linear unit over the last axis: first half * sigmoid(second half)."""
+    a = _as_tensor(a)
+    d2 = a.data.shape[-1]
+    if d2 % 2 != 0:
+        raise ShapeError(f"glu needs an even last dimension, got {d2}")
+    d = d2 // 2
+    x, gate = a.data[..., :d], a.data[..., d:]
+    s = 1.0 / (1.0 + np.exp(-gate))
+    data = x * s
+
+    def bwd(g):
+        ga = np.empty_like(a.data)
+        ga[..., :d] = g * s
+        ga[..., d:] = g * x * s * (1.0 - s)
+        return (ga,)
+
+    return _make(data, (a,), bwd)
+
+
+def masked_softmax(scores, mask):
+    """Softmax over the last axis restricted to positions where mask is True.
+
+    Masked positions get exactly zero probability. `mask` must broadcast to
+    scores.shape; each row needs at least one unmasked entry.
+    """
+    scores = _as_tensor(scores)
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
+    if not mask.any(axis=-1).all():
+        raise InvalidMaskError("fully masked row in masked_softmax")
+    neg = np.where(mask, scores.data, -np.inf)
+    m = neg.max(axis=-1, keepdims=True)
+    e = np.exp(neg - m)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gp = g * p
+        return (gp - p * gp.sum(axis=-1, keepdims=True),)
+
+    return _make(p, (scores,), bwd)
+
+
+def log_softmax(a):
+    """Log-softmax over the last axis (max-shifted)."""
+    a = _as_tensor(a)
+    m = a.data.max(axis=-1, keepdims=True)
+    z = a.data - m
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    data = z - lse
+    p = np.exp(data)
+
+    def bwd(g):
+        return (g - p * g.sum(axis=-1, keepdims=True),)
+
+    return _make(data, (a,), bwd)
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Per-row normalization over the last axis, then affine by gain/bias."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError("layer_norm gain/bias must have shape (last_dim,)")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    data = xhat * gain.data + bias.data
+
+    def bwd(g):
+        ggain = _unbroadcast(g * xhat, gain.data.shape)
+        gbias = _unbroadcast(g, bias.data.shape)
+        gy = g * gain.data
+        gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
+                    - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+        return gx, ggain, gbias
+
+    return _make(data, (x, gain, bias), bwd)
+
+
+# -- time-axis convolution --------------------------------------------------
+
+
+def conv_out_len(t, stride):
+    return -(-t // stride)
+
+
+def conv1d_time(x, kernels, stride):
+    """Convolution along the time axis.
+
+    x: (T, d_in); kernels: (k, d_in, d_out); output: (ceil(T/stride), d_out).
+    Zero padding is applied on the right only, so output frame i depends on
+    input frames [i*stride, i*stride + k - 1] and never on anything earlier
+    arriving later — the property streaming release relies on.
+    """
+    x, kernels = _as_tensor(x), _as_tensor(kernels)
+    if x.data.ndim != 2 or kernels.data.ndim != 3:
+        raise ShapeError("conv1d_time expects x (T,d_in) and kernels (k,d_in,d_out)")
+    T, d_in = x.data.shape
+    k, kd_in, d_out = kernels.data.shape
+    if T == 0:
+        raise EmptyInputError("conv1d_time: empty input")
+    if kd_in != d_in:
+        raise ShapeError(f"conv1d_time channel mismatch: {d_in} vs {kd_in}")
+    if stride < 1 or k < 1:
+        raise ShapeError("conv1d_time: stride and kernel size must be >= 1")
+    T_out = conv_out_len(T, stride)
+    pad = (T_out - 1) * stride + k - T
+    xp = np.zeros((T + max(pad, 0), d_in), dtype=x.data.dtype)
+    xp[:T] = x.data
+    data = np.zeros((T_out, d_out), dtype=x.data.dtype)
+    for j in range(k):
+        seg = xp[j:j + stride * T_out:stride]
+        data += seg @ kernels.data[j]
+
+    def bwd(g):
+        gxp = np.zeros_like(xp)
+        gk = np.zeros_like(kernels.data)
+        for j in range(k):
+            seg = xp[j:j + stride * T_out:stride]
+            gk[j] = seg.T @ g
+            gxp[j:j + stride * T_out:stride] += g @ kernels.data[j].T
+        return gxp[:T], gk
+
+    return _make(data, (x, kernels), bwd)
+
+
+# -- structural ops ---------------------------------------------------------
+
+
+def reshape(a, shape):
+    a = _as_tensor(a)
+    old = a.data.shape
+
+    def bwd(g):
+        return (g.reshape(old),)
+
+    return _make(a.data.reshape(shape), (a,), bwd)
+
+
+def transpose(a, axes):
+    a = _as_tensor(a)
+    inv = np.argsort(axes)
+
+    def bwd(g):
+        return (g.transpose(inv),)
+
+    return _make(a.data.transpose(axes), (a,), bwd)
+
+
+def take(a, idx):
+    """Basic slicing/indexing with gradient scatter-add."""
+    a = _as_tensor(a)
+    data = a.data[idx]
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        return (ga,)
+
+    return _make(data.copy() if isinstance(data, np.ndarray) else np.asarray(data), (a,), bwd)
+
+
+def gather_pairs(a, rows, cols):
+    """out[i] = a[rows[i], cols[i]] for a 2-d tensor."""
+    a = _as_tensor(a)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    data = a.data[rows, cols]
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (rows, cols), g)
+        return (ga,)
+
+    return _make(data, (a,), bwd)
+
+
+def embedding(table, ids):
+    """Row lookup: out[i] = table[ids[i]]."""
+    table = _as_tensor(table)
+    ids = np.asarray(ids, dtype=np.intp)
+    data = table.data[ids]
+
+    def bwd(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids, g)
+        return (gt,)
+
+    return _make(data, (table,), bwd)
+
+
+def stack(tensors, axis=0):
+    tensors = [_as_tensor(t) for t in tensors]
+    data = np.stack([t.data for t in tensors], axis=axis)
+
+    def bwd(g):
+        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+
+    return _make(data, tuple(tensors), bwd)
+
+
+def concat(tensors, axis=-1):
+    tensors = [_as_tensor(t) for t in tensors]
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
+    splits = np.cumsum(sizes)[:-1]
+
+    def bwd(g):
+        return tuple(np.split(g, splits, axis=axis))
+
+    return _make(data, tuple(tensors), bwd)
+
+
+# -- finite-difference checking --------------------------------------------
+
+
+def finite_difference(f, tensors, eps=1e-5):
+    """Central finite-difference gradients of scalar f() w.r.t. each tensor.
+
+    f must be a zero-argument callable reading the tensors' data in place.
+    Returns a list of numpy arrays, one per tensor.
+    """
+    grads = []
+    for t in tensors:
+        g = np.zeros_like(t.data)
+        flat = t.data.ravel()
+        gflat = g.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = float(f())
+            flat[i] = orig - eps
+            fm = float(f())
+            flat[i] = orig
+            gflat[i] = (fp - fm) / (2.0 * eps)
+        grads.append(g)
+    return grads
+
+
+def check_gradients(f, tensors, eps=1e-5, tol=1e-4):
+    """Compare analytic grads of scalar f against central differences.
+
+    Returns (ok, max_rel_dev). Relative deviation uses max(1, |fd|, |an|)
+    as denominator so near-zero gradients are judged absolutely.
+    """
+    for t in tensors:
+        t.zero_grad()
+    loss = f()
+    loss.backward()
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+    with no_grad():
+        numeric = finite_difference(lambda: f().data, tensors, eps=eps)
+    max_dev = 0.0
+    for an, fd in zip(analytic, numeric):
+        denom = np.maximum(1.0, np.maximum(np.abs(an), np.abs(fd)))
+        dev = np.abs(an - fd) / denom
+        if dev.size:
+            max_dev = max(max_dev, float(dev.max()))
+    return max_dev <= tol, max_dev

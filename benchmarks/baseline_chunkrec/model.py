@@ -1,0 +1,327 @@
+"""Streaming chunk-transducer network.
+
+Convolutional front end (two stride-2 time convolutions, ReLU, sinusoidal
+positions), a left-context-masked pre-norm transformer encoder, and a
+decoder whose cross-attention sees exactly one encoded chunk at a time.
+The decoder output is a log-distribution over vocabulary + blank, from
+which the training lattice tables are extracted by teacher forcing.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, asdict
+
+import numpy as np
+
+from . import autodiff as ad
+from .autodiff import Tensor
+from .chunking import ChunkGeometry, chunk_spans, left_context_mask
+from .errors import AvailabilityError, ConfigError, ContractError, EmptyInputError, VocabError
+from .lattice import lattice_nll
+
+FRONT_END_KERNEL = 3
+FRONT_END_STRIDE = 2
+FRONT_END_DOWNSAMPLE = 4
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    d_model: int = 64
+    n_heads: int = 4
+    n_enc_blocks: int = 2
+    n_dec_blocks: int = 2
+    d_in: int = 8
+    left_context: int = 8
+    W: int = 4
+    B: int = 1
+    vocab_size: int = 16
+    ffn_inner: int = 128
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError("d_model must be divisible by n_heads")
+        if not (self.W > self.B >= 0):
+            raise ConfigError("chunk geometry requires W > B >= 0")
+        if self.vocab_size < 3:
+            raise ConfigError("vocab must hold blank, unk and at least one symbol")
+
+
+BLANK = "<blk>"
+UNK = "<unk>"
+
+
+@dataclass(frozen=True)
+class Vocabulary:
+    """Dense symbol<->id bijection containing blank and unk.
+
+    The start symbol shares the blank id.
+    """
+
+    symbols: tuple
+
+    def __post_init__(self):
+        if len(set(self.symbols)) != len(self.symbols):
+            raise VocabError("duplicate symbols in vocabulary")
+        if BLANK not in self.symbols or UNK not in self.symbols:
+            raise VocabError("vocabulary must contain <blk> and <unk>")
+
+    @classmethod
+    def from_units(cls, units):
+        return cls(symbols=(BLANK, UNK) + tuple(units))
+
+    @property
+    def blank_id(self):
+        return self.symbols.index(BLANK)
+
+    @property
+    def unk_id(self):
+        return self.symbols.index(UNK)
+
+    @property
+    def start_id(self):
+        return self.blank_id
+
+    def __len__(self):
+        return len(self.symbols)
+
+    def encode(self, text):
+        """Map characters to ids; unknown characters become unk."""
+        table = {s: i for i, s in enumerate(self.symbols)}
+        unk = self.unk_id
+        return [table.get(ch, unk) for ch in text]
+
+    def decode(self, ids):
+        return "".join(self.symbols[i] for i in ids)
+
+
+def sinusoidal_positions(positions, d_model):
+    """Standard sine/cosine positional table for the given positions."""
+    positions = np.asarray(positions, dtype=np.float64)
+    pe = np.zeros((positions.shape[0], d_model))
+    div = np.exp(-np.log(10000.0) * np.arange(0, d_model, 2) / d_model)
+    pe[:, 0::2] = np.sin(positions[:, None] * div)
+    pe[:, 1::2] = np.cos(positions[:, None] * div)
+    return pe
+
+
+def init_parameters(cfg, rng=None):
+    """Uniform fan-in-scaled init; deterministic for a given config seed."""
+    rng = rng or np.random.default_rng(cfg.seed)
+    params = {}
+
+    def uniform(name, shape, fan_in):
+        a = np.sqrt(1.0 / fan_in)
+        params[name] = Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
+
+    def zeros(name, shape):
+        params[name] = Tensor(np.zeros(shape), requires_grad=True)
+
+    def ones(name, shape):
+        params[name] = Tensor(np.ones(shape), requires_grad=True)
+
+    d, k = cfg.d_model, FRONT_END_KERNEL
+    uniform("fe.conv1.w", (k, cfg.d_in, d), k * cfg.d_in)
+    zeros("fe.conv1.b", (d,))
+    uniform("fe.conv2.w", (k, d, d), k * d)
+    zeros("fe.conv2.b", (d,))
+
+    def attn(prefix):
+        for nm in ("wq", "wk", "wv", "wo"):
+            uniform(f"{prefix}.{nm}", (d, d), d)
+            zeros(f"{prefix}.{nm.replace('w', 'b')}", (d,))
+
+    def ln(prefix):
+        ones(f"{prefix}.g", (d,))
+        zeros(f"{prefix}.b", (d,))
+
+    def ffn(prefix):
+        uniform(f"{prefix}.w1", (d, 2 * cfg.ffn_inner), d)
+        zeros(f"{prefix}.b1", (2 * cfg.ffn_inner,))
+        uniform(f"{prefix}.w2", (cfg.ffn_inner, d), cfg.ffn_inner)
+        zeros(f"{prefix}.b2", (d,))
+
+    for i in range(cfg.n_enc_blocks):
+        ln(f"enc.{i}.ln1")
+        attn(f"enc.{i}.attn")
+        ln(f"enc.{i}.ln2")
+        ffn(f"enc.{i}.ffn")
+    ln("enc.final_ln")
+
+    uniform("dec.embed", (cfg.vocab_size, d), d)
+    for i in range(cfg.n_dec_blocks):
+        ln(f"dec.{i}.ln1")
+        attn(f"dec.{i}.self_attn")
+        ln(f"dec.{i}.ln2")
+        attn(f"dec.{i}.cross_attn")
+        ln(f"dec.{i}.ln3")
+        ffn(f"dec.{i}.ffn")
+    ln("dec.final_ln")
+    uniform("dec.out.w", (d, cfg.vocab_size), d)
+    zeros("dec.out.b", (cfg.vocab_size,))
+    return params
+
+
+@dataclass
+class EncodedChunk:
+    states: Tensor
+    chunk_index: int
+    span: tuple
+
+
+class ChunkTransducerModel:
+    """Ties parameters, vocabulary and geometry into one forward surface."""
+
+    def __init__(self, cfg: ModelConfig, vocab: Vocabulary, params=None):
+        if len(vocab) != cfg.vocab_size:
+            raise ConfigError(f"vocab size {len(vocab)} != config {cfg.vocab_size}")
+        self.cfg = cfg
+        self.vocab = vocab
+        self.params = params if params is not None else init_parameters(cfg)
+
+    # -- front end ----------------------------------------------------------
+
+    def front_end(self, x):
+        """Raw frames (T, d_in) -> encoded inputs (L, d_model)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.cfg.d_in:
+            raise ContractError(f"expected (T, {self.cfg.d_in}) features, got {x.shape}")
+        if x.shape[0] < FRONT_END_DOWNSAMPLE:
+            raise EmptyInputError(f"need at least {FRONT_END_DOWNSAMPLE} frames, got {x.shape[0]}")
+        p = self.params
+        h = ad.conv1d_time(Tensor(x), p["fe.conv1.w"], FRONT_END_STRIDE)
+        h = ad.relu(h + p["fe.conv1.b"])
+        h = ad.conv1d_time(h, p["fe.conv2.w"], FRONT_END_STRIDE)
+        h = ad.relu(h + p["fe.conv2.b"])
+        L = h.shape[0]
+        return h + Tensor(sinusoidal_positions(np.arange(L), self.cfg.d_model))
+
+    @staticmethod
+    def encoded_len(T):
+        l1 = -(-T // FRONT_END_STRIDE)
+        return -(-l1 // FRONT_END_STRIDE)
+
+    @staticmethod
+    def frames_needed(encoded_end):
+        """Raw frames required for encoded positions < encoded_end to be final."""
+        margin = 3 * (FRONT_END_KERNEL - 1)
+        return FRONT_END_DOWNSAMPLE * (encoded_end - 1) + margin + 1
+
+    # -- attention plumbing -------------------------------------------------
+
+    def _mha(self, prefix, q_in, kv_in, mask):
+        p = self.params
+        h, d = self.cfg.n_heads, self.cfg.d_model
+        dk = d // h
+        q = q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"]
+        k = kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"]
+        v = kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"]
+        tq, tk = q.shape[0], k.shape[0]
+        q = q.reshape(tq, h, dk).transpose(1, 0, 2)
+        k = k.reshape(tk, h, dk).transpose(1, 0, 2)
+        v = v.reshape(tk, h, dk).transpose(1, 0, 2)
+        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(dk))
+        attn = ad.masked_softmax(scores, mask)
+        ctx = (attn @ v).transpose(1, 0, 2).reshape(tq, d)
+        return ctx @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+
+    def _ln(self, prefix, x):
+        return ad.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
+
+    def _ffn(self, prefix, x):
+        p = self.params
+        return ad.glu(x @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"]) @ p[f"{prefix}.w2"] + p[f"{prefix}.b2"]
+
+    # -- encoder ------------------------------------------------------------
+
+    def encode_states(self, x):
+        """Full causal encoding of a raw (prefix of a) feature sequence.
+
+        The left-context mask is strictly causal, so state i is identical
+        whether computed from the prefix or the whole utterance.
+        """
+        s = self.front_end(x)
+        mask = left_context_mask(s.shape[0], self.cfg.left_context)
+        for i in range(self.cfg.n_enc_blocks):
+            n = self._ln(f"enc.{i}.ln1", s)
+            s = s + self._mha(f"enc.{i}.attn", n, n, mask)
+            s = s + self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", s))
+        return self._ln("enc.final_ln", s)
+
+    def geometry_for(self, T):
+        return ChunkGeometry(W=self.cfg.W, B=self.cfg.B, L=self.encoded_len(T))
+
+    def encode_chunk(self, x, m):
+        """Encode chunk m of an utterance (offline path)."""
+        x = np.asarray(x, dtype=np.float64)
+        geom = self.geometry_for(x.shape[0])
+        if not 0 <= m < geom.M:
+            raise AvailabilityError(f"chunk {m} outside [0, {geom.M})")
+        a, b = geom.spans[m]
+        states = self.encode_states(x)
+        return EncodedChunk(states=states[a:b], chunk_index=m, span=(a, b))
+
+    # -- decoder ------------------------------------------------------------
+
+    def decoder_forward(self, prefix_ids, chunk_states):
+        """Log-distributions at every prefix position against one chunk.
+
+        prefix_ids must start with the start symbol (= blank id). Output is
+        (len(prefix), vocab_size) log-softmax rows.
+        """
+        if len(prefix_ids) == 0:
+            raise ContractError("decoder prefix must start with the blank start symbol")
+        if prefix_ids[0] != self.vocab.start_id:
+            raise ContractError("decoder prefix must start with the blank start symbol")
+        ids = np.asarray(prefix_ids, dtype=np.intp)
+        if (ids < 0).any() or (ids >= self.cfg.vocab_size).any():
+            raise VocabError("prefix id out of vocabulary")
+        p = self.params
+        P = len(ids)
+        h = ad.embedding(p["dec.embed"], ids) + Tensor(
+            sinusoidal_positions(np.arange(P), self.cfg.d_model))
+        causal = np.tril(np.ones((P, P), dtype=bool))
+        cross = np.ones((P, chunk_states.shape[0]), dtype=bool)
+        for i in range(self.cfg.n_dec_blocks):
+            n = self._ln(f"dec.{i}.ln1", h)
+            h = h + self._mha(f"dec.{i}.self_attn", n, n, causal)
+            h = h + self._mha(f"dec.{i}.cross_attn",
+                              self._ln(f"dec.{i}.ln2", h), chunk_states, cross)
+            h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
+        h = self._ln("dec.final_ln", h)
+        return ad.log_softmax(h @ p["dec.out.w"] + p["dec.out.b"])
+
+    def decoder_step(self, prefix_ids, chunk_states):
+        """Log-distribution (numpy vector) for the next symbol."""
+        return self.decoder_forward(prefix_ids, chunk_states).data[-1]
+
+    # -- training surface ---------------------------------------------------
+
+    def lattice_probs_for(self, x, y_ids):
+        """Teacher-forced lattice tables for one (features, labels) pair.
+
+        Returns (blank_lp, label_lp) Tensors of shapes (M, U+1) and (M, U).
+        """
+        y_ids = np.asarray(y_ids, dtype=np.intp)
+        if y_ids.size and ((y_ids < 0).any() or (y_ids >= self.cfg.vocab_size).any()):
+            raise VocabError("label id out of vocabulary")
+        x = np.asarray(x, dtype=np.float64)
+        states = self.encode_states(x)
+        geom = self.geometry_for(x.shape[0])
+        U = int(y_ids.size)
+        prefix = np.concatenate(([self.vocab.start_id], y_ids))
+        blank_rows, label_rows = [], []
+        rows = np.arange(U)
+        for a, b in geom.spans:
+            ld = self.decoder_forward(prefix, states[a:b])
+            blank_rows.append(ld[:, self.vocab.blank_id])
+            label_rows.append(ad.gather_pairs(ld, rows, y_ids))
+        return ad.stack(blank_rows), ad.stack(label_rows)
+
+    def sequence_nll(self, x, y_ids):
+        """Negative log-probability of y given x (scalar Tensor)."""
+        blank_lp, label_lp = self.lattice_probs_for(x, y_ids)
+        return lattice_nll(blank_lp, label_lp)
+
+    def config_dict(self):
+        return asdict(self.cfg)

@@ -1,0 +1,256 @@
+"""Synthetic tasks, warmup schedule, Adam, the training loop and data files.
+
+The synthetic task stands in for a real corpus: each label sequence is
+drawn uniformly over the non-special vocabulary, and its features are the
+per-symbol embedding rows repeated frames_per_symbol times plus Gaussian
+noise. That keeps end-to-end runs deterministic and desk-sized.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import autodiff as ad
+from .errors import ConfigError, ContractError, TrainingAbortedError
+
+
+# -- synthetic data ---------------------------------------------------------
+
+
+@dataclass
+class SyntheticTaskSpec:
+    vocab_size: int = 16
+    min_len: int = 2
+    max_len: int = 5
+    frames_per_symbol: int = 8
+    noise_std: float = 0.05
+    d_in: int = 8
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.frames_per_symbol < 4:
+            raise ConfigError("frames_per_symbol must be >= 4 for the front end")
+        if not (1 <= self.min_len <= self.max_len):
+            raise ConfigError("need 1 <= min_len <= max_len")
+
+    def symbol_embedding(self):
+        """Fixed random symbol -> feature map (shared across samples)."""
+        rng = np.random.default_rng(self.seed)
+        return rng.normal(0.0, 1.0, size=(self.vocab_size, self.d_in))
+
+
+def gen_synthetic(spec, n, seed=None):
+    """Deterministic list of (features, label ids); ids 2.. (blank=0, unk=1)."""
+    emb = spec.symbol_embedding()
+    rng = np.random.default_rng(spec.seed + 1 if seed is None else seed)
+    out = []
+    for _ in range(n):
+        u = int(rng.integers(spec.min_len, spec.max_len + 1))
+        y = rng.integers(2, spec.vocab_size, size=u)
+        x = np.repeat(emb[y], spec.frames_per_symbol, axis=0)
+        x = x + rng.normal(0.0, spec.noise_std, size=x.shape)
+        out.append((x, y.tolist()))
+    return out
+
+
+# -- optimizer --------------------------------------------------------------
+
+
+def noam_lr(step, d_model, warmup, scale=1.0):
+    """Inverse-sqrt schedule with linear warmup; peaks at step == warmup."""
+    if step < 1:
+        raise ContractError(f"schedule step must be >= 1, got {step}")
+    return scale * d_model ** -0.5 * min(step ** -0.5, step * warmup ** -1.5)
+
+
+class Adam:
+    """Adam over a name->Tensor parameter dict; betas follow the cited
+    transformer recipe (0.9, 0.98, eps 1e-9)."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.98, eps=1e-9):
+        self.params = params
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self.state = {n: {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data)}
+                      for n, t in params.items()}
+
+    def load_state(self, snapshot):
+        self.step_count = snapshot["step"]
+        for n, slots in snapshot["slots"].items():
+            self.state[n]["m"] = slots["m"].copy()
+            self.state[n]["v"] = slots["v"].copy()
+
+    def step(self, lr):
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        for n, p in self.params.items():
+            if p.grad is None:
+                continue
+            st = self.state[n]
+            st["m"] = b1 * st["m"] + (1 - b1) * p.grad
+            st["v"] = b2 * st["v"] + (1 - b2) * p.grad ** 2
+            mhat = st["m"] / (1 - b1 ** t)
+            vhat = st["v"] / (1 - b2 ** t)
+            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
+
+
+def clip_grad_norm(params, max_norm):
+    """Scale all grads so their global L2 norm is at most max_norm."""
+    # fixed (sorted) reduction order so resumed runs are bit-identical
+    total = 0.0
+    for name in sorted(params):
+        p = params[name]
+        if p.grad is not None:
+            total += float((p.grad ** 2).sum())
+    norm = np.sqrt(total)
+    if max_norm <= 0.0:
+        for p in params.values():
+            if p.grad is not None:
+                p.grad = np.zeros_like(p.grad)
+        return norm
+    if norm > max_norm:
+        s = max_norm / norm
+        for p in params.values():
+            if p.grad is not None:
+                p.grad = p.grad * s
+    return norm
+
+
+# -- training loop ----------------------------------------------------------
+
+
+@dataclass
+class TrainConfig:
+    batch_size: int = 8
+    total_steps: int = 2000
+    warmup_steps: int = 1000
+    lr_scale: float = 1.0
+    grad_clip: float = 5.0
+    eval_interval: int = 200
+    checkpoint_path: str = ""
+    seed: int = 0
+    target_eval_cer: float = 0.0  # stop early once held-out CER <= this
+
+    def __post_init__(self):
+        if self.warmup_steps < 1 or self.batch_size < 1:
+            raise ConfigError("warmup_steps and batch_size must be >= 1")
+
+
+def batch_loss(model, batch):
+    """Mean per-sequence lattice NLL over a batch (scalar Tensor)."""
+    total = None
+    for x, y in batch:
+        nll = model.sequence_nll(x, y)
+        total = nll if total is None else total + nll
+    return total * (1.0 / len(batch))
+
+
+def train_step(model, batch, optimizer, step, cfg):
+    """One optimization step; returns the (finite) batch loss value."""
+    if not batch:
+        raise ContractError("empty batch")
+    optimizer.zero_grad()
+    loss = batch_loss(model, batch)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise TrainingAbortedError(
+            f"non-finite loss at step {step}; first sample labels: {batch[0][1]}")
+    loss.backward()
+    clip_grad_norm(model.params, cfg.grad_clip)
+    lr = noam_lr(step, model.cfg.d_model, cfg.warmup_steps, cfg.lr_scale)
+    optimizer.step(lr)
+    return value
+
+
+def nats_per_symbol(model, samples):
+    total_nll, total_syms = 0.0, 0
+    with ad.no_grad():
+        for x, y in samples:
+            total_nll += model.sequence_nll(x, y).item()
+            total_syms += max(len(y), 1)
+    return total_nll / total_syms
+
+
+def train(model, data, cfg, optimizer=None, eval_data=None, log=None, start_step=1):
+    """Run the training loop; returns (optimizer, history of (step, loss)).
+
+    Batch membership at step s depends only on (cfg.seed, s), so resuming
+    from a checkpoint at start_step replays the identical trajectory.
+    """
+    from .decoding import edit_distance, greedy_decode  # local import avoids a cycle
+
+    optimizer = optimizer or Adam(model.params)
+    history = []
+    for step in range(start_step, cfg.total_steps + 1):
+        rng = np.random.default_rng((cfg.seed, step))
+        idx = rng.choice(len(data), size=min(cfg.batch_size, len(data)), replace=False)
+        batch = [data[i] for i in idx]
+        loss = train_step(model, batch, optimizer, step, cfg)
+        history.append((step, loss))
+        if cfg.eval_interval and step % cfg.eval_interval == 0:
+            msg = f"step {step} loss {loss:.4f}"
+            if eval_data:
+                errs = 0
+                n_ref = 0
+                for x, y in eval_data:
+                    hyp, _ = greedy_decode(model, x)
+                    errs += edit_distance(hyp, y)
+                    n_ref += len(y)
+                eval_cer = errs / max(n_ref, 1)
+                msg += f" eval_cer {eval_cer:.4f}"
+                if log:
+                    log(msg)
+                if eval_cer <= cfg.target_eval_cer:
+                    break
+            elif log:
+                log(msg)
+    if cfg.checkpoint_path:
+        from .checkpoint import save_checkpoint
+        save_checkpoint(cfg.checkpoint_path, model, optimizer)
+    return optimizer, history
+
+
+# -- feature files and manifests -------------------------------------------
+
+
+def save_features(path, x):
+    """Write one utterance: text header 'rows cols f8\\n' then little-endian payload."""
+    x = np.asarray(x, dtype=np.float64)
+    with open(path, "wb") as f:
+        f.write(f"{x.shape[0]} {x.shape[1]} f8\n".encode("ascii"))
+        f.write(x.astype("<f8").tobytes())
+
+
+def load_features(path):
+    with open(path, "rb") as f:
+        header = f.readline().decode("ascii").split()
+        if len(header) != 3 or header[2] != "f8":
+            raise ContractError(f"bad feature file header in {path}")
+        rows, cols = int(header[0]), int(header[1])
+        raw = f.read(8 * rows * cols)
+        if len(raw) != 8 * rows * cols:
+            raise ContractError(f"feature file {path} truncated")
+        return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+
+
+def load_manifest(path, vocab):
+    """Tab-separated (feature path, transcript) lines -> (features, ids) pairs."""
+    out = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                feat_path, transcript = line.split("\t", 1)
+            except ValueError:
+                raise ContractError(f"manifest line without a tab: {line!r}")
+            out.append((load_features(feat_path), vocab.encode(transcript)))
+    return out
