@@ -49,7 +49,11 @@ def _model_from_config(cfg_dict, seed=None):
 
 
 def _beam_config(cfg_dict):
-    return BeamConfig(**cfg_dict.get("beam", {}))
+    beam = cfg_dict.get("beam", {})
+    try:
+        return BeamConfig(**beam)
+    except TypeError as e:
+        raise ConfigError(f"bad beam section {beam!r}: {e}") from e
 
 
 def _data_from_args(args, cfg_dict, model, n=None, seed=None):

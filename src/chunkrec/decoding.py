@@ -5,6 +5,13 @@ emitting symbols until it predicts blank (adding the blank's
 log-probability) or hits the per-chunk symbol cap (advancing without a
 score factor). Alignment paths with identical prefixes are kept separate
 by default; merging is an opt-in experiment.
+
+Search moves through a chunk in lock-step rounds. Each round scores the
+whole frontier (the hypotheses still emitting in this chunk) with one
+padded ``decoder_steps`` pass, ranks every hypothesis's next symbols with
+one argsort over the resulting (n, vocab) array, and prunes extended and
+finished candidates together to the beam width. A chunk therefore costs
+at most ``max_symbols_per_chunk + 1`` decoder passes, whatever the width.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .chunking import StreamBuffer
-from .errors import AvailabilityError, UndefinedMetricError
+from .errors import AvailabilityError, ConfigError, ContractError, UndefinedMetricError
 
 
 @dataclass(frozen=True)
@@ -27,7 +34,7 @@ class BeamConfig:
 
     def __post_init__(self):
         if self.width < 1 or self.max_symbols_per_chunk < 1:
-            raise ValueError("beam width and per-chunk cap must be >= 1")
+            raise ConfigError("beam width and per-chunk cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ def greedy_decode(model, x, cfg=None):
             chunk = states[a:b]
             emitted = 0
             while True:
-                dist = model.decoder_step(prefix, chunk)
+                dist = model.decoder_steps([prefix], chunk)[0]
                 best = int(np.argmax(dist))
                 if best == blank:
                     log_prob += float(dist[blank])
@@ -108,6 +115,7 @@ def greedy_decode(model, x, cfg=None):
 def _advance_chunk(model, hyps, chunk, chunk_index, cfg):
     """Push every hypothesis through one chunk, chunk-synchronously.
 
+    Each round scores the whole frontier with one decoder_steps call.
     Active and already-finished candidates compete in one pool each round,
     pruned to the beam width; with width 1 this reproduces greedy exactly.
     """
@@ -119,9 +127,10 @@ def _advance_chunk(model, hyps, chunk, chunk_index, cfg):
             break
         # pool entries: (hypothesis, done-with-this-chunk flag)
         pool = [(h, True) for h in finished]
-        for h in frontier:
-            dist = model.decoder_step(list(h.prefix), chunk)
-            order = [int(s) for s in np.argsort(dist)[::-1][:cfg.width + 1]]
+        dists = model.decoder_steps([list(h.prefix) for h in frontier], chunk)
+        orders = np.argsort(dists, axis=1)[:, ::-1][:, :cfg.width + 1]
+        for h, dist, row in zip(frontier, dists, orders):
+            order = row.tolist()
             if blank not in order:
                 order.append(blank)
             for sym in order:
@@ -150,6 +159,22 @@ def _advance_chunk(model, hyps, chunk, chunk_index, cfg):
     return sorted(finished, key=lambda h: -h.log_prob)[:cfg.width]
 
 
+def _with_greedy_floor(model, hyps, x, last_chunk, cfg):
+    """Add the greedy path to the n-best list unless it is already there.
+
+    The floor is a separate greedy_decode pass rather than a protected row in
+    the batched search: padding a prefix into a batch changes the softmax
+    summation and BLAS blocking, so the same path scored inside a batch can
+    differ from its greedy score in the last bits, and beam >= greedy must
+    hold exactly.
+    """
+    greedy_ids, greedy_lp = greedy_decode(model, x, cfg)
+    g = Hypothesis((model.vocab.start_id,) + tuple(greedy_ids), greedy_lp, last_chunk, 0)
+    if not any(h.prefix == g.prefix and h.log_prob >= g.log_prob for h in hyps):
+        hyps = sorted(hyps + [g], key=lambda h: -h.log_prob)[:cfg.width]
+    return hyps
+
+
 def beam_decode(model, x, cfg=None):
     """Chunk-synchronous beam search; returns the n-best list of Hypothesis.
 
@@ -163,10 +188,7 @@ def beam_decode(model, x, cfg=None):
         hyps = [Hypothesis((model.vocab.start_id,), 0.0, 0, 0)]
         for m, (a, b) in enumerate(spans):
             hyps = _advance_chunk(model, hyps, states[a:b], m, cfg)
-    greedy_ids, greedy_lp = greedy_decode(model, x, cfg)
-    g = Hypothesis((model.vocab.start_id,) + tuple(greedy_ids), greedy_lp, len(spans) - 1, 0)
-    if not any(h.prefix == g.prefix and h.log_prob >= g.log_prob for h in hyps):
-        hyps = sorted(hyps + [g], key=lambda h: -h.log_prob)[:cfg.width]
+    hyps = _with_greedy_floor(model, hyps, x, len(spans) - 1, cfg)
     return [(list(h.prefix[1:]), h.log_prob) for h in hyps]
 
 
@@ -176,9 +198,10 @@ def beam_decode(model, x, cfg=None):
 def stream_decode(model, fragments, cfg=None, clock=None, collect_emissions=True):
     """Decode raw-frame fragments as they arrive.
 
-    fragments: iterable of (n_i, d_in) arrays; the stream is flushed after
-    the last one. Returns (label ids, log_prob, emissions); the transcript
-    and score equal offline beam_decode of the concatenated stream.
+    fragments: iterable of 2-D (n_i, d_in) arrays, any other shape raises
+    ContractError; the stream is flushed after the last one. Returns
+    (label ids, log_prob, emissions); the transcript equals offline
+    beam_decode of the concatenated stream and the score agrees to 1e-10.
     """
     cfg = cfg or BeamConfig()
     clock = clock or time.monotonic
@@ -209,15 +232,13 @@ def stream_decode(model, fragments, cfg=None, clock=None, collect_emissions=True
                     reported = max(reported, len(best.prefix) - 1)
                 chunk_index += 1
 
+    d_in = model.cfg.d_in
     for frag in fragments:
-        frag = np.asarray(frag, dtype=np.float64).reshape(-1, model.cfg.d_in)
+        frag = np.asarray(frag, dtype=np.float64)
+        if frag.ndim != 2 or frag.shape[1] != d_in:
+            raise ContractError(f"expected (n, {d_in}) fragment, got shape {frag.shape}")
         process(buf.push(frag))
     process(buf.flush())
-    # greedy floor, mirroring beam_decode
     full = np.asarray(buf.frames, dtype=np.float64)
-    greedy_ids, greedy_lp = greedy_decode(model, full, cfg)
-    g = Hypothesis((model.vocab.start_id,) + tuple(greedy_ids), greedy_lp, chunk_index - 1, 0)
-    if not any(h.prefix == g.prefix and h.log_prob >= g.log_prob for h in hyps):
-        hyps = sorted(hyps + [g], key=lambda h: -h.log_prob)[:cfg.width]
-    best = hyps[0]
+    best = _with_greedy_floor(model, hyps, full, chunk_index - 1, cfg)[0]
     return list(best.prefix[1:]), best.log_prob, emissions

@@ -162,6 +162,14 @@ def init_parameters(cfg, rng=None):
     return params
 
 
+def _permute_tail(x, axes):
+    """Permute the last three axes of x, leaving leading batch axes alone."""
+    n = x.data.ndim - 3
+    if n:
+        axes = (*range(n), *(n + a for a in axes))
+    return x.transpose(*axes)
+
+
 @dataclass
 class EncodedChunk:
     states: Tensor
@@ -208,6 +216,11 @@ class ChunkTransducerModel:
         return FRONT_END_DOWNSAMPLE * (encoded_end - 1) + margin + 1
 
     # -- attention plumbing -------------------------------------------------
+    #
+    # Activations are (..., t, d): the encoder and the teacher-forced decoder
+    # pass 2-D sequences, batched search passes (n, t, d). A 2-D kv_in under
+    # a batched q_in (cross-attention to one chunk) is projected once and
+    # broadcast over the batch.
 
     def _mha(self, prefix, q_in, kv_in, mask):
         p = self.params
@@ -216,13 +229,13 @@ class ChunkTransducerModel:
         q = q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"]
         k = kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"]
         v = kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"]
-        tq, tk = q.shape[0], k.shape[0]
-        q = q.reshape(tq, h, dk).transpose(1, 0, 2)
-        k = k.reshape(tk, h, dk).transpose(1, 0, 2)
-        v = v.reshape(tk, h, dk).transpose(1, 0, 2)
-        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(dk))
+        # (..., t, d) -> (..., h, t, dk)
+        q = _permute_tail(q.reshape(*q.shape[:-1], h, dk), (1, 0, 2))
+        k = _permute_tail(k.reshape(*k.shape[:-1], h, dk), (1, 0, 2))
+        v = _permute_tail(v.reshape(*v.shape[:-1], h, dk), (1, 0, 2))
+        scores = (q @ _permute_tail(k, (0, 2, 1))) * (1.0 / np.sqrt(dk))
         attn = ad.masked_softmax(scores, mask)
-        ctx = (attn @ v).transpose(1, 0, 2).reshape(tq, d)
+        ctx = _permute_tail(attn @ v, (1, 0, 2)).reshape(*q_in.shape[:-1], d)
         return ctx @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
 
     def _ln(self, prefix, x):
@@ -263,37 +276,65 @@ class ChunkTransducerModel:
 
     # -- decoder ------------------------------------------------------------
 
-    def decoder_forward(self, prefix_ids, chunk_states):
-        """Log-distributions at every prefix position against one chunk.
-
-        prefix_ids must start with the start symbol (= blank id). Output is
-        (len(prefix), vocab_size) log-softmax rows.
-        """
-        if len(prefix_ids) == 0:
-            raise ContractError("decoder prefix must start with the blank start symbol")
-        if prefix_ids[0] != self.vocab.start_id:
+    def _check_prefix(self, prefix_ids):
+        if len(prefix_ids) == 0 or prefix_ids[0] != self.vocab.start_id:
             raise ContractError("decoder prefix must start with the blank start symbol")
         ids = np.asarray(prefix_ids, dtype=np.intp)
         if (ids < 0).any() or (ids >= self.cfg.vocab_size).any():
             raise VocabError("prefix id out of vocabulary")
+        return ids
+
+    def _decode(self, ids, self_mask, chunk_states):
+        """Decoder blocks over ids of shape (..., P) -> (..., P, vocab) log-softmax."""
         p = self.params
-        P = len(ids)
+        P = ids.shape[-1]
         h = ad.embedding(p["dec.embed"], ids) + Tensor(
             sinusoidal_positions(np.arange(P), self.cfg.d_model))
-        causal = np.tril(np.ones((P, P), dtype=bool))
         cross = np.ones((P, chunk_states.shape[0]), dtype=bool)
         for i in range(self.cfg.n_dec_blocks):
             n = self._ln(f"dec.{i}.ln1", h)
-            h = h + self._mha(f"dec.{i}.self_attn", n, n, causal)
+            h = h + self._mha(f"dec.{i}.self_attn", n, n, self_mask)
             h = h + self._mha(f"dec.{i}.cross_attn",
                               self._ln(f"dec.{i}.ln2", h), chunk_states, cross)
             h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
         h = self._ln("dec.final_ln", h)
         return ad.log_softmax(h @ p["dec.out.w"] + p["dec.out.b"])
 
+    def decoder_forward(self, prefix_ids, chunk_states):
+        """Log-distributions at every prefix position against one chunk.
+
+        prefix_ids must start with the start symbol (= blank id). Output is
+        (len(prefix), vocab_size) log-softmax rows.
+        """
+        ids = self._check_prefix(prefix_ids)
+        P = len(ids)
+        return self._decode(ids, np.tril(np.ones((P, P), dtype=bool)), chunk_states)
+
+    def decoder_steps(self, prefixes, chunk_states):
+        """Next-symbol log-distributions for n prefixes in one decoder pass.
+
+        The prefixes may differ in length: they are right-padded to the
+        longest, and the self-attention mask hides padded key positions as
+        well as future ones. Returns an (n, vocab_size) numpy array whose row
+        i equals decoder_forward(prefixes[i], chunk_states)[-1] up to
+        floating-point summation order.
+        """
+        if len(prefixes) == 0:
+            raise ContractError("decoder_steps needs at least one prefix")
+        rows = [self._check_prefix(pre) for pre in prefixes]
+        lens = np.array([len(r) for r in rows])
+        P = int(lens.max())
+        ids = np.full((len(rows), P), self.vocab.start_id, dtype=np.intp)
+        for i, r in enumerate(rows):
+            ids[i, :len(r)] = r
+        valid = np.arange(P)[None, :] < lens[:, None]
+        mask = np.tril(np.ones((P, P), dtype=bool))[None] & valid[:, None, :]
+        logp = self._decode(ids, mask[:, None], chunk_states)
+        return logp.data[np.arange(len(rows)), lens - 1]
+
     def decoder_step(self, prefix_ids, chunk_states):
         """Log-distribution (numpy vector) for the next symbol."""
-        return self.decoder_forward(prefix_ids, chunk_states).data[-1]
+        return self.decoder_steps([prefix_ids], chunk_states)[0]
 
     # -- training surface ---------------------------------------------------
 

@@ -81,6 +81,21 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert record["error"] == "corrupt-header"
 
 
+def _config_error(tmp_path, capsys, beam):
+    path = tmp_path / "beam.json"
+    path.write_text(json.dumps({"beam": beam}), encoding="utf-8")
+    assert main(["--config", str(path), "decode"]) == 1
+    return json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_beam_width_zero_is_config_error(tmp_path, capsys):
+    assert _config_error(tmp_path, capsys, {"width": 0}) == "config"
+
+
+def test_unknown_beam_key_is_config_error(tmp_path, capsys):
+    assert _config_error(tmp_path, capsys, {"widht": 5}) == "config"
+
+
 def test_gradcheck_command(capsys):
     assert main(["--seed", "0", "gradcheck"]) == 0
     assert "PASS" in capsys.readouterr().out

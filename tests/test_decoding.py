@@ -4,7 +4,7 @@ import pytest
 from chunkrec.chunking import ChunkGeometry
 from chunkrec.decoding import (BeamConfig, beam_decode, cer, edit_distance,
                                greedy_decode, stream_decode)
-from chunkrec.errors import UndefinedMetricError
+from chunkrec.errors import ConfigError, ContractError, UndefinedMetricError
 from chunkrec.model import Vocabulary
 
 from conftest import make_tiny_model
@@ -42,8 +42,8 @@ def test_edit_distance_symmetric():
 
 
 class ScriptedModel:
-    """Deterministic stand-in: decoder_step returns a fixed log-distribution,
-    optionally depending on (chunk span, prefix length)."""
+    """Deterministic stand-in: decoder_steps maps a fixed log-distribution,
+    optionally depending on (chunk span, prefix length), over the prefixes."""
 
     def __init__(self, dist_fn, W=4, B=1, L=8, vocab=None):
         self.vocab = vocab or Vocabulary.from_units("ab")
@@ -56,8 +56,8 @@ class ScriptedModel:
     def geometry_for(self, T):
         return ChunkGeometry(W=self._W, B=self._B, L=self._L)
 
-    def decoder_step(self, prefix, chunk):
-        return self._dist_fn(prefix, chunk)
+    def decoder_steps(self, prefixes, chunk):
+        return np.stack([self._dist_fn(prefix, chunk) for prefix in prefixes])
 
 
 def _logdist(probs):
@@ -111,6 +111,39 @@ def test_beam_merge_prefixes_logsumexps():
     assert strings.count((2,)) == 1
 
 
+def test_beam_config_rejects_bad_values():
+    with pytest.raises(ConfigError):
+        BeamConfig(width=0)
+    with pytest.raises(ConfigError):
+        BeamConfig(max_symbols_per_chunk=0)
+
+
+def test_beam_search_batches_the_frontier():
+    # labels stay likely, so several hypotheses keep emitting in every round
+    dist = _logdist([0.3, 0.05, 0.35, 0.3])
+    calls, rows = [], []
+
+    class CountingModel(ScriptedModel):
+        def decoder_steps(self, prefixes, chunk):
+            calls.append(1)
+            rows.append(len(prefixes))
+            return super().decoder_steps(prefixes, chunk)
+
+    m = CountingModel(lambda prefix, chunk: dist)
+    x = np.zeros((32, 1))
+    cfg = BeamConfig(width=5, max_symbols_per_chunk=4)
+    beam_decode(m, x, cfg)
+    beam_calls, beam_rows = len(calls), sum(rows)
+    calls.clear()
+    rows.clear()
+    greedy_decode(m, x, cfg)  # the greedy floor inside beam_decode
+    search_calls = beam_calls - len(calls)
+    search_rows = beam_rows - sum(rows)
+    M = m.geometry_for(32).M
+    assert search_calls <= M * (cfg.max_symbols_per_chunk + 1)
+    assert search_rows > search_calls
+
+
 # -- real-model decoding ----------------------------------------------------
 
 
@@ -133,6 +166,15 @@ def test_beam_dominates_greedy():
         _, glp = greedy_decode(m, x)
         nbest = beam_decode(m, x, BeamConfig(width=5))
         assert nbest[0][1] >= glp - 1e-12
+
+
+def test_beam_dominates_greedy_without_tolerance():
+    rng = np.random.default_rng(7)
+    m = make_tiny_model(seed=5)
+    for _ in range(20):
+        x = rng.normal(size=(int(rng.integers(8, 40)), 4))
+        _, glp = greedy_decode(m, x)
+        assert beam_decode(m, x, BeamConfig(width=5))[0][1] >= glp
 
 
 def test_best_score_nondecreasing_in_width():
@@ -174,6 +216,14 @@ def test_stream_frame_by_frame_matches_offline(tiny_model, rng):
     off = beam_decode(tiny_model, x)[0]
     ids, lp, _ = stream_decode(tiny_model, [x[i:i + 1] for i in range(len(x))])
     assert ids == off[0] and lp == pytest.approx(off[1], abs=1e-10)
+
+
+def test_stream_rejects_misshapen_fragments(tiny_model, rng):
+    x = rng.normal(size=(24, 4))
+    with pytest.raises(ContractError):
+        stream_decode(tiny_model, [x[:8], x[8:14].T])  # transposed (d_in, n)
+    with pytest.raises(ContractError):
+        stream_decode(tiny_model, [x[:8], x[8]])  # one frame as a 1-D vector
 
 
 def test_stream_emission_clock_respects_arrival(tiny_model, rng):

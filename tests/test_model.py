@@ -108,6 +108,24 @@ def test_decoder_prefix_extension_causal(tiny_model, rng):
     assert np.abs(long[:3] - short).max() <= 1e-12
 
 
+def test_decoder_steps_match_single_prefix_passes(tiny_model, rng):
+    x = rng.normal(size=(40, 4))
+    chunk = tiny_model.encode_chunk(x, 1).states
+    start = tiny_model.vocab.start_id
+    prefixes = [[start], [start, 3, 4, 2, 7, 5], [start, 2], [start, 6, 6, 3]]
+    batched = tiny_model.decoder_steps(prefixes, chunk)
+    assert batched.shape == (len(prefixes), tiny_model.cfg.vocab_size)
+    for prefix, row in zip(prefixes, batched):
+        full = tiny_model.decoder_forward(prefix, chunk).data[-1]
+        alone = tiny_model.decoder_steps([prefix], chunk)[0]
+        assert np.max(np.abs(row - full)) <= 1e-12
+        assert np.max(np.abs(row - alone)) <= 1e-12
+    with pytest.raises(ContractError):
+        tiny_model.decoder_steps([], chunk)
+    with pytest.raises(ContractError):
+        tiny_model.decoder_steps([[start, 2], [3]], chunk)
+
+
 def test_decoder_contract_errors(tiny_model, rng):
     chunk = tiny_model.encode_chunk(rng.normal(size=(16, 4)), 0).states
     with pytest.raises(ContractError):
