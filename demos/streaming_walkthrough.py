@@ -2,8 +2,9 @@
 
 Raw frames arrive in uneven fragments; the stream buffer tracks which
 encoded frames are final under the convolutional receptive field and
-releases chunks as soon as they are stable. The streamed transcript equals
-the offline decode of the whole utterance, and the scores agree to 1e-10.
+releases chunks as soon as they are stable, and the decoder advances
+through each chunk as it is released. The streamed transcript equals the
+offline decode of the whole utterance, and the scores agree to 1e-10.
 """
 
 import numpy as np
@@ -46,9 +47,12 @@ while pos < len(x):
 
 ids, lp, emissions = stream_decode(model, frags)
 off_ids, off_lp = beam_decode(model, x)[0]
+# A symbol is emitted once every surviving hypothesis shares it (and the
+# rest of the transcript at flush), so emissions never contradict the
+# final transcript, unless the greedy floor replaces the beam's best at flush.
 print("\nemissions (chunk, symbol, cumulative log-prob, wall-clock ms):")
 if not emissions:
-    print("  (none: the model is untrained, so the best hypothesis is all blanks;")
+    print("  (none: the model is untrained, so the final transcript is empty;")
     print("   the point here is that streamed and offline results agree)")
 for e in emissions:
     print("  " + e.as_line(vocab))

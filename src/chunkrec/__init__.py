@@ -1,9 +1,8 @@
 """chunkrec: streaming chunk-synchronous transducer on a numpy autodiff core."""
 
 from .autodiff import Tensor, check_gradients, no_grad
-from .chunking import (ChunkGeometry, ChunkSet, StreamBuffer, chunk_latency_ms,
-                       chunk_spans, effective_latency_ms, left_context_mask,
-                       num_chunks, split_chunks)
+from .chunking import (ChunkGeometry, StreamBuffer, chunk_latency_ms, chunk_spans,
+                       effective_latency_ms, left_context_mask, num_chunks)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .decoding import (BeamConfig, Hypothesis, beam_decode, cer, edit_distance,
                        greedy_decode, stream_decode)

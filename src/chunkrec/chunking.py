@@ -1,4 +1,5 @@
-"""Chunk geometry, left-context masks, streaming frame buffering and latency.
+"""Front-end receptive field, chunk geometry, left-context masks, streaming
+frame buffering and latency.
 
 An encoded sequence of length L is cut into M windows of W frames whose
 starts advance by W-B, so adjacent windows share B frames. The final window
@@ -7,11 +8,32 @@ is truncated at L rather than padded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInputError, GeometryError, ProtocolError
+
+# The front end is two stride-2 time convolutions with right-only zero
+# padding; this module is the one place that knows its receptive field.
+FRONT_END_KERNEL = 3
+FRONT_END_STRIDE = 2
+FRONT_END_DOWNSAMPLE = FRONT_END_STRIDE * FRONT_END_STRIDE
+
+
+def encoded_len(T):
+    """Encoded frames the front end makes from T raw frames."""
+    l1 = -(-T // FRONT_END_STRIDE)
+    return -(-l1 // FRONT_END_STRIDE)
+
+
+def frames_needed(encoded_end):
+    """Raw frames required for encoded positions < encoded_end to be final.
+
+    Encoded frame i reads raw frames [4i, 4i + 3*(kernel-1)].
+    """
+    margin = (FRONT_END_STRIDE + 1) * (FRONT_END_KERNEL - 1)
+    return FRONT_END_DOWNSAMPLE * (encoded_end - 1) + margin + 1
 
 
 def _check_geometry(W, B):
@@ -67,33 +89,6 @@ class ChunkGeometry:
         return chunk_spans(self.L, self.W, self.B)
 
 
-@dataclass
-class ChunkSet:
-    """Views into an encoded state sequence, one per chunk."""
-
-    geometry: ChunkGeometry
-    chunks: list = field(default_factory=list)
-
-    @classmethod
-    def split(cls, states, W, B):
-        states = np.asarray(states)
-        geom = ChunkGeometry(W=W, B=B, L=states.shape[0])
-        chunks = [states[a:b] for a, b in geom.spans]
-        return cls(geometry=geom, chunks=chunks)
-
-    def concatenate_without_overlap(self):
-        """Rebuild s_{1:L}: full first chunk, then each chunk minus its overlap."""
-        parts = [self.chunks[0]]
-        for m, (start, _end) in enumerate(self.geometry.spans[1:], start=1):
-            prev_end = self.geometry.spans[m - 1][1]
-            parts.append(self.chunks[m][prev_end - start:])
-        return np.concatenate(parts, axis=0)
-
-
-def split_chunks(states, W, B):
-    return ChunkSet.split(states, W, B)
-
-
 def left_context_mask(L, left):
     """Boolean (L, L) mask; row i may attend to columns [i-left, i]."""
     if left < 0:
@@ -103,14 +98,14 @@ def left_context_mask(L, left):
     return (j <= i) & (j >= i - left)
 
 
-def chunk_latency_ms(W, downsample=4, frame_shift_ms=10.0):
+def chunk_latency_ms(W, downsample=FRONT_END_DOWNSAMPLE, frame_shift_ms=10.0):
     """Raw-speech span covered by one chunk, in milliseconds."""
     if W <= 0 or downsample <= 0 or frame_shift_ms <= 0:
         raise GeometryError("latency arguments must be positive")
     return W * downsample * frame_shift_ms
 
 
-def effective_latency_ms(W, B, downsample=4, frame_shift_ms=10.0):
+def effective_latency_ms(W, B, downsample=FRONT_END_DOWNSAMPLE, frame_shift_ms=10.0):
     """Latency with the overlap discounted: only W-B frames are new per chunk."""
     _check_geometry(W, B)
     return (W - B) * downsample * frame_shift_ms
@@ -119,41 +114,23 @@ def effective_latency_ms(W, B, downsample=4, frame_shift_ms=10.0):
 class StreamBuffer:
     """Accumulates raw frames and releases encoded chunk ranges exactly once.
 
-    The front end is two stride-2 convolutions with kernel size ``kernel``
-    and right-only zero padding, so encoded frame i is fully determined once
-    raw frame 4*i + 2*(kernel-1) + (kernel-1) has arrived; a chunk is
-    released only when its last encoded frame is stable, which also
-    guarantees the chunk is not the (truncated) final one. Remaining chunks
-    are released on flush(), when the true encoded length is known.
+    A chunk is released as soon as frames_needed says its last encoded frame
+    is final, which also guarantees the chunk is not the (truncated) final
+    one. Remaining chunks are released on flush(), when the true encoded
+    length is known.
     """
 
-    def __init__(self, W, B, downsample=4, kernel=3):
+    def __init__(self, W, B):
         _check_geometry(W, B)
         self.W = W
         self.B = B
-        self.kernel = kernel
         self.frames = []
         self._next_start = 0
         self._flushed = False
-        self._done = False
 
     @property
     def raw_count(self):
         return len(self.frames)
-
-    def _stable_encoded(self):
-        # encoded frame i needs raw frames through index 4i + 3*(kernel-1)
-        t = self.raw_count
-        margin = 3 * (self.kernel - 1)
-        if t < margin + 1:
-            return 0
-        return (t - 1 - margin) // 4 + 1
-
-    def encoded_len(self, T=None):
-        t = self.raw_count if T is None else T
-        if t < 1:
-            raise EmptyInputError("no frames buffered")
-        return -(-(-(-t // 2)) // 2)
 
     def push(self, frames):
         """Append raw frames; return encoded [start, end) ranges now complete."""
@@ -161,10 +138,8 @@ class StreamBuffer:
             raise ProtocolError("push after end-of-stream flush")
         self.frames.extend(frames)
         out = []
-        stable = self._stable_encoded()
-        while not self._done and self._next_start + self.W <= stable:
-            span = (self._next_start, self._next_start + self.W)
-            out.append(span)
+        while frames_needed(self._next_start + self.W) <= self.raw_count:
+            out.append((self._next_start, self._next_start + self.W))
             self._next_start += self.W - self.B
         return out
 
@@ -175,13 +150,5 @@ class StreamBuffer:
         self._flushed = True
         if self.raw_count < 1:
             raise EmptyInputError("flush with no frames buffered")
-        L = self.encoded_len()
-        out = []
-        start = self._next_start
-        while not self._done:
-            end = min(start + self.W, L)
-            out.append((start, end))
-            if start + self.W >= L:
-                self._done = True
-            start += self.W - self.B
-        return out
+        spans = chunk_spans(encoded_len(self.raw_count), self.W, self.B)
+        return [s for s in spans if s[0] >= self._next_start]

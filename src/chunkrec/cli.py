@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,11 +37,18 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
 
+def _section(cls, cfg_dict, key, **defaults):
+    """cls built from the config's `key` section over defaults; bad keys are ConfigError."""
+    try:
+        return cls(**{**defaults, **cfg_dict.get(key, {})})
+    except TypeError as e:
+        raise ConfigError(f"bad {key} section {cfg_dict.get(key)!r}: {e}") from e
+
+
 def _model_from_config(cfg_dict, seed=None):
-    mc = dict(cfg_dict.get("model", {}))
+    cfg = _section(ModelConfig, cfg_dict, "model")
     if seed is not None:
-        mc["seed"] = seed
-    cfg = ModelConfig(**mc)
+        cfg = replace(cfg, seed=seed)
     units = cfg_dict.get("vocab_units")
     if units is None:
         units = [f"s{i}" for i in range(cfg.vocab_size - 2)]
@@ -48,21 +56,11 @@ def _model_from_config(cfg_dict, seed=None):
     return ChunkTransducerModel(cfg, vocab)
 
 
-def _beam_config(cfg_dict):
-    beam = cfg_dict.get("beam", {})
-    try:
-        return BeamConfig(**beam)
-    except TypeError as e:
-        raise ConfigError(f"bad beam section {beam!r}: {e}") from e
-
-
 def _data_from_args(args, cfg_dict, model, n=None, seed=None):
     if args.manifest:
         return load_manifest(args.manifest, model.vocab)
-    syn = dict(cfg_dict.get("synthetic", {}))
-    syn.setdefault("vocab_size", model.cfg.vocab_size)
-    syn.setdefault("d_in", model.cfg.d_in)
-    spec = SyntheticTaskSpec(**syn)
+    spec = _section(SyntheticTaskSpec, cfg_dict, "synthetic",
+                    vocab_size=model.cfg.vocab_size, d_in=model.cfg.d_in)
     return gen_synthetic(spec, n if n is not None else 64, seed=seed)
 
 
@@ -76,7 +74,7 @@ def _out_stream(args):
 def cmd_train(args):
     cfg_dict = _load_config(args.config)
     model = _model_from_config(cfg_dict, seed=args.seed)
-    tc = TrainConfig(**cfg_dict.get("train", {}))
+    tc = _section(TrainConfig, cfg_dict, "train")
     if args.checkpoint:
         tc.checkpoint_path = args.checkpoint
     data = _data_from_args(args, cfg_dict, model,
@@ -100,7 +98,7 @@ def _load_model(args, cfg_dict):
 def cmd_decode(args):
     cfg_dict = _load_config(args.config)
     model = _load_model(args, cfg_dict)
-    beam = _beam_config(cfg_dict)
+    beam = _section(BeamConfig, cfg_dict, "beam")
     data = _data_from_args(args, cfg_dict, model, n=cfg_dict.get("n_decode", 16),
                            seed=model.cfg.seed + 303)
     with _out_stream(args) as out:
@@ -114,7 +112,7 @@ def cmd_decode(args):
 def cmd_stream_demo(args):
     cfg_dict = _load_config(args.config)
     model = _load_model(args, cfg_dict)
-    beam = _beam_config(cfg_dict)
+    beam = _section(BeamConfig, cfg_dict, "beam")
     data = _data_from_args(args, cfg_dict, model, n=1, seed=model.cfg.seed + 404)
     x, _y = data[0]
     frag_len = int(cfg_dict.get("fragment_frames", 5))
@@ -130,7 +128,7 @@ def cmd_stream_demo(args):
 def cmd_eval_cer(args):
     cfg_dict = _load_config(args.config)
     model = _load_model(args, cfg_dict)
-    beam = _beam_config(cfg_dict)
+    beam = _section(BeamConfig, cfg_dict, "beam")
     data = _data_from_args(args, cfg_dict, model, n=cfg_dict.get("n_eval", 64),
                            seed=model.cfg.seed + 505)
     errs = refs = 0

@@ -15,13 +15,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .chunking import ChunkGeometry, chunk_spans, left_context_mask
+from . import chunking
+from .chunking import (FRONT_END_DOWNSAMPLE, FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry,
+                       left_context_mask)
 from .errors import AvailabilityError, ConfigError, ContractError, EmptyInputError, VocabError
 from .lattice import lattice_nll
-
-FRONT_END_KERNEL = 3
-FRONT_END_STRIDE = 2
-FRONT_END_DOWNSAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -39,6 +37,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ConfigError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if not (self.W > self.B >= 0):
@@ -204,16 +204,8 @@ class ChunkTransducerModel:
         L = h.shape[0]
         return h + Tensor(sinusoidal_positions(np.arange(L), self.cfg.d_model))
 
-    @staticmethod
-    def encoded_len(T):
-        l1 = -(-T // FRONT_END_STRIDE)
-        return -(-l1 // FRONT_END_STRIDE)
-
-    @staticmethod
-    def frames_needed(encoded_end):
-        """Raw frames required for encoded positions < encoded_end to be final."""
-        margin = 3 * (FRONT_END_KERNEL - 1)
-        return FRONT_END_DOWNSAMPLE * (encoded_end - 1) + margin + 1
+    encoded_len = staticmethod(chunking.encoded_len)
+    frames_needed = staticmethod(chunking.frames_needed)
 
     # -- attention plumbing -------------------------------------------------
     #

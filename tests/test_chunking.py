@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from chunkrec.chunking import (StreamBuffer, chunk_latency_ms, chunk_spans,
-                               effective_latency_ms, left_context_mask,
-                               num_chunks, split_chunks)
+                               effective_latency_ms, left_context_mask, num_chunks)
 from chunkrec.errors import EmptyInputError, GeometryError, ProtocolError
 
 
@@ -46,10 +45,7 @@ def test_num_chunks_geometry_errors():
 
 
 def test_split_single_chunk():
-    s = np.arange(20.0).reshape(10, 2)
-    cs = split_chunks(s, 10, 3)
-    assert len(cs.chunks) == 1
-    assert np.array_equal(cs.chunks[0], s)
+    assert chunk_spans(10, 10, 3) == [(0, 10)]
 
 
 def test_split_spans():
@@ -58,9 +54,7 @@ def test_split_spans():
 
 
 def test_split_truncated_last_chunk():
-    s = np.arange(17.0)[:, None]
-    cs = split_chunks(s, 10, 2)
-    assert [c.shape[0] for c in cs.chunks] == [10, 9]
+    assert [b - a for a, b in chunk_spans(17, 10, 2)] == [10, 9]
 
 
 def test_split_reconstruction():
@@ -69,10 +63,14 @@ def test_split_reconstruction():
         L = int(rng.integers(1, 80))
         W = int(rng.integers(1, L + 1))
         B = int(rng.integers(0, W))
-        s = rng.normal(size=(L, 3))
-        cs = split_chunks(s, W, B)
-        assert len(cs.chunks) == num_chunks(L, W, B)
-        assert np.array_equal(cs.concatenate_without_overlap(), s)
+        spans = chunk_spans(L, W, B)
+        assert len(spans) == num_chunks(L, W, B)
+        # the spans cover [0, L): each overlaps its predecessor by exactly B
+        assert spans[0][0] == 0 and spans[-1][1] == L
+        assert all(prev_end - start == B for (_, prev_end), (start, _) in zip(spans, spans[1:]))
+        # only the last span may be truncated
+        assert all(b - a == W for a, b in spans[:-1])
+        assert 0 < spans[-1][1] - spans[-1][0] <= W
 
 
 def test_left_context_mask_diagonal():

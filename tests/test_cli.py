@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from chunkrec.cli import main
 from chunkrec.training import save_features
@@ -81,19 +82,29 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert record["error"] == "corrupt-header"
 
 
-def _config_error(tmp_path, capsys, beam):
-    path = tmp_path / "beam.json"
-    path.write_text(json.dumps({"beam": beam}), encoding="utf-8")
-    assert main(["--config", str(path), "decode"]) == 1
+def _config_error(tmp_path, capsys, cfg, command="decode"):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--config", str(path), command]) == 1
     return json.loads(capsys.readouterr().err.strip())["error"]
 
 
 def test_beam_width_zero_is_config_error(tmp_path, capsys):
-    assert _config_error(tmp_path, capsys, {"width": 0}) == "config"
+    assert _config_error(tmp_path, capsys, {"beam": {"width": 0}}) == "config"
 
 
 def test_unknown_beam_key_is_config_error(tmp_path, capsys):
-    assert _config_error(tmp_path, capsys, {"widht": 5}) == "config"
+    assert _config_error(tmp_path, capsys, {"beam": {"widht": 5}}) == "config"
+
+
+@pytest.mark.parametrize("cfg, command", [
+    ({"model": {"n_heads": 0}}, "decode"),
+    ({"model": {"d_modle": 16}}, "decode"),
+    ({"train": {"batch_sise": 2}}, "train"),
+    ({"synthetic": {"max_lne": 3}}, "decode"),
+])
+def test_bad_section_is_config_error(tmp_path, capsys, cfg, command):
+    assert _config_error(tmp_path, capsys, cfg, command) == "config"
 
 
 def test_gradcheck_command(capsys):

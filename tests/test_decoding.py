@@ -99,16 +99,30 @@ def test_beam_keeps_duplicate_prefixes_without_merging():
     assert scores[0] != scores[-1]
 
 
-def test_beam_merge_prefixes_logsumexps():
+def test_ties_go_to_the_lower_symbol_id():
+    # labels 2 and 3 tie exactly in the first round, then blank dominates
     def dist_fn(prefix, chunk):
         if len(prefix) == 1:
-            return _logdist([0.5, 0.01, 0.48, 0.01])
-        return _logdist([0.9, 0.02, 0.06, 0.02])
+            return _logdist([0.1, 0.1, 0.4, 0.4])
+        return _logdist([0.9, 0.02, 0.04, 0.04])
 
-    m = ScriptedModel(dist_fn, W=4, B=0, L=8)
-    merged = beam_decode(m, np.zeros((32, 1)), BeamConfig(width=4, merge_prefixes=True))
-    strings = [tuple(ids) for ids, _ in merged]
-    assert strings.count((2,)) == 1
+    m = ScriptedModel(dist_fn)
+    x = np.zeros((32, 1))
+    assert greedy_decode(m, x)[0] == [2]
+    assert beam_decode(m, x, BeamConfig(width=1))[0][0] == [2]
+
+
+def test_beam_decode_encodes_once():
+    calls = []
+
+    class CountingModel(ScriptedModel):
+        def encode_states(self, x):
+            calls.append(1)
+            return super().encode_states(x)
+
+    m = CountingModel(lambda prefix, chunk: _logdist([0.3, 0.05, 0.35, 0.3]))
+    beam_decode(m, np.zeros((32, 1)), BeamConfig(width=5))
+    assert len(calls) == 1
 
 
 def test_beam_config_rejects_bad_values():
@@ -249,3 +263,14 @@ def test_stream_emission_clock_respects_arrival(tiny_model, rng):
         required = min(tiny_model.frames_needed(end), len(x))
         # wall_clock_ms = (clock() - t0) * 1000 with t0 = 0 frames pushed
         assert e.wall_clock_ms / 1000.0 >= required
+
+
+def test_stream_emissions_are_a_prefix_of_the_final_ids():
+    rng = np.random.default_rng(11)
+    for seed in range(40):
+        m = make_tiny_model(seed=seed)
+        x = rng.normal(size=(int(rng.integers(12, 60)), 4))
+        cuts = np.sort(rng.choice(np.arange(1, len(x)), size=5, replace=False))
+        ids, _, emissions = stream_decode(m, np.split(x, cuts), BeamConfig(width=4))
+        emitted = [e.symbol for e in emissions]
+        assert emitted == ids[:len(emitted)], seed
