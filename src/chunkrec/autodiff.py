@@ -2,7 +2,7 @@
 
 Reverse-mode only, covering exactly the operations the streaming transducer
 model needs: matmul, masked softmax, layer norm, GLU, time-axis convolution
-and a handful of structural ops (reshape / transpose / slice / stack).
+and a handful of structural ops (reshape / transpose / indexing / embedding).
 Broadcasting is limited to leading batch dimensions (a parameter of shape
 (d,) may be added to a (..., d) activation); anything fancier is a
 deliberate non-goal.
@@ -19,8 +19,6 @@ from .errors import (ContractError, EmptyInputError, InvalidMaskError,
 
 # Flipped off inside no_grad(); ops then skip recording backward closures.
 _grad_enabled = True
-# Forward results are checked for NaN/Inf unless disabled (hot loops).
-check_finite = True
 
 
 @contextlib.contextmanager
@@ -155,7 +153,7 @@ def _toposort(root):
 
 
 def _make(data, parents, backward):
-    if check_finite and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericError("non-finite value produced in forward op")
     out = Tensor(data, dtype=data.dtype)
     if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
@@ -236,11 +234,6 @@ def tsum(a, axis=None):
     return _make(data, (a,), bwd)
 
 
-def tmean(a):
-    n = a.data.size
-    return scale(tsum(a), 1.0 / n)
-
-
 # -- nonlinearities ---------------------------------------------------------
 
 
@@ -252,16 +245,6 @@ def relu(a):
         return (g * pos,)
 
     return _make(np.where(pos, a.data, 0.0), (a,), bwd)
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        return (g * s * (1.0 - s),)
-
-    return _make(s, (a,), bwd)
 
 
 def glu(a):
@@ -416,7 +399,7 @@ def transpose(a, axes):
 
 
 def take(a, idx):
-    """Basic slicing/indexing with gradient scatter-add."""
+    """Slicing or integer-array indexing with gradient scatter-add."""
     a = _as_tensor(a)
     data = a.data[idx]
 
@@ -426,21 +409,6 @@ def take(a, idx):
         return (ga,)
 
     return _make(data.copy() if isinstance(data, np.ndarray) else np.asarray(data), (a,), bwd)
-
-
-def gather_pairs(a, rows, cols):
-    """out[i] = a[rows[i], cols[i]] for a 2-d tensor."""
-    a = _as_tensor(a)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    data = a.data[rows, cols]
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, cols), g)
-        return (ga,)
-
-    return _make(data, (a,), bwd)
 
 
 def embedding(table, ids):
@@ -455,28 +423,6 @@ def embedding(table, ids):
         return (gt,)
 
     return _make(data, (table,), bwd)
-
-
-def stack(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return _make(data, tuple(tensors), bwd)
-
-
-def concat(tensors, axis=-1):
-    tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(data, tuple(tensors), bwd)
 
 
 # -- finite-difference checking --------------------------------------------

@@ -121,17 +121,11 @@ def lattice_grad(blank_lp, label_lp):
     if log_prob == NEG_INF:
         raise DegenerateLatticeError("lattice carries no path mass")
     beta = backward_pass(blank_lp, label_lp)
+    # An edge no path uses has a -inf log-occupancy, and exp(-inf) = 0.
     grad_blank = np.zeros((M, U + 1))
-    grad_label = np.zeros((M, U))
-    for m in range(M - 1):
-        for u in range(U + 1):
-            g = alpha[m, u] + blank_lp[m, u] + beta[m + 1, u] - log_prob
-            grad_blank[m, u] = math.exp(g) if g > NEG_INF else 0.0
-    grad_blank[M - 1, U] = math.exp(alpha[M - 1, U] + blank_lp[M - 1, U] - log_prob)
-    for m in range(M):
-        for u in range(U):
-            g = alpha[m, u] + label_lp[m, u] + beta[m, u + 1] - log_prob
-            grad_label[m, u] = math.exp(g) if g > NEG_INF else 0.0
+    grad_blank[:-1] = np.exp(alpha[:-1] + blank_lp[:-1] + beta[1:] - log_prob)
+    grad_blank[-1, -1] = np.exp(alpha[-1, -1] + blank_lp[-1, -1] - log_prob)
+    grad_label = np.exp(alpha[:, :-1] + label_lp + beta[:, 1:] - log_prob)
     return log_prob, grad_blank, grad_label
 
 

@@ -4,7 +4,10 @@ Convolutional front end (two stride-2 time convolutions, ReLU, sinusoidal
 positions), a left-context-masked pre-norm transformer encoder, and a
 decoder whose cross-attention sees exactly one encoded chunk at a time.
 The decoder output is a log-distribution over vocabulary + blank, from
-which the training lattice tables are extracted by teacher forcing.
+which the training lattice tables are extracted by teacher forcing: one
+decoder pass scores the label prefix against all M chunks at once.
+``parameter_table`` is the one list of parameter names and shapes; the
+initializer walks it and the model checks given parameters against it.
 """
 
 from __future__ import annotations
@@ -105,41 +108,25 @@ def sinusoidal_positions(positions, d_model):
     return pe
 
 
-def init_parameters(cfg, rng=None):
-    """Uniform fan-in-scaled init; deterministic for a given config seed."""
-    rng = rng or np.random.default_rng(cfg.seed)
-    params = {}
+def parameter_table(cfg):
+    """(name, shape, init) of every parameter cfg defines, in init_parameters' draw order.
 
-    def uniform(name, shape, fan_in):
-        a = np.sqrt(1.0 / fan_in)
-        params[name] = Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
-
-    def zeros(name, shape):
-        params[name] = Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(name, shape):
-        params[name] = Tensor(np.ones(shape), requires_grad=True)
-
-    d, k = cfg.d_model, FRONT_END_KERNEL
-    uniform("fe.conv1.w", (k, cfg.d_in, d), k * cfg.d_in)
-    zeros("fe.conv1.b", (d,))
-    uniform("fe.conv2.w", (k, d, d), k * d)
-    zeros("fe.conv2.b", (d,))
+    init is "zeros", "ones", or the fan-in of a uniform draw.
+    """
+    d, k, f = cfg.d_model, FRONT_END_KERNEL, cfg.ffn_inner
+    table = [("fe.conv1.w", (k, cfg.d_in, d), k * cfg.d_in), ("fe.conv1.b", (d,), "zeros"),
+             ("fe.conv2.w", (k, d, d), k * d), ("fe.conv2.b", (d,), "zeros")]
 
     def attn(prefix):
-        for nm in ("wq", "wk", "wv", "wo"):
-            uniform(f"{prefix}.{nm}", (d, d), d)
-            zeros(f"{prefix}.{nm.replace('w', 'b')}", (d,))
+        for nm in "qkvo":
+            table.extend([(f"{prefix}.w{nm}", (d, d), d), (f"{prefix}.b{nm}", (d,), "zeros")])
 
     def ln(prefix):
-        ones(f"{prefix}.g", (d,))
-        zeros(f"{prefix}.b", (d,))
+        table.extend([(f"{prefix}.g", (d,), "ones"), (f"{prefix}.b", (d,), "zeros")])
 
     def ffn(prefix):
-        uniform(f"{prefix}.w1", (d, 2 * cfg.ffn_inner), d)
-        zeros(f"{prefix}.b1", (2 * cfg.ffn_inner,))
-        uniform(f"{prefix}.w2", (cfg.ffn_inner, d), cfg.ffn_inner)
-        zeros(f"{prefix}.b2", (d,))
+        table.extend([(f"{prefix}.w1", (d, 2 * f), d), (f"{prefix}.b1", (2 * f,), "zeros"),
+                      (f"{prefix}.w2", (f, d), f), (f"{prefix}.b2", (d,), "zeros")])
 
     for i in range(cfg.n_enc_blocks):
         ln(f"enc.{i}.ln1")
@@ -148,7 +135,7 @@ def init_parameters(cfg, rng=None):
         ffn(f"enc.{i}.ffn")
     ln("enc.final_ln")
 
-    uniform("dec.embed", (cfg.vocab_size, d), d)
+    table.append(("dec.embed", (cfg.vocab_size, d), d))
     for i in range(cfg.n_dec_blocks):
         ln(f"dec.{i}.ln1")
         attn(f"dec.{i}.self_attn")
@@ -157,9 +144,35 @@ def init_parameters(cfg, rng=None):
         ln(f"dec.{i}.ln3")
         ffn(f"dec.{i}.ffn")
     ln("dec.final_ln")
-    uniform("dec.out.w", (d, cfg.vocab_size), d)
-    zeros("dec.out.b", (cfg.vocab_size,))
+    table.extend([("dec.out.w", (d, cfg.vocab_size), d),
+                  ("dec.out.b", (cfg.vocab_size,), "zeros")])
+    return table
+
+
+def init_parameters(cfg, rng=None):
+    """Uniform fan-in-scaled init; deterministic for a given config seed."""
+    rng = rng or np.random.default_rng(cfg.seed)
+    params = {}
+    for name, shape, init in parameter_table(cfg):
+        if init == "zeros":
+            data = np.zeros(shape)
+        elif init == "ones":
+            data = np.ones(shape)
+        else:
+            a = np.sqrt(1.0 / init)
+            data = rng.uniform(-a, a, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
     return params
+
+
+def check_parameters(cfg, params):
+    """Raise ContractError unless params holds exactly cfg's names and shapes."""
+    expected = {name: shape for name, shape, _init in parameter_table(cfg)}
+    given = {name: tuple(t.shape) for name, t in params.items()}
+    if given != expected:
+        bad = sorted(n for n in expected.keys() | given.keys() if expected.get(n) != given.get(n))
+        raise ContractError("parameters differ from the config: " + ", ".join(
+            f"{n} {given.get(n, 'missing')} (config: {expected.get(n, 'none')})" for n in bad))
 
 
 def _permute_tail(x, axes):
@@ -183,9 +196,13 @@ class ChunkTransducerModel:
     def __init__(self, cfg: ModelConfig, vocab: Vocabulary, params=None):
         if len(vocab) != cfg.vocab_size:
             raise ConfigError(f"vocab size {len(vocab)} != config {cfg.vocab_size}")
+        if params is None:
+            params = init_parameters(cfg)
+        else:
+            check_parameters(cfg, params)
         self.cfg = cfg
         self.vocab = vocab
-        self.params = params if params is not None else init_parameters(cfg)
+        self.params = params
 
     # -- front end ----------------------------------------------------------
 
@@ -209,9 +226,10 @@ class ChunkTransducerModel:
 
     # -- attention plumbing -------------------------------------------------
     #
-    # Activations are (..., t, d): the encoder and the teacher-forced decoder
-    # pass 2-D sequences, batched search passes (n, t, d). A 2-D kv_in under
-    # a batched q_in (cross-attention to one chunk) is projected once and
+    # Activations are (..., t, d): the encoder passes 2-D sequences, search
+    # passes (n, t, d) prefixes against one chunk, and teacher forcing passes
+    # (M, U+1, d) prefixes against (M, W, d) chunks. A 2-D kv_in under a
+    # batched q_in (cross-attention to one chunk) is projected once and
     # broadcast over the batch.
 
     def _mha(self, prefix, q_in, kv_in, mask):
@@ -276,18 +294,21 @@ class ChunkTransducerModel:
             raise VocabError("prefix id out of vocabulary")
         return ids
 
-    def _decode(self, ids, self_mask, chunk_states):
-        """Decoder blocks over ids of shape (..., P) -> (..., P, vocab) log-softmax."""
+    def _decode(self, ids, self_mask, chunk_states, cross_mask=True):
+        """Decoder blocks over ids of shape (..., P) -> (..., P, vocab) log-softmax.
+
+        cross_mask broadcasts against the (..., heads, P, W) cross-attention
+        scores; chunk positions it marks False get exactly zero attention.
+        """
         p = self.params
         P = ids.shape[-1]
         h = ad.embedding(p["dec.embed"], ids) + Tensor(
             sinusoidal_positions(np.arange(P), self.cfg.d_model))
-        cross = np.ones((P, chunk_states.shape[0]), dtype=bool)
         for i in range(self.cfg.n_dec_blocks):
             n = self._ln(f"dec.{i}.ln1", h)
             h = h + self._mha(f"dec.{i}.self_attn", n, n, self_mask)
             h = h + self._mha(f"dec.{i}.cross_attn",
-                              self._ln(f"dec.{i}.ln2", h), chunk_states, cross)
+                              self._ln(f"dec.{i}.ln2", h), chunk_states, cross_mask)
             h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
         h = self._ln("dec.final_ln", h)
         return ad.log_softmax(h @ p["dec.out.w"] + p["dec.out.b"])
@@ -334,22 +355,26 @@ class ChunkTransducerModel:
         """Teacher-forced lattice tables for one (features, labels) pair.
 
         Returns (blank_lp, label_lp) Tensors of shapes (M, U+1) and (M, U).
+        All M chunks are scored in one decoder pass with the chunk axis as
+        the batch axis: a truncated last chunk is padded to W states and the
+        cross-attention mask hides the padding, so it gets exactly zero
+        attention and zero gradient.
         """
         y_ids = np.asarray(y_ids, dtype=np.intp)
         if y_ids.size and ((y_ids < 0).any() or (y_ids >= self.cfg.vocab_size).any()):
             raise VocabError("label id out of vocabulary")
         x = np.asarray(x, dtype=np.float64)
         states = self.encode_states(x)
-        geom = self.geometry_for(x.shape[0])
-        U = int(y_ids.size)
+        spans = np.array(self.geometry_for(x.shape[0]).spans)
+        W, U = self.cfg.W, int(y_ids.size)
+        pos = spans[:, :1] + np.arange(W)
+        valid = pos < spans[:, 1:]
+        chunks = states[np.minimum(pos, states.shape[0] - 1)]
         prefix = np.concatenate(([self.vocab.start_id], y_ids))
-        blank_rows, label_rows = [], []
-        rows = np.arange(U)
-        for a, b in geom.spans:
-            ld = self.decoder_forward(prefix, states[a:b])
-            blank_rows.append(ld[:, self.vocab.blank_id])
-            label_rows.append(ad.gather_pairs(ld, rows, y_ids))
-        return ad.stack(blank_rows), ad.stack(label_rows)
+        ids = np.broadcast_to(prefix, (len(spans), U + 1))
+        ld = self._decode(ids, np.tril(np.ones((U + 1, U + 1), dtype=bool)), chunks,
+                          valid[:, None, None, :])
+        return ld[:, :, self.vocab.blank_id], ld[:, np.arange(U), y_ids]
 
     def sequence_nll(self, x, y_ids):
         """Negative log-probability of y given x (scalar Tensor)."""

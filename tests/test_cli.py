@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from chunkrec.checkpoint import save_checkpoint
 from chunkrec.cli import main
 from chunkrec.training import save_features
+
+from conftest import make_tiny_model
 
 
 def tiny_config(tmp_path, **train_overrides):
@@ -80,6 +83,17 @@ def test_error_is_machine_readable(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     record = json.loads(err)
     assert record["error"] == "corrupt-header"
+
+
+def test_checkpoint_missing_a_parameter_is_contract_error(tmp_path, capsys):
+    m = make_tiny_model()
+    del m.params["dec.out.b"]
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, m)
+    assert main(["--checkpoint", str(bad), "decode"]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "contract"
+    assert "dec.out.b" in record["message"]
 
 
 def _config_error(tmp_path, capsys, cfg, command="decode"):

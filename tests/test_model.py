@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from chunkrec import autodiff as ad
+from chunkrec.autodiff import Tensor
 from chunkrec.errors import AvailabilityError, ConfigError, ContractError, VocabError
-from chunkrec.model import ModelConfig, Vocabulary, sinusoidal_positions
+from chunkrec.model import ChunkTransducerModel, ModelConfig, Vocabulary, sinusoidal_positions
 
 from conftest import make_tiny_model
 
@@ -13,6 +14,21 @@ def test_config_validation():
         ModelConfig(d_model=10, n_heads=4)
     with pytest.raises(ConfigError):
         ModelConfig(W=3, B=3)
+
+
+def test_model_rejects_params_that_differ_from_config():
+    m = make_tiny_model()
+    ChunkTransducerModel(m.cfg, m.vocab, dict(m.params))
+    missing = dict(m.params)
+    del missing["dec.out.b"]
+    with pytest.raises(ContractError, match="dec.out.b"):
+        ChunkTransducerModel(m.cfg, m.vocab, missing)
+    wrong_shape = dict(m.params, **{"dec.0.ffn.b1": Tensor(np.zeros(3))})
+    with pytest.raises(ContractError, match="dec.0.ffn.b1"):
+        ChunkTransducerModel(m.cfg, m.vocab, wrong_shape)
+    unknown = dict(m.params, **{"dec.2.ln1.g": Tensor(np.ones(16))})
+    with pytest.raises(ContractError, match="dec.2.ln1.g"):
+        ChunkTransducerModel(m.cfg, m.vocab, unknown)
 
 
 def test_vocab_roundtrip():
@@ -145,6 +161,41 @@ def test_lattice_probs_shapes_and_range(tiny_model, rng):
     assert label_lp.shape == (M, 3)
     assert (blank_lp.data <= 0).all() and np.isfinite(blank_lp.data).all()
     assert (label_lp.data <= 0).all() and np.isfinite(label_lp.data).all()
+
+
+@pytest.mark.parametrize("T, y, chunk_lens", [
+    (8, [2, 5], [2]),              # L=2 < W: one truncated chunk
+    (24, [2, 5, 3], [3, 3, 2]),    # L=6: the last chunk is truncated
+    (20, [4, 6], [3, 3]),          # L=5: an exact fit
+    (24, [], [3, 3, 2]),           # U = 0
+])
+def test_lattice_probs_match_per_chunk_decoder_passes(tiny_model, rng, T, y, chunk_lens):
+    m = tiny_model
+    x = rng.normal(size=(T, 4))
+    spans = m.geometry_for(T).spans
+    assert [b - a for a, b in spans] == chunk_lens
+    blank_lp, label_lp = m.lattice_probs_for(x, y)
+    assert blank_lp.shape == (len(spans), len(y) + 1) and label_lp.shape == (len(spans), len(y))
+    states = m.encode_states(x)
+    for row, (a, b) in enumerate(spans):
+        ref = m.decoder_forward([m.vocab.start_id] + y, states[a:b]).data
+        assert np.max(np.abs(blank_lp.data[row] - ref[:, m.vocab.blank_id])) <= 1e-12
+        assert np.max(np.abs(label_lp.data[row] - ref[np.arange(len(y)), y]), initial=0.0) <= 1e-12
+
+
+def test_lattice_probs_make_one_decoder_pass(tiny_model, rng, monkeypatch):
+    batches = []
+    decode = tiny_model._decode
+
+    def counted(ids, *args, **kwargs):
+        batches.append(ids.shape[0])
+        return decode(ids, *args, **kwargs)
+
+    monkeypatch.setattr(tiny_model, "_decode", counted)
+    for T in (8, 24, 64):
+        batches.clear()
+        tiny_model.lattice_probs_for(rng.normal(size=(T, 4)), [2, 5])
+        assert batches == [tiny_model.geometry_for(T).M]
 
 
 def test_lattice_probs_empty_target(tiny_model, rng):
