@@ -1,8 +1,10 @@
 """Minimal dense-tensor autodiff on numpy.
 
 Reverse-mode only, covering exactly the operations the streaming transducer
-model needs: matmul, masked softmax, layer norm, GLU, time-axis convolution
-and a handful of structural ops (reshape / transpose / indexing / embedding).
+model needs: matmul, linear (x @ w + b), multi-head attention, masked
+softmax, layer norm, GLU, time-axis convolution, indexing and embedding.
+Attention and linear layers are single ops with hand-written backward
+passes, because on a small model each op costs mostly Python overhead.
 Broadcasting is limited to leading batch dimensions (a parameter of shape
 (d,) may be added to a (..., d) activation); anything fancier is a
 deliberate non-goal.
@@ -70,9 +72,11 @@ class Tensor:
         self.grad += g
 
     def backward(self):
-        """Populate grads of every requires_grad tensor reachable from self.
+        """Populate grads of every requires_grad leaf reachable from self.
 
-        self must be scalar. Repeated calls accumulate into existing grads.
+        Leaves are tensors no op produced (no ``_backward``), such as
+        parameters; intermediate tensors get no ``.grad``. self must be
+        scalar. Repeated calls accumulate into existing grads.
         """
         if self.data.shape != ():
             raise ContractError(f"backward requires a scalar, got shape {self.data.shape}")
@@ -82,9 +86,10 @@ class Tensor:
             g = grads.pop(id(t), None)
             if g is None:
                 continue
-            if t.requires_grad:
-                t._accumulate(g)
-            if t._backward is not None:
+            if t._backward is None:
+                if t.requires_grad:
+                    t._accumulate(g)
+            else:
                 for parent, pg in zip(t._parents, t._backward(g)):
                     if pg is None:
                         continue
@@ -121,12 +126,6 @@ class Tensor:
     def __getitem__(self, idx):
         return take(self, idx)
 
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -153,7 +152,7 @@ def _toposort(root):
 
 
 def _make(data, parents, backward):
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError("non-finite value produced in forward op")
     out = Tensor(data, dtype=data.dtype)
     if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
@@ -222,6 +221,23 @@ def matmul(a, b):
     return _make(data, (a, b), bwd)
 
 
+def linear(x, w, b):
+    """x @ w + b for x of shape (..., t, d_in), w (d_in, d_out) and b (d_out,)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ShapeError(f"linear shapes disagree: {x.data.shape} @ {w.data.shape} "
+                         f"+ {b.data.shape}")
+    data = np.matmul(x.data, w.data) + b.data
+
+    def bwd(g):
+        gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+        return (np.matmul(g, w.data.T), _unbroadcast(gw, w.data.shape),
+                _unbroadcast(g, b.data.shape))
+
+    return _make(data, (x, w, b), bwd)
+
+
 def tsum(a, axis=None):
     a = _as_tensor(a)
     data = a.data.sum(axis=axis)
@@ -267,6 +283,22 @@ def glu(a):
     return _make(data, (a,), bwd)
 
 
+def _softmax_forward(scores, mask):
+    """Masked softmax of a numpy array over its last axis (see masked_softmax)."""
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+    if not mask.any(axis=-1).all():
+        raise InvalidMaskError("fully masked row in masked_softmax")
+    neg = np.where(mask, scores, -np.inf)
+    m = neg.max(axis=-1, keepdims=True)
+    e = np.exp(neg - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(g, p):
+    gp = g * p
+    return gp - p * gp.sum(axis=-1, keepdims=True)
+
+
 def masked_softmax(scores, mask):
     """Softmax over the last axis restricted to positions where mask is True.
 
@@ -274,19 +306,56 @@ def masked_softmax(scores, mask):
     scores.shape; each row needs at least one unmasked entry.
     """
     scores = _as_tensor(scores)
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
-    if not mask.any(axis=-1).all():
-        raise InvalidMaskError("fully masked row in masked_softmax")
-    neg = np.where(mask, scores.data, -np.inf)
-    m = neg.max(axis=-1, keepdims=True)
-    e = np.exp(neg - m)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax_forward(scores.data, mask)
 
     def bwd(g):
-        gp = g * p
-        return (gp - p * gp.sum(axis=-1, keepdims=True),)
+        return (_softmax_backward(g, p),)
 
     return _make(p, (scores,), bwd)
+
+
+def _split_heads(x, n_heads):
+    """(..., t, d) -> (..., n_heads, t, d // n_heads), a view."""
+    return np.swapaxes(x.reshape(*x.shape[:-1], n_heads, x.shape[-1] // n_heads), -2, -3)
+
+
+def _merge_heads(x):
+    """(..., n_heads, t, dk) -> (..., t, n_heads * dk)."""
+    x = np.swapaxes(x, -2, -3)
+    return x.reshape(*x.shape[:-2], -1)
+
+
+def attention(q, k, v, mask, n_heads):
+    """Multi-head scaled dot-product attention over projected q, k and v.
+
+    q is (..., t, d); k and v are (..., s, d), or (s, d) shared by every
+    batch entry of q. Each head is a d // n_heads slice of the last axis.
+    mask broadcasts against the (..., n_heads, t, s) scores, and key
+    positions it marks False get exactly zero weight. Returns the
+    (..., t, d) context with the heads merged back.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    d = q.data.shape[-1]
+    if (q.data.ndim < 2 or k.data.ndim < 2 or k.data.shape != v.data.shape
+            or k.data.shape[-1] != d or d % n_heads):
+        raise ShapeError(f"attention shapes disagree: q {q.data.shape}, k {k.data.shape}, "
+                         f"v {v.data.shape}, {n_heads} heads")
+    c = float(1.0 / np.sqrt(d // n_heads))
+    qh, kh, vh = (_split_heads(t.data, n_heads) for t in (q, k, v))
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * c
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite value produced in forward op")
+    p = _softmax_forward(scores, mask)
+
+    def bwd(g):
+        gh = _split_heads(g, n_heads)
+        gs = _softmax_backward(np.matmul(gh, np.swapaxes(vh, -1, -2)), p) * c
+        gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)
+        gv = np.matmul(np.swapaxes(p, -1, -2), gh)
+        return (_merge_heads(np.matmul(gs, kh)), _unbroadcast(_merge_heads(gk), k.data.shape),
+                _unbroadcast(_merge_heads(gv), v.data.shape))
+
+    return _make(_merge_heads(np.matmul(p, vh)), (q, k, v), bwd)
 
 
 def log_softmax(a):
@@ -376,26 +445,6 @@ def conv1d_time(x, kernels, stride):
 
 
 # -- structural ops ---------------------------------------------------------
-
-
-def reshape(a, shape):
-    a = _as_tensor(a)
-    old = a.data.shape
-
-    def bwd(g):
-        return (g.reshape(old),)
-
-    return _make(a.data.reshape(shape), (a,), bwd)
-
-
-def transpose(a, axes):
-    a = _as_tensor(a)
-    inv = np.argsort(axes)
-
-    def bwd(g):
-        return (g.transpose(inv),)
-
-    return _make(a.data.transpose(axes), (a,), bwd)
 
 
 def take(a, idx):

@@ -175,14 +175,6 @@ def check_parameters(cfg, params):
             f"{n} {given.get(n, 'missing')} (config: {expected.get(n, 'none')})" for n in bad))
 
 
-def _permute_tail(x, axes):
-    """Permute the last three axes of x, leaving leading batch axes alone."""
-    n = x.data.ndim - 3
-    if n:
-        axes = (*range(n), *(n + a for a in axes))
-    return x.transpose(*axes)
-
-
 @dataclass
 class EncodedChunk:
     states: Tensor
@@ -232,28 +224,21 @@ class ChunkTransducerModel:
     # batched q_in (cross-attention to one chunk) is projected once and
     # broadcast over the batch.
 
-    def _mha(self, prefix, q_in, kv_in, mask):
+    def _linear(self, prefix, x, suffix=""):
         p = self.params
-        h, d = self.cfg.n_heads, self.cfg.d_model
-        dk = d // h
-        q = q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"]
-        k = kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"]
-        v = kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"]
-        # (..., t, d) -> (..., h, t, dk)
-        q = _permute_tail(q.reshape(*q.shape[:-1], h, dk), (1, 0, 2))
-        k = _permute_tail(k.reshape(*k.shape[:-1], h, dk), (1, 0, 2))
-        v = _permute_tail(v.reshape(*v.shape[:-1], h, dk), (1, 0, 2))
-        scores = (q @ _permute_tail(k, (0, 2, 1))) * (1.0 / np.sqrt(dk))
-        attn = ad.masked_softmax(scores, mask)
-        ctx = _permute_tail(attn @ v, (1, 0, 2)).reshape(*q_in.shape[:-1], d)
-        return ctx @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+        return ad.linear(x, p[f"{prefix}.w{suffix}"], p[f"{prefix}.b{suffix}"])
+
+    def _mha(self, prefix, q_in, kv_in, mask):
+        q = self._linear(prefix, q_in, "q")
+        k = self._linear(prefix, kv_in, "k")
+        v = self._linear(prefix, kv_in, "v")
+        return self._linear(prefix, ad.attention(q, k, v, mask, self.cfg.n_heads), "o")
 
     def _ln(self, prefix, x):
         return ad.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
     def _ffn(self, prefix, x):
-        p = self.params
-        return ad.glu(x @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"]) @ p[f"{prefix}.w2"] + p[f"{prefix}.b2"]
+        return self._linear(prefix, ad.glu(self._linear(prefix, x, "1")), "2")
 
     # -- encoder ------------------------------------------------------------
 
@@ -300,9 +285,8 @@ class ChunkTransducerModel:
         cross_mask broadcasts against the (..., heads, P, W) cross-attention
         scores; chunk positions it marks False get exactly zero attention.
         """
-        p = self.params
         P = ids.shape[-1]
-        h = ad.embedding(p["dec.embed"], ids) + Tensor(
+        h = ad.embedding(self.params["dec.embed"], ids) + Tensor(
             sinusoidal_positions(np.arange(P), self.cfg.d_model))
         for i in range(self.cfg.n_dec_blocks):
             n = self._ln(f"dec.{i}.ln1", h)
@@ -310,8 +294,7 @@ class ChunkTransducerModel:
             h = h + self._mha(f"dec.{i}.cross_attn",
                               self._ln(f"dec.{i}.ln2", h), chunk_states, cross_mask)
             h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
-        h = self._ln("dec.final_ln", h)
-        return ad.log_softmax(h @ p["dec.out.w"] + p["dec.out.b"])
+        return ad.log_softmax(self._linear("dec.out", self._ln("dec.final_ln", h)))
 
     def decoder_forward(self, prefix_ids, chunk_states):
         """Log-distributions at every prefix position against one chunk.

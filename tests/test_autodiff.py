@@ -3,7 +3,8 @@ import pytest
 
 from chunkrec import autodiff as ad
 from chunkrec.autodiff import Tensor
-from chunkrec.errors import ContractError, InvalidMaskError, ShapeError
+from chunkrec.chunking import left_context_mask
+from chunkrec.errors import ContractError, InvalidMaskError, NumericError, ShapeError
 
 
 def test_matmul_identity():
@@ -29,6 +30,88 @@ def test_matmul_gradcheck():
     ok, dev = ad.check_gradients(lambda: ad.tsum(ad.matmul(a, b) * ad.matmul(a, b)),
                                  [a, b], tol=1e-6)
     assert ok, dev
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+def test_linear_gradcheck(x_shape):
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    out = ad.linear(x, w, b)
+    assert np.array_equal(out.data, np.matmul(x.data, w.data) + b.data)
+    c = rng.normal(size=x_shape[:-1] + (5,))
+    ok, dev = ad.check_gradients(lambda: ad.tsum(ad.linear(x, w, b) * Tensor(c)), [x, w, b],
+                                 tol=1e-6)
+    assert ok, dev
+
+
+def test_linear_shape_error():
+    with pytest.raises(ShapeError):
+        ad.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
+
+
+def _attention_by_composition(q, k, v, mask, h):
+    """The numpy op chain attention() replaces: split, scores, softmax, context, merge."""
+    def split(x):
+        return np.swapaxes(x.reshape(*x.shape[:-1], h, x.shape[-1] // h), -2, -3)
+
+    dk = q.shape[-1] // h
+    scores = np.matmul(split(q), np.swapaxes(split(k), -1, -2)) * float(1.0 / np.sqrt(dk))
+    p = ad.masked_softmax(Tensor(scores), mask).data
+    ctx = np.swapaxes(np.matmul(p, split(v)), -2, -3)
+    return ctx.reshape(*q.shape)
+
+
+def _attention_case(q_shape, kv_shape, mask, seed):
+    """Gradcheck attention and compare its forward with the composition; returns k, v."""
+    rng = np.random.default_rng(seed)
+    q = Tensor(rng.normal(size=q_shape), requires_grad=True)
+    k = Tensor(rng.normal(size=kv_shape), requires_grad=True)
+    v = Tensor(rng.normal(size=kv_shape), requires_grad=True)
+    c = rng.normal(size=q_shape)
+    ok, dev = ad.check_gradients(
+        lambda: ad.tsum(ad.attention(q, k, v, mask, 2) * Tensor(c)), [q, k, v], tol=1e-6)
+    assert ok, dev
+    out = ad.attention(q, k, v, mask, 2).data
+    assert np.array_equal(out, _attention_by_composition(q.data, k.data, v.data, mask, 2))
+    return k, v
+
+
+def test_attention_self_under_left_context_mask():
+    _attention_case((5, 4), (5, 4), left_context_mask(5, 2), seed=12)
+
+
+def test_attention_batched_q_against_shared_kv_with_padded_keys():
+    valid = np.array([True, True, True, False, False])
+    k, v = _attention_case((3, 2, 4), (5, 4), valid, seed=13)
+    assert (k.grad[3:] == 0.0).all() and (v.grad[3:] == 0.0).all()
+    q = np.random.default_rng(14).normal(size=(3, 2, 4))
+    shared = ad.attention(Tensor(q), k, v, valid, 2).data
+    for i in range(3):
+        alone = ad.attention(Tensor(q[i]), k, v, valid, 2).data
+        assert np.max(np.abs(shared[i] - alone)) <= 1e-12
+
+
+def test_attention_chunk_key_mask():
+    # (M, 1, 1, W): the last of three chunks keeps 2 of its 4 key positions
+    valid = np.ones((3, 4), dtype=bool)
+    valid[-1, 2:] = False
+    k, v = _attention_case((3, 2, 4), (3, 4, 4), valid[:, None, None, :], seed=15)
+    assert (k.grad[-1, 2:] == 0.0).all() and (v.grad[-1, 2:] == 0.0).all()
+
+
+def test_attention_errors():
+    rng = np.random.default_rng(17)
+    q = rng.normal(size=(3, 4))
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        ad.attention(Tensor(q * 1e300), Tensor(q * 1e300), Tensor(q), True, 2)
+    mask = np.ones((3, 3), dtype=bool)
+    mask[1] = False
+    with pytest.raises(InvalidMaskError):
+        ad.attention(Tensor(q), Tensor(q), Tensor(q), mask, 2)
+    with pytest.raises(ShapeError):
+        ad.attention(Tensor(q), Tensor(q), Tensor(q), True, 3)
 
 
 def test_masked_softmax_uniform():
@@ -174,6 +257,14 @@ def test_backward_accumulates():
     ad.tsum(x).backward()
     ad.tsum(x).backward()
     assert np.array_equal(x.grad, 2 * np.ones(3))
+
+
+def test_backward_fills_only_leaf_grads():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = x * x
+    ad.tsum(y).backward()
+    assert np.array_equal(x.grad, 2 * np.ones(3))
+    assert y.grad is None
 
 
 def test_backward_requires_scalar():

@@ -226,3 +226,24 @@ def test_end_to_end_gradients_match_finite_differences(rng):
     tensors = [m.params[n] for n in sorted(m.params)]
     ok, dev = ad.check_gradients(lambda: m.sequence_nll(x, y), tensors, tol=1e-4)
     assert ok, dev
+
+
+def test_op_budget_of_a_decoder_pass_and_an_encode(rng, monkeypatch):
+    # attention and linear layers are single autodiff ops: a 2+2-block model
+    # makes at most 44 ops per decoder_steps pass and 32 per encode
+    m = make_tiny_model(n_enc_blocks=2, n_dec_blocks=2)
+    x = rng.normal(size=(24, 4))
+    start = m.vocab.start_id
+    ops = []
+    make = ad._make
+
+    def counted(*args):
+        ops.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(ad, "_make", counted)
+    states = m.encode_states(x)
+    assert len(ops) <= 32
+    ops.clear()
+    m.decoder_steps([[start, 2, 3], [start]], states[0:3])
+    assert len(ops) <= 44
