@@ -47,9 +47,9 @@ while pos < len(x):
 
 ids, lp, emissions = stream_decode(model, frags)
 off_ids, off_lp = beam_decode(model, x)[0]
-# A symbol is emitted once every surviving hypothesis shares it (and the
-# rest of the transcript at flush), so emissions never contradict the
-# final transcript, unless the greedy floor replaces the beam's best at flush.
+# A symbol is emitted once every surviving hypothesis, and the greedy path
+# the search carries as a floor, shares it (and the rest of the transcript
+# at flush), so emissions never contradict the final transcript.
 print("\nemissions (chunk, symbol, cumulative log-prob, wall-clock ms):")
 if not emissions:
     print("  (none: the model is untrained, so the final transcript is empty;")
@@ -59,6 +59,8 @@ for e in emissions:
 print(f"\nstreamed: {ids}  logp {lp:.6f}")
 print(f"offline:  {off_ids}  logp {off_lp:.6f}")
 print(f"same ids, |dlogp| <= 1e-10: {ids == off_ids and abs(lp - off_lp) <= 1e-10}")
+print(f"emissions are a prefix of the final ids: "
+      f"{[e.symbol for e in emissions] == ids[:len(emissions)]}")
 
 print(f"\nalgorithmic latency at W=10: {chunk_latency_ms(10):.0f} ms; "
       f"with overlap B=3 the stride shrinks and the effective wait is "

@@ -231,9 +231,9 @@ def linear(x, w, b):
     data = np.matmul(x.data, w.data) + b.data
 
     def bwd(g):
-        gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
-        return (np.matmul(g, w.data.T), _unbroadcast(gw, w.data.shape),
-                _unbroadcast(g, b.data.shape))
+        d_in, d_out = w.data.shape
+        gw = x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
+        return np.matmul(g, w.data.T), gw, _unbroadcast(g, b.data.shape)
 
     return _make(data, (x, w, b), bwd)
 
@@ -291,7 +291,9 @@ def _softmax_forward(scores, mask):
     neg = np.where(mask, scores, -np.inf)
     m = neg.max(axis=-1, keepdims=True)
     e = np.exp(neg - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    # A sequential sum, unlike numpy's pairwise one, gives the same bits
+    # however many masked (exactly zero) entries trail the row.
+    return e / np.cumsum(e, axis=-1)[..., -1:]
 
 
 def _softmax_backward(g, p):
@@ -373,15 +375,20 @@ def log_softmax(a):
     return _make(data, (a,), bwd)
 
 
+def _row_mean(a):
+    """a.mean(axis=-1, keepdims=True), bit for bit, without ndarray.mean's Python wrapper."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
     """Per-row normalization over the last axis, then affine by gain/bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm gain/bias must have shape (last_dim,)")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _row_mean(x.data)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _row_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
@@ -390,8 +397,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
         ggain = _unbroadcast(g * xhat, gain.data.shape)
         gbias = _unbroadcast(g, bias.data.shape)
         gy = g * gain.data
-        gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                    - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+        gx = inv * (gy - _row_mean(gy) - xhat * _row_mean(gy * xhat))
         return gx, ggain, gbias
 
     return _make(data, (x, gain, bias), bwd)

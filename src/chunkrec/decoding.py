@@ -12,8 +12,11 @@ padded ``decoder_steps`` pass, ranks every hypothesis's next symbols with
 one stable argsort over the resulting (n, vocab) array, and prunes
 extended and finished candidates together to the beam width. A chunk
 therefore costs at most ``max_symbols_per_chunk + 1`` decoder passes,
-whatever the width. Width 1 is greedy decoding, and beam results take the
-greedy path, a width-1 pass over the same chunk states, as a floor.
+whatever the width. Width 1 is greedy decoding.
+
+Beam and streaming results take the greedy path as a floor, carried in the
+same rounds as one protected row, not as a second search. ``decoder_steps``
+is batch-invariant, so that row scores bit for bit as greedy decoding does.
 """
 
 from __future__ import annotations
@@ -84,72 +87,88 @@ def cer(hyp, ref):
 # -- the chunk-synchronous search --------------------------------------------
 
 
-def _advance_chunk(model, hyps, chunk, chunk_index, cfg):
-    """Push every hypothesis through one chunk, chunk-synchronously.
+def _extend(h, sym, dist, blank, cap):
+    """(h followed by sym, done with this chunk): done on blank or at the cap,
+    a forced advance where the symbol still scores."""
+    lp = h.log_prob + float(dist[sym])
+    if sym == blank:
+        return replace(h, log_prob=lp), True
+    n = h.emitted_in_chunk + 1
+    return Hypothesis(h.prefix + (sym,), lp, h.chunk_index, n), n >= cap
+
+
+def _advance_chunk(model, hyps, greedy, chunk, chunk_index, cfg):
+    """Push every hypothesis, and the greedy path, through one chunk.
 
     Each round scores the whole frontier with one decoder_steps call.
     Active and already-finished candidates compete in one pool each round,
     pruned to the beam width; ties go to the lower symbol id, so width 1
     reproduces greedy (argmax) decoding exactly.
+
+    greedy, unless None, is the width-1 path: it takes the argmax of the
+    row of a frontier hypothesis with its prefix, and adds a row only once
+    the beam has pruned that prefix. Returns (finished hypotheses, greedy).
     """
-    blank = model.vocab.blank_id
+    blank, cap = model.vocab.blank_id, cfg.max_symbols_per_chunk
     frontier = [replace(h, chunk_index=chunk_index, emitted_in_chunk=0) for h in hyps]
     finished = []
-    for _round in range(cfg.max_symbols_per_chunk + 1):
-        if not frontier:
+    if greedy is not None:
+        greedy = replace(greedy, chunk_index=chunk_index, emitted_in_chunk=0)
+    greedy_done = greedy is None
+    for _round in range(cap + 1):
+        if not frontier and greedy_done:
             break
+        prefixes = [h.prefix for h in frontier]
+        if not greedy_done:
+            if greedy.prefix not in prefixes:
+                prefixes.append(greedy.prefix)
+            g_row = prefixes.index(greedy.prefix)
+        dists = model.decoder_steps([list(p) for p in prefixes], chunk)
+        if not greedy_done:
+            greedy, greedy_done = _extend(greedy, int(np.argmax(dists[g_row])), dists[g_row],
+                                          blank, cap)
+        if not frontier:
+            continue
         # pool entries: (hypothesis, done-with-this-chunk flag)
         pool = [(h, True) for h in finished]
-        dists = model.decoder_steps([list(h.prefix) for h in frontier], chunk)
+        dists = dists[:len(frontier)]
         orders = np.argsort(-dists, axis=1, kind="stable")[:, :cfg.width + 1]
         for h, dist, row in zip(frontier, dists, orders):
             order = row.tolist()
             if blank not in order:
                 order.append(blank)
-            for sym in order:
-                lp = h.log_prob + float(dist[sym])
-                if sym == blank:
-                    pool.append((replace(h, log_prob=lp), True))
-                elif h.emitted_in_chunk + 1 >= cfg.max_symbols_per_chunk:
-                    # cap reached: forced advance, the symbol still scores
-                    pool.append((Hypothesis(h.prefix + (sym,), lp, chunk_index,
-                                            cfg.max_symbols_per_chunk), True))
-                else:
-                    pool.append((Hypothesis(h.prefix + (sym,), lp, chunk_index,
-                                            h.emitted_in_chunk + 1), False))
+            pool.extend(_extend(h, sym, dist, blank, cap) for sym in order)
         pool = sorted(pool, key=lambda e: -e[0].log_prob)[:cfg.width]
         finished = [h for h, done in pool if done]
         frontier = [h for h, done in pool if not done]
-    return finished
+    return finished, greedy
+
+
+def _with_greedy(hyps, greedy, width):
+    """The n-best list with the greedy path in place of the worst entry, unless there."""
+    if greedy is None or any(h.prefix == greedy.prefix and h.log_prob >= greedy.log_prob
+                             for h in hyps):
+        return hyps
+    return sorted(hyps + [greedy], key=lambda h: -h.log_prob)[:width]
 
 
 def _search(model, chunks, cfg):
-    """Run _advance_chunk over encoded chunks; returns the n-best Hypothesis list."""
-    hyps = [Hypothesis((model.vocab.start_id,), 0.0, 0, 0)]
+    """Run _advance_chunk over encoded chunks; returns the n-best Hypothesis list.
+
+    Above width 1 the greedy path is carried as a floor; at width 1 the
+    search is the greedy path.
+    """
+    start = Hypothesis((model.vocab.start_id,), 0.0, 0, 0)
+    hyps, greedy = [start], start if cfg.width > 1 else None
     for m, chunk in enumerate(chunks):
-        hyps = _advance_chunk(model, hyps, chunk, m, cfg)
-    return hyps
+        hyps, greedy = _advance_chunk(model, hyps, greedy, chunk, m, cfg)
+    return _with_greedy(hyps, greedy, cfg.width)
 
 
 def _encode_chunks(model, x):
     """Encode an utterance once and cut its states into chunks."""
     states = model.encode_states(x)
     return [states[a:b] for a, b in model.geometry_for(np.asarray(x).shape[0]).spans]
-
-
-def _with_greedy_floor(model, hyps, chunks, cfg):
-    """Add the greedy path to the n-best list unless it is already there.
-
-    The floor is a separate width-1 search over the same chunk states rather
-    than a protected row in the batched search: padding a prefix into a
-    batch changes the softmax summation and BLAS blocking, so the same path
-    scored inside a batch can differ from its greedy score in the last bits,
-    and beam >= greedy must hold exactly.
-    """
-    g = _search(model, chunks, replace(cfg, width=1))[0]
-    if not any(h.prefix == g.prefix and h.log_prob >= g.log_prob for h in hyps):
-        hyps = sorted(hyps + [g], key=lambda h: -h.log_prob)[:cfg.width]
-    return hyps
 
 
 def greedy_decode(model, x, cfg=None):
@@ -168,8 +187,7 @@ def beam_decode(model, x, cfg=None):
     """
     cfg = cfg or BeamConfig()
     with ad.no_grad():
-        chunks = _encode_chunks(model, x)
-        hyps = _with_greedy_floor(model, _search(model, chunks, cfg), chunks, cfg)
+        hyps = _search(model, _encode_chunks(model, x), cfg)
     return [(list(h.prefix[1:]), h.log_prob) for h in hyps]
 
 
@@ -194,26 +212,27 @@ def stream_decode(model, fragments, cfg=None, clock=None, collect_emissions=True
     (label ids, log_prob, emissions); the transcript equals offline
     beam_decode of the concatenated stream and the score agrees to 1e-10.
 
-    A symbol is emitted once every surviving hypothesis shares it, and the
-    rest of the transcript at flush, so the emitted symbols are a prefix of
-    the final ids. The one exception is the greedy floor replacing the
-    beam's best at flush: the greedy path need not extend what was emitted.
+    A symbol is emitted once every surviving hypothesis and the greedy path
+    share it, and the rest of the transcript at flush. The final transcript
+    is one of those paths' extensions, so the emitted symbols are always a
+    prefix of the final ids.
     """
     cfg = cfg or BeamConfig()
     clock = clock or time.monotonic
     t0 = clock()
     buf = StreamBuffer(model.cfg.W, model.cfg.B)
     hyps = [Hypothesis((model.vocab.start_id,), 0.0, 0, 0)]
-    chunks = []
+    greedy = hyps[0]
+    n_chunks = 0
     emissions = []
 
     def emit(settled, log_prob):
         now_ms = (clock() - t0) * 1000.0
-        emissions.extend([Emission(len(chunks) - 1, int(sym), log_prob, now_ms)
+        emissions.extend([Emission(n_chunks - 1, int(sym), log_prob, now_ms)
                           for sym in settled[1 + len(emissions):]])
 
     def process(spans):
-        nonlocal hyps
+        nonlocal hyps, greedy, n_chunks
         if not spans:
             return
         with ad.no_grad():
@@ -221,10 +240,10 @@ def stream_decode(model, fragments, cfg=None, clock=None, collect_emissions=True
             for a, b in spans:
                 if b > states.shape[0]:
                     raise AvailabilityError(f"chunk end {b} beyond encoded prefix")
-                chunks.append(states[a:b])
-                hyps = _advance_chunk(model, hyps, chunks[-1], len(chunks) - 1, cfg)
+                hyps, greedy = _advance_chunk(model, hyps, greedy, states[a:b], n_chunks, cfg)
+                n_chunks += 1
                 if collect_emissions:
-                    emit(_shared_prefix(hyps), hyps[0].log_prob)
+                    emit(_shared_prefix(hyps + [greedy]), hyps[0].log_prob)
 
     d_in = model.cfg.d_in
     for frag in fragments:
@@ -233,8 +252,7 @@ def stream_decode(model, fragments, cfg=None, clock=None, collect_emissions=True
             raise ContractError(f"expected (n, {d_in}) fragment, got shape {frag.shape}")
         process(buf.push(frag))
     process(buf.flush())
-    with ad.no_grad():
-        best = _with_greedy_floor(model, hyps, chunks, cfg)[0]
+    best = _with_greedy(hyps, greedy, cfg.width)[0]
     if collect_emissions:
         emit(best.prefix, best.log_prob)
     return list(best.prefix[1:]), best.log_prob, emissions

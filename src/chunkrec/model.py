@@ -58,16 +58,25 @@ UNK = "<unk>"
 class Vocabulary:
     """Dense symbol<->id bijection containing blank and unk.
 
-    The start symbol shares the blank id.
+    The start symbol shares the blank id. Text is one unit per character
+    when every unit is a single character, and whitespace-separated units
+    when any unit is longer (``separator``); encode and decode agree.
     """
 
     symbols: tuple
 
     def __post_init__(self):
+        if not all(isinstance(s, str) for s in self.symbols):
+            raise VocabError("vocabulary symbols must be strings")
         if len(set(self.symbols)) != len(self.symbols):
             raise VocabError("duplicate symbols in vocabulary")
         if BLANK not in self.symbols or UNK not in self.symbols:
             raise VocabError("vocabulary must contain <blk> and <unk>")
+        bad = [u for u in self.symbols if u not in (BLANK, UNK)
+               and (u.split() != [u] if self.separator else not u)]
+        if bad:
+            raise VocabError(f"units {bad!r} are empty, or hold whitespace while some unit "
+                             "is longer than one character")
 
     @classmethod
     def from_units(cls, units):
@@ -88,14 +97,19 @@ class Vocabulary:
     def __len__(self):
         return len(self.symbols)
 
+    @property
+    def separator(self):
+        """" " if any unit is longer than one character, else ""."""
+        return " " if any(len(s) > 1 for s in self.symbols if s not in (BLANK, UNK)) else ""
+
     def encode(self, text):
-        """Map characters to ids; unknown characters become unk."""
+        """Map the units of text to ids; unknown units become unk."""
         table = {s: i for i, s in enumerate(self.symbols)}
         unk = self.unk_id
-        return [table.get(ch, unk) for ch in text]
+        return [table.get(u, unk) for u in (text.split() if self.separator else text)]
 
     def decode(self, ids):
-        return "".join(self.symbols[i] for i in ids)
+        return self.separator.join(self.symbols[i] for i in ids)
 
 
 def sinusoidal_positions(positions, d_model):
@@ -311,15 +325,19 @@ class ChunkTransducerModel:
 
         The prefixes may differ in length: they are right-padded to the
         longest, and the self-attention mask hides padded key positions as
-        well as future ones. Returns an (n, vocab_size) numpy array whose row
-        i equals decoder_forward(prefixes[i], chunk_states)[-1] up to
-        floating-point summation order.
+        well as future ones. Returns an (n, vocab_size) numpy array.
+
+        Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
+        chunk_states)[0]. Masked keys add exact zeros to the softmax's
+        sequential sum, and padding to at least two positions keeps a lone
+        one-symbol prefix off BLAS's matrix-vector path, which sums in
+        another order. Rows equal decoder_forward(...)[-1] up to summation order.
         """
         if len(prefixes) == 0:
             raise ContractError("decoder_steps needs at least one prefix")
         rows = [self._check_prefix(pre) for pre in prefixes]
         lens = np.array([len(r) for r in rows])
-        P = int(lens.max())
+        P = max(int(lens.max()), 2)
         ids = np.full((len(rows), P), self.vocab.start_id, dtype=np.intp)
         for i, r in enumerate(rows):
             ids[i, :len(r)] = r

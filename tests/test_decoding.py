@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from chunkrec.chunking import ChunkGeometry
-from chunkrec.decoding import (BeamConfig, beam_decode, cer, edit_distance,
-                               greedy_decode, stream_decode)
+from chunkrec.decoding import (BeamConfig, Hypothesis, _advance_chunk, beam_decode, cer,
+                               edit_distance, greedy_decode, stream_decode)
 from chunkrec.errors import ConfigError, ContractError, UndefinedMetricError
 from chunkrec.model import Vocabulary
 
@@ -47,6 +49,7 @@ class ScriptedModel:
 
     def __init__(self, dist_fn, W=4, B=1, L=8, vocab=None):
         self.vocab = vocab or Vocabulary.from_units("ab")
+        self.cfg = SimpleNamespace(W=W, B=B, d_in=1)  # what stream_decode reads
         self._dist_fn = dist_fn
         self._W, self._B, self._L = W, B, L
 
@@ -132,30 +135,91 @@ def test_beam_config_rejects_bad_values():
         BeamConfig(max_symbols_per_chunk=0)
 
 
+def _counting(model):
+    """Wrap model.decoder_steps; returns the list of each pass's row count."""
+    rows = []
+    steps = model.decoder_steps
+
+    def counted(prefixes, chunk):
+        rows.append(len(prefixes))
+        return steps(prefixes, chunk)
+
+    model.decoder_steps = counted
+    return rows
+
+
 def test_beam_search_batches_the_frontier():
     # labels stay likely, so several hypotheses keep emitting in every round
-    dist = _logdist([0.3, 0.05, 0.35, 0.3])
-    calls, rows = [], []
-
-    class CountingModel(ScriptedModel):
-        def decoder_steps(self, prefixes, chunk):
-            calls.append(1)
-            rows.append(len(prefixes))
-            return super().decoder_steps(prefixes, chunk)
-
-    m = CountingModel(lambda prefix, chunk: dist)
-    x = np.zeros((32, 1))
+    m = ScriptedModel(lambda prefix, chunk: _logdist([0.3, 0.05, 0.35, 0.3]))
+    rows = _counting(m)
     cfg = BeamConfig(width=5, max_symbols_per_chunk=4)
-    beam_decode(m, x, cfg)
-    beam_calls, beam_rows = len(calls), sum(rows)
-    calls.clear()
-    rows.clear()
-    greedy_decode(m, x, cfg)  # the greedy floor inside beam_decode
-    search_calls = beam_calls - len(calls)
-    search_rows = beam_rows - sum(rows)
+    beam_decode(m, np.zeros((32, 1)), cfg)  # the greedy floor included
     M = m.geometry_for(32).M
-    assert search_calls <= M * (cfg.max_symbols_per_chunk + 1)
-    assert search_rows > search_calls
+    assert len(rows) <= M * (cfg.max_symbols_per_chunk + 1)
+    assert sum(rows) > len(rows)
+
+
+def _beam_only(m, cfg):
+    """The beam search over 32 frames without the greedy floor."""
+    hyps = [Hypothesis((m.vocab.start_id,), 0.0, 0, 0)]
+    for i, (a, b) in enumerate(m.geometry_for(32).spans):
+        hyps, _ = _advance_chunk(m, hyps, None, m.encode_states(None)[a:b], i, cfg)
+    return hyps
+
+
+def _pruned_greedy_model():
+    """Width 2 prunes the greedy path in chunk 0; it wins back in chunk 1.
+
+    Chunk 0: greedy takes a (0.5) then blank (0.3), 0.15 in all, but the
+    beam keeps b+blank (0.264) and b+b (0.167). Chunk 1: after a the blank
+    is near certain, after b every symbol is 0.25, so greedy ends best.
+    """
+    s, a, b = 0, 2, 3
+
+    def dist_fn(prefix, chunk):
+        prefix = tuple(prefix)
+        if int(chunk[0, 0]) == 0:
+            table = {(s,): [0.05, 0.01, 0.5, 0.44], (s, a): [0.3, 0.2, 0.25, 0.25],
+                     (s, b): [0.6, 0.01, 0.01, 0.38]}
+            return _logdist(table.get(prefix, [0.9, 0.04, 0.03, 0.03]))
+        if prefix[:2] == (s, b):
+            return _logdist([0.25, 0.25, 0.25, 0.25])
+        if prefix == (s, a):
+            return _logdist([0.99, 0.003, 0.004, 0.003])
+        return _logdist([0.97, 0.01, 0.01, 0.01])
+
+    return ScriptedModel(dist_fn, W=4, B=0, L=8)
+
+
+def test_greedy_path_adds_no_row_while_the_beam_holds_its_prefix():
+    # a dominant label keeps the greedy path (a up to the cap in every chunk)
+    # the beam's best path
+    m = ScriptedModel(lambda prefix, chunk: _logdist([0.1, 0.05, 0.8, 0.05]))
+    cfg = BeamConfig(width=3, max_symbols_per_chunk=4)
+    rows = _counting(m)
+    _beam_only(m, cfg)
+    without = list(rows)
+    rows.clear()
+    beam_decode(m, np.zeros((32, 1)), cfg)
+    assert rows == without
+
+
+def test_beam_keeps_the_greedy_path_it_pruned():
+    m = _pruned_greedy_model()
+    x = np.zeros((32, 1))
+    cfg = BeamConfig(width=2)
+    rows = _counting(m)
+    beam_only = _beam_only(m, cfg)
+    without = list(rows)
+    rows.clear()
+    nbest = beam_decode(m, x, cfg)
+    # the same passes, and one more row, in chunk 1's first round, where the
+    # beam no longer holds the greedy prefix
+    assert [n - w for n, w in zip(rows, without)] == [0, 0, 0, 1, 0]
+    assert len(rows) == len(without)
+    g_ids, g_lp = greedy_decode(m, x)
+    assert g_ids == [2] and all(h.prefix != (0, 2) for h in beam_only)
+    assert nbest[0] == (g_ids, g_lp) and nbest[0][1] > beam_only[0].log_prob
 
 
 # -- real-model decoding ----------------------------------------------------
@@ -272,5 +336,12 @@ def test_stream_emissions_are_a_prefix_of_the_final_ids():
         x = rng.normal(size=(int(rng.integers(12, 60)), 4))
         cuts = np.sort(rng.choice(np.arange(1, len(x)), size=5, replace=False))
         ids, _, emissions = stream_decode(m, np.split(x, cuts), BeamConfig(width=4))
-        emitted = [e.symbol for e in emissions]
-        assert emitted == ids[:len(emitted)], seed
+        assert [e.symbol for e in emissions] == ids, seed
+    # the greedy floor wins at flush: chunk 0 ends with every beam hypothesis
+    # starting with b and the greedy path with a, so nothing is emitted early
+    m = _pruned_greedy_model()
+    x = np.zeros((32, 1))
+    cfg = BeamConfig(width=2)
+    ids, lp, emissions = stream_decode(m, [x[i:i + 1] for i in range(len(x))], cfg)
+    assert (ids, lp) == greedy_decode(m, x) == tuple(beam_decode(m, x, cfg)[0])
+    assert [(e.chunk_index, e.symbol) for e in emissions] == [(1, 2)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chunkrec import autodiff as ad
 from chunkrec.autodiff import Tensor
@@ -37,6 +38,30 @@ def test_vocab_roundtrip():
     assert v.start_id == v.blank_id
     assert v.encode("abz") == [2, 3, v.unk_id]
     assert v.decode([2, 3, 4]) == "abc"
+    units = Vocabulary.from_units(["s0", "s1", "s12"])  # multi-character units
+    assert units.encode("s1 s12  s0\tx") == [3, 4, 2, units.unk_id]
+    assert units.decode([3, 4, 2]) == "s1 s12 s0"
+    for bad in (["s0", "s 1"], ["ab", ""], ["a", ""], [3, "a"]):
+        with pytest.raises(VocabError):
+            Vocabulary.from_units(bad)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8, unique=True),
+       st.data())
+def test_vocab_text_round_trips(units, data):
+    units = [u for u in units if u not in ("<blk>", "<unk>")]
+    multi = any(len(u) > 1 for u in units)
+    if not units or (multi and any(u.split() != [u] for u in units)):
+        with pytest.raises(VocabError):
+            Vocabulary.from_units(units)
+        return
+    v = Vocabulary.from_units(units)
+    ids = data.draw(st.lists(st.sampled_from(range(2, len(v))), max_size=12))
+    text = v.decode(ids)
+    assert v.encode(text) == ids
+    assert v.decode(v.encode(text)) == text
+    assert text == (" " if multi else "").join(units[i - 2] for i in ids)
 
 
 def test_front_end_lengths(tiny_model):
@@ -140,6 +165,32 @@ def test_decoder_steps_match_single_prefix_passes(tiny_model, rng):
         tiny_model.decoder_steps([], chunk)
     with pytest.raises(ContractError):
         tiny_model.decoder_steps([[start, 2], [3]], chunk)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    dict(d_model=64, n_heads=4, n_enc_blocks=2, n_dec_blocks=2, left_context=8, W=4,
+         vocab_size=16, ffn_inner=128),  # the benchmark model's shape
+], ids=["tiny", "benchmark-shaped"])
+def test_decoder_steps_rows_are_batch_invariant(overrides):
+    # search scores the greedy path inside the beam's batch, and beam >= greedy
+    # holds with no tolerance only if batching changes no bit of any row. If
+    # this fails, the BLAS in use sums differently by batch shape: the search
+    # then needs its greedy floor back as a separate width-1 pass.
+    m = make_tiny_model(seed=2, **overrides)
+    rng = np.random.default_rng(5)
+    V, W, d = m.cfg.vocab_size, m.cfg.W, m.cfg.d_model
+    for trial in range(40):
+        prefixes = [[m.vocab.start_id] + rng.integers(1, V, size=rng.integers(0, 25)).tolist()
+                    for _ in range(int(rng.integers(1, 7)))]
+        chunk = rng.normal(size=(int(rng.integers(1, W + 1)), d))
+        batched = m.decoder_steps(prefixes, chunk)
+        for prefix, row in zip(prefixes, batched):
+            alone = m.decoder_steps([prefix], chunk)[0]
+            assert np.array_equal(row, alone), (
+                f"trial {trial}: a {len(prefix)}-symbol prefix scored among {len(prefixes)} "
+                f"differs from the same prefix scored alone by "
+                f"{np.max(np.abs(row - alone)):.3g}")
 
 
 def test_decoder_contract_errors(tiny_model, rng):

@@ -156,9 +156,9 @@ def test_manifest_loading(tmp_path):
     fp = tmp_path / "utt0.feat"
     save_features(fp, x)
     man = tmp_path / "manifest.tsv"
-    man.write_text(f"{fp}\ts0s1\n", encoding="utf-8")
+    man.write_text(f"{fp}\ts0 s1 s9\n", encoding="utf-8")
     data = load_manifest(man, m.vocab)
     assert len(data) == 1
     assert np.array_equal(data[0][0], x)
-    # "s0s1" falls back to unk for chars not in the vocab ("s", "0", "1")
-    assert all(0 <= i < len(m.vocab) for i in data[0][1])
+    # the units are s0..s5, so the transcript is whitespace-separated units
+    assert data[0][1] == [2, 3, m.vocab.unk_id]
