@@ -1,8 +1,10 @@
 """Minimal dense-tensor autodiff on numpy.
 
 Reverse-mode only, covering exactly the operations the streaming transducer
-model needs: matmul, linear (x @ w + b), multi-head attention, masked
-softmax, layer norm, GLU, time-axis convolution, indexing and embedding.
+model needs: linear (x @ w + b), multi-head attention (with a masked
+softmax inside), layer norm, GLU, time-axis convolution, indexing and
+embedding, plus the add, mul, scale and sum that losses and gradient
+checks compose.
 Attention and linear layers are single ops with hand-written backward
 passes, because on a small model each op costs mostly Python overhead.
 Broadcasting is limited to leading batch dimensions (a parameter of shape
@@ -120,9 +122,6 @@ class Tensor:
     def __neg__(self):
         return scale(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -205,22 +204,6 @@ def scale(a, c):
     return _make(a.data * c, (a,), bwd)
 
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError("matmul requires >=2-d operands")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
-    data = np.matmul(a.data, b.data)
-
-    def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-    return _make(data, (a, b), bwd)
-
-
 def linear(x, w, b):
     """x @ w + b for x of shape (..., t, d_in), w (d_in, d_out) and b (d_out,)."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
@@ -284,10 +267,14 @@ def glu(a):
 
 
 def _softmax_forward(scores, mask):
-    """Masked softmax of a numpy array over its last axis (see masked_softmax)."""
+    """Softmax of a numpy array over its last axis, restricted to where mask is True.
+
+    Masked positions get exactly zero probability. mask must broadcast to
+    scores.shape, and each row needs at least one unmasked entry.
+    """
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
     if not mask.any(axis=-1).all():
-        raise InvalidMaskError("fully masked row in masked_softmax")
+        raise InvalidMaskError("fully masked row in softmax")
     neg = np.where(mask, scores, -np.inf)
     m = neg.max(axis=-1, keepdims=True)
     e = np.exp(neg - m)
@@ -299,21 +286,6 @@ def _softmax_forward(scores, mask):
 def _softmax_backward(g, p):
     gp = g * p
     return gp - p * gp.sum(axis=-1, keepdims=True)
-
-
-def masked_softmax(scores, mask):
-    """Softmax over the last axis restricted to positions where mask is True.
-
-    Masked positions get exactly zero probability. `mask` must broadcast to
-    scores.shape; each row needs at least one unmasked entry.
-    """
-    scores = _as_tensor(scores)
-    p = _softmax_forward(scores.data, mask)
-
-    def bwd(g):
-        return (_softmax_backward(g, p),)
-
-    return _make(p, (scores,), bwd)
 
 
 def _split_heads(x, n_heads):

@@ -16,6 +16,8 @@ A save/load round trip is bitwise lossless, including optimizer state.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -59,10 +61,34 @@ def save_checkpoint(path, model, optimizer=None):
 
 
 def _read_exact(f, n, what):
-    b = f.read(n)
-    if len(b) != n:
+    """Read n bytes; a length past the end raises before f.read can allocate it."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise TruncatedFileError(f"checkpoint truncated while reading {what}")
-    return b
+    return f.read(n)
+
+
+def _read_array(f, shape, what):
+    raw = _read_exact(f, 8 * math.prod(shape), what)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+
+def _shapes_ok(entries, suffixes=("",)):
+    """Whether entries is a list of [name, shape], shape a list of ints >= 0."""
+    return isinstance(entries, list) and all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+        and e[0].endswith(suffixes) and isinstance(e[1], list)
+        and all(type(d) is int and d >= 0 for d in e[1]) for e in entries)
+
+
+def _check_header(header):
+    """Raise CorruptHeaderError unless header has the structure save_checkpoint writes."""
+    h = header if isinstance(header, dict) else {}
+    cfg, opt = h.get("config"), h.get("optimizer")
+    if not (isinstance(cfg, dict) and all(type(v) is int for v in cfg.values())
+            and isinstance(h.get("vocab"), list) and _shapes_ok(h.get("params"))
+            and (opt is None or (isinstance(opt, dict) and type(opt.get("step")) is int
+                                 and _shapes_ok(opt.get("slots"), (".m", ".v"))))):
+        raise CorruptHeaderError("checkpoint header lacks the structure save_checkpoint writes")
 
 
 def load_checkpoint(path):
@@ -78,31 +104,27 @@ def load_checkpoint(path):
         if version != VERSION:
             raise VersionMismatchError(f"checkpoint version {version}, expected {VERSION}")
         (hlen,) = struct.unpack("<Q", _read_exact(f, 8, "header length"))
+        raw = _read_exact(f, hlen, "header")
         try:
-            header = json.loads(_read_exact(f, hlen, "header"))
-        except TruncatedFileError:
-            raise
-        except Exception as e:
+            header = json.loads(raw)
+        except (ValueError, RecursionError) as e:
             raise CorruptHeaderError(f"unreadable checkpoint header: {e}") from e
-        params = {}
-        for name, shape in header["params"]:
-            n = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(f, 8 * n, f"parameter {name}")
-            params[name] = Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape).copy(),
-                                  requires_grad=True)
+        _check_header(header)
+        params = {name: Tensor(_read_array(f, shape, f"parameter {name}"), requires_grad=True)
+                  for name, shape in header["params"]}
         opt = None
-        if header.get("optimizer"):
+        if header.get("optimizer") is not None:
             slots = {}
             for name, shape in header["optimizer"]["slots"]:
-                n = int(np.prod(shape)) if shape else 1
-                raw = _read_exact(f, 8 * n, f"optimizer slot {name}")
-                base, slot = name.rsplit(".", 1)
-                slots.setdefault(base, {})[slot] = np.frombuffer(
-                    raw, dtype="<f8").reshape(shape).copy()
-            opt = {"step": int(header["optimizer"]["step"]), "slots": slots}
+                base, _, slot = name.rpartition(".")
+                slots.setdefault(base, {})[slot] = _read_array(f, shape, f"optimizer slot {name}")
+            opt = {"step": header["optimizer"]["step"], "slots": slots}
         extra = f.read(1)
         if extra:
             raise CorruptHeaderError("trailing bytes after checkpoint payload")
-    cfg = ModelConfig(**header["config"])
+    try:
+        cfg = ModelConfig(**header["config"])
+    except TypeError as e:
+        raise CorruptHeaderError(f"checkpoint config does not fit ModelConfig: {e}") from e
     vocab = Vocabulary(symbols=tuple(header["vocab"]))
     return ChunkTransducerModel(cfg, vocab, params=params), opt

@@ -55,18 +55,8 @@ def num_chunks(L, W, B):
 
 def chunk_spans(L, W, B):
     """Half-open [start, end) encoded index ranges of every chunk."""
-    _check_geometry(W, B)
-    if L < 1:
-        raise GeometryError(f"encoded length must be >= 1, got L={L}")
-    spans = []
-    start = 0
-    while True:
-        end = min(start + W, L)
-        spans.append((start, end))
-        if start + W >= L:
-            break
-        start += W - B
-    return spans
+    step = W - B
+    return [(s, min(s + W, L)) for s in range(0, num_chunks(L, W, B) * step, step)]
 
 
 @dataclass(frozen=True)
@@ -76,9 +66,7 @@ class ChunkGeometry:
     L: int
 
     def __post_init__(self):
-        _check_geometry(self.W, self.B)
-        if self.L < 1:
-            raise GeometryError(f"encoded length must be >= 1, got L={self.L}")
+        num_chunks(self.L, self.W, self.B)  # raises GeometryError on a bad W, B or L
 
     @property
     def M(self):

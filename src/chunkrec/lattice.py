@@ -11,9 +11,14 @@ transition consumes the blank of the *source* chunk,
     alpha[m, u] = alpha[m-1, u] * blank[m-1, u] + alpha[m, u-1] * label[m, u-1]
 
 with alpha[0, 0] = 1 and total probability alpha[M-1, U] * blank[M-1, U],
-all in log domain via log-sum-exp. ``enumerate_paths`` is the independent
-brute-force oracle: it sums explicitly over every monotone assignment of
-the U labels to the M chunks.
+all in log domain via log-sum-exp. One recursion, ``_sweep``, computes it.
+beta is the same recursion run on the reversed lattice (both axes flipped,
+started at the terminal blank), so ``backward_pass`` has no loop of its own.
+
+``enumerate_paths`` is the independent brute-force oracle: it sums
+explicitly over every monotone assignment of the U labels to the M chunks.
+It and ``diagonal_identity_check`` sum through their own ``_logsumexp``,
+so neither shares code with the recursion it checks.
 """
 
 from __future__ import annotations
@@ -35,49 +40,52 @@ def _validate(blank_lp, label_lp):
     if blank_lp.ndim != 2:
         raise NumericError("blank_lp must be 2-d (M, U+1)")
     M, U1 = blank_lp.shape
-    U = U1 - 1
-    if label_lp.shape != (M, U):
-        raise NumericError(f"label_lp shape {label_lp.shape} != ({M}, {U})")
+    if label_lp.shape != (M, U1 - 1):
+        raise NumericError(f"label_lp shape {label_lp.shape} != ({M}, {U1 - 1})")
     if np.isnan(blank_lp).any() or np.isnan(label_lp).any():
         raise NumericError("NaN in lattice log-probabilities")
-    return blank_lp, label_lp, M, U
+    return blank_lp, label_lp
+
+
+def _sweep(down, right, start):
+    """The one alpha/beta recursion, filled a row at a time on Python floats.
+
+    x[0, 0] = start and x[m, u] = logaddexp(x[m-1, u] + down[m-1, u],
+    x[m, u-1] + right[m, u-1]), where a term off the lattice is -inf.
+    down is (M-1, U+1) and right is (M, U); returns x, shape (M, U+1).
+    """
+    # Row 0 is a zero-cost down move from a virtual row [start, -inf, ...].
+    x = [float(start)] + [NEG_INF] * right.shape[1]
+    rows = []
+    for d, r in zip([[0.0] * len(x)] + down.tolist(), right.tolist()):
+        x = [p + q for p, q in zip(x, d)]
+        for u, lab in enumerate(r):
+            a, b = x[u + 1], x[u] + lab
+            hi, lo = (a, b) if a >= b else (b, a)
+            # For two terms this is exactly what _logsumexp computes.
+            x[u + 1] = hi if hi == NEG_INF else hi + math.log(1.0 + math.exp(lo - hi))
+        rows.append(x)
+    return np.array(rows)
+
+
+def _alpha(blank_lp, label_lp):
+    alpha = _sweep(blank_lp[:-1], label_lp, 0.0)
+    return alpha, alpha[-1, -1] + blank_lp[-1, -1]
+
+
+def _beta(blank_lp, label_lp):
+    # alpha's recursion on the lattice with both axes flipped
+    return _sweep(blank_lp[-2::-1, ::-1], label_lp[::-1, ::-1], blank_lp[-1, -1])[::-1, ::-1]
 
 
 def forward_pass(blank_lp, label_lp):
     """Return (alpha, log_prob) for the lattice tables."""
-    blank_lp, label_lp, M, U = _validate(blank_lp, label_lp)
-    alpha = np.full((M, U + 1), NEG_INF)
-    alpha[0, 0] = 0.0
-    for m in range(M):
-        for u in range(U + 1):
-            if m == 0 and u == 0:
-                continue
-            terms = []
-            if m > 0:
-                terms.append(alpha[m - 1, u] + blank_lp[m - 1, u])
-            if u > 0:
-                terms.append(alpha[m, u - 1] + label_lp[m, u - 1])
-            alpha[m, u] = _logsumexp(terms)
-    log_prob = alpha[M - 1, U] + blank_lp[M - 1, U]
-    return alpha, log_prob
+    return _alpha(*_validate(blank_lp, label_lp))
 
 
 def backward_pass(blank_lp, label_lp):
     """Return beta; beta[0, 0] equals the total log_prob."""
-    blank_lp, label_lp, M, U = _validate(blank_lp, label_lp)
-    beta = np.full((M, U + 1), NEG_INF)
-    beta[M - 1, U] = blank_lp[M - 1, U]
-    for m in range(M - 1, -1, -1):
-        for u in range(U, -1, -1):
-            if m == M - 1 and u == U:
-                continue
-            terms = []
-            if m < M - 1:
-                terms.append(beta[m + 1, u] + blank_lp[m, u])
-            if u < U:
-                terms.append(beta[m, u + 1] + label_lp[m, u])
-            beta[m, u] = _logsumexp(terms)
-    return beta
+    return _beta(*_validate(blank_lp, label_lp))
 
 
 def _logsumexp(terms):
@@ -116,13 +124,13 @@ def lattice_grad(blank_lp, label_lp):
 
     Returns (log_prob, grad_blank, grad_label).
     """
-    blank_lp, label_lp, M, U = _validate(blank_lp, label_lp)
-    alpha, log_prob = forward_pass(blank_lp, label_lp)
+    blank_lp, label_lp = _validate(blank_lp, label_lp)
+    alpha, log_prob = _alpha(blank_lp, label_lp)
     if log_prob == NEG_INF:
         raise DegenerateLatticeError("lattice carries no path mass")
-    beta = backward_pass(blank_lp, label_lp)
+    beta = _beta(blank_lp, label_lp)
     # An edge no path uses has a -inf log-occupancy, and exp(-inf) = 0.
-    grad_blank = np.zeros((M, U + 1))
+    grad_blank = np.zeros_like(blank_lp)
     grad_blank[:-1] = np.exp(alpha[:-1] + blank_lp[:-1] + beta[1:] - log_prob)
     grad_blank[-1, -1] = np.exp(alpha[-1, -1] + blank_lp[-1, -1] - log_prob)
     grad_label = np.exp(alpha[:, :-1] + label_lp + beta[:, 1:] - log_prob)
@@ -146,7 +154,8 @@ def enumerate_paths(blank_lp, label_lp, max_size=8):
 
     Guarded to M, U <= max_size; the number of paths is C(U+M-1, M-1).
     """
-    blank_lp, label_lp, M, U = _validate(blank_lp, label_lp)
+    blank_lp, label_lp = _validate(blank_lp, label_lp)
+    M, U = label_lp.shape
     if M > max_size or U > max_size:
         raise CapacityError(f"enumerate_paths limited to M,U <= {max_size}")
     terms = []

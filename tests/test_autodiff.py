@@ -7,29 +7,14 @@ from chunkrec.chunking import left_context_mask
 from chunkrec.errors import ContractError, InvalidMaskError, NumericError, ShapeError
 
 
-def test_matmul_identity():
-    a = Tensor(np.eye(2))
+def test_linear_identity():
     b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ad.matmul(a, b).data, b.data)
+    assert np.array_equal(ad.linear(Tensor(np.eye(2)), b, Tensor(np.zeros(2))).data, b.data)
 
 
-def test_matmul_by_hand():
-    out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-    assert out.data.tolist() == [[11.0]]
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
-
-
-def test_matmul_gradcheck():
-    rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    ok, dev = ad.check_gradients(lambda: ad.tsum(ad.matmul(a, b) * ad.matmul(a, b)),
-                                 [a, b], tol=1e-6)
-    assert ok, dev
+def test_linear_by_hand():
+    out = ad.linear(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]), Tensor([0.5]))
+    assert out.data.tolist() == [[11.5]]
 
 
 @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
@@ -47,8 +32,11 @@ def test_linear_gradcheck(x_shape):
 
 
 def test_linear_shape_error():
+    x = Tensor(np.zeros((3, 4)))
     with pytest.raises(ShapeError):
-        ad.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
+        ad.linear(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        ad.linear(x, Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
 
 
 def _attention_by_composition(q, k, v, mask, h):
@@ -58,7 +46,7 @@ def _attention_by_composition(q, k, v, mask, h):
 
     dk = q.shape[-1] // h
     scores = np.matmul(split(q), np.swapaxes(split(k), -1, -2)) * float(1.0 / np.sqrt(dk))
-    p = ad.masked_softmax(Tensor(scores), mask).data
+    p = ad._softmax_forward(scores, mask)
     ctx = np.swapaxes(np.matmul(p, split(v)), -2, -3)
     return ctx.reshape(*q.shape)
 
@@ -114,41 +102,49 @@ def test_attention_errors():
         ad.attention(Tensor(q), Tensor(q), Tensor(q), True, 3)
 
 
+# The masked softmax inside attention: _softmax_forward and _softmax_backward.
+
 def test_masked_softmax_uniform():
-    out = ad.masked_softmax(Tensor([0.0, 0.0, 0.0]), np.array([True, True, True]))
-    assert np.allclose(out.data, 1 / 3, atol=1e-15)
+    p = ad._softmax_forward(np.zeros(3), np.array([True, True, True]))
+    assert np.allclose(p, 1 / 3, atol=1e-15)
 
 
 def test_masked_softmax_single_entry():
-    out = ad.masked_softmax(Tensor([5.0, 0.0, 0.0]), np.array([True, False, False]))
-    assert out.data.tolist() == [1.0, 0.0, 0.0]
+    p = ad._softmax_forward(np.array([5.0, 0.0, 0.0]), np.array([True, False, False]))
+    assert p.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_masked_softmax_vs_bruteforce():
     rng = np.random.default_rng(1)
     scores = rng.normal(size=8)
     mask = np.array([True, False] * 4)
-    out = ad.masked_softmax(Tensor(scores), mask)
+    p = ad._softmax_forward(scores, mask)
     e = np.where(mask, np.exp(scores - scores[mask].max()), 0.0)
-    assert np.allclose(out.data, e / e.sum(), atol=1e-12)
-    assert abs(out.data.sum() - 1.0) <= 1e-12
-    assert (out.data[~mask] == 0.0).all()
+    assert np.allclose(p, e / e.sum(), atol=1e-12)
+    assert abs(p.sum() - 1.0) <= 1e-12
+    assert (p[~mask] == 0.0).all()
 
 
 def test_masked_softmax_fully_masked_row():
     with pytest.raises(InvalidMaskError):
-        ad.masked_softmax(Tensor([1.0, 2.0]), np.array([False, False]))
+        ad._softmax_forward(np.array([1.0, 2.0]), np.array([False, False]))
 
 
 def test_masked_softmax_gradcheck():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    x = rng.normal(size=(3, 5))
     mask = rng.random((3, 5)) < 0.7
     mask[:, 0] = True
     w = rng.normal(size=(3, 5))
-    ok, dev = ad.check_gradients(
-        lambda: ad.tsum(ad.masked_softmax(x, mask) * Tensor(w)), [x], tol=1e-6)
-    assert ok, dev
+    p = ad._softmax_forward(x, mask)
+    analytic = ad._softmax_backward(w, p)
+    assert (analytic[~mask] == 0.0).all()
+    eps = 1e-6
+    for idx in np.ndindex(x.shape):
+        d = np.zeros_like(x)
+        d[idx] = eps
+        fd = ((ad._softmax_forward(x + d, mask) - ad._softmax_forward(x - d, mask)) * w).sum()
+        assert abs(analytic[idx] - fd / (2 * eps)) <= 1e-8, idx
 
 
 def test_layer_norm_constant_row():
@@ -279,7 +275,8 @@ def test_forward_replay_bit_identical():
     b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
 
     def run():
-        return ad.layer_norm(ad.matmul(a, b), Tensor(np.ones(4)), Tensor(np.zeros(4))).data
+        return ad.layer_norm(ad.linear(a, b, Tensor(np.zeros(4))), Tensor(np.ones(4)),
+                             Tensor(np.zeros(4))).data
 
     assert np.array_equal(run(), run())
 

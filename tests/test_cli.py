@@ -8,6 +8,7 @@ from chunkrec.cli import main
 from chunkrec.training import save_features
 
 from conftest import make_tiny_model
+from test_checkpoint import saved_parts, write_with_header
 
 
 def tiny_config(tmp_path, **train_overrides):
@@ -94,6 +95,15 @@ def test_checkpoint_missing_a_parameter_is_contract_error(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "contract"
     assert "dec.out.b" in record["message"]
+
+
+def test_checkpoint_with_unknown_config_key_is_corrupt_header_error(tmp_path, capsys):
+    header, payload = saved_parts()
+    header["config"]["d_modle"] = 16
+    bad = tmp_path / "bad.ckpt"
+    write_with_header(bad, header, payload)
+    assert main(["--checkpoint", str(bad), "decode"]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "corrupt-header"
 
 
 def _config_error(tmp_path, capsys, cfg, command="decode"):

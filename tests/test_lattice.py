@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chunkrec.autodiff import Tensor, check_gradients
-from chunkrec.errors import CapacityError, NumericError
+from chunkrec.errors import CapacityError, DegenerateLatticeError, NumericError
 from chunkrec.lattice import (alignment_paths, backward_pass,
                               diagonal_identity_check, enumerate_paths,
                               forward_pass, lattice_grad, lattice_nll)
@@ -164,7 +164,33 @@ def test_lattice_nll_tensor_grads():
 
 
 def test_degenerate_lattice_error():
-    from chunkrec.errors import DegenerateLatticeError
     blank = np.array([[-np.inf]])
     with pytest.raises(DegenerateLatticeError):
         lattice_grad(blank, np.zeros((1, 0)))
+
+
+def test_lattices_with_impossible_edges_match_enumeration():
+    # about a fifth of the entries -inf; M = 1 with U > 0 and U = 0 with M > 1 included
+    rng = np.random.default_rng(6)
+    outcomes = set()
+    for M in range(1, 7):
+        for U in range(0, 7):
+            for _ in range(4):
+                blank, label = random_tables(rng, M, U)
+                blank[rng.random(blank.shape) < 0.2] = -np.inf
+                label[rng.random(label.shape) < 0.2] = -np.inf
+                _, lp = forward_pass(blank, label)
+                ref = enumerate_paths(blank, label)
+                beta = backward_pass(blank, label)
+                outcomes.add(ref == -np.inf)
+                if ref == -np.inf:
+                    assert lp == -np.inf and beta[0, 0] == -np.inf
+                    with pytest.raises(DegenerateLatticeError):
+                        lattice_grad(blank, label)
+                    continue
+                assert abs(math.expm1(lp - ref)) <= 1e-10, (M, U, lp, ref)
+                assert abs(beta[0, 0] - lp) <= 1e-12 * max(1.0, abs(lp))
+                _, gb, gl = lattice_grad(blank, label)
+                for g in (gb, gl):
+                    assert (g >= 0).all() and (g <= 1 + 1e-12).all()
+    assert outcomes == {True, False}
