@@ -179,9 +179,8 @@ def cmd_oracle_check(args):
 
 def cmd_latency(args):
     cfg_dict = _load_config(args.config)
-    mc = cfg_dict.get("model", {})
-    W = mc.get("W", 10)
-    B = mc.get("B", 3)
+    mc = _section(ModelConfig, cfg_dict, "model", W=10, B=3)
+    W, B = mc.W, mc.B
     with _out_stream(args) as out:
         out.write(f"chunk latency: {chunk_latency_ms(W):.0f} ms\n")
         out.write(f"effective latency (overlap {B}): {effective_latency_ms(W, B):.0f} ms\n")

@@ -1,20 +1,21 @@
 """Chunk-synchronous inference and CER scoring.
 
-One loop, ``_advance_chunk``, scores every chunk for greedy, beam and
-streaming decoding. Within a chunk a hypothesis keeps emitting symbols
-until it predicts blank (adding the blank's log-probability) or hits the
-per-chunk symbol cap (advancing without a score factor). Alignment paths
-with identical prefixes are kept separate.
+One driver, ``_drive``, runs every decode: it feeds raw-frame fragments
+through a ``StreamBuffer`` and each chunk the buffer releases through
+``_advance_chunk``. Offline decoding is a stream whose frames have all
+arrived: one fragment, encoded once.
 
-Search moves through a chunk in lock-step rounds. Each round scores the
-whole frontier (the hypotheses still emitting in this chunk) with one
-padded ``decoder_steps`` pass, ranks every hypothesis's next symbols with
-one stable argsort over the resulting (n, vocab) array, and prunes
-extended and finished candidates together to the beam width. A chunk
-therefore costs at most ``max_symbols_per_chunk + 1`` decoder passes,
-whatever the width. Width 1 is greedy decoding.
+Within a chunk a hypothesis keeps emitting symbols until it predicts
+blank (adding the blank's log-probability) or hits the per-chunk symbol
+cap (advancing without a score factor). Alignment paths with identical
+prefixes are kept separate. The chunk moves in lock-step rounds: each
+scores the whole frontier (the hypotheses still emitting) with one padded
+``decoder_steps`` pass, ranks every hypothesis's next symbols with one
+stable argsort, and prunes extended and finished candidates together to
+the beam width. A chunk therefore costs at most ``max_symbols_per_chunk +
+1`` decoder passes, whatever the width. Width 1 is greedy decoding.
 
-Beam and streaming results take the greedy path as a floor, carried in the
+Above width 1 the result takes the greedy path as a floor, carried in the
 same rounds as one protected row, not as a second search. ``decoder_steps``
 is batch-invariant, so that row scores bit for bit as greedy decoding does.
 """
@@ -45,7 +46,6 @@ class BeamConfig:
 class Hypothesis:
     prefix: tuple
     log_prob: float
-    chunk_index: int
     emitted_in_chunk: int
 
 
@@ -94,10 +94,10 @@ def _extend(h, sym, dist, blank, cap):
     if sym == blank:
         return replace(h, log_prob=lp), True
     n = h.emitted_in_chunk + 1
-    return Hypothesis(h.prefix + (sym,), lp, h.chunk_index, n), n >= cap
+    return Hypothesis(h.prefix + (sym,), lp, n), n >= cap
 
 
-def _advance_chunk(model, hyps, greedy, chunk, chunk_index, cfg):
+def _advance_chunk(model, hyps, greedy, chunk, cfg):
     """Push every hypothesis, and the greedy path, through one chunk.
 
     Each round scores the whole frontier with one decoder_steps call.
@@ -110,10 +110,10 @@ def _advance_chunk(model, hyps, greedy, chunk, chunk_index, cfg):
     the beam has pruned that prefix. Returns (finished hypotheses, greedy).
     """
     blank, cap = model.vocab.blank_id, cfg.max_symbols_per_chunk
-    frontier = [replace(h, chunk_index=chunk_index, emitted_in_chunk=0) for h in hyps]
+    frontier = [replace(h, emitted_in_chunk=0) for h in hyps]
     finished = []
     if greedy is not None:
-        greedy = replace(greedy, chunk_index=chunk_index, emitted_in_chunk=0)
+        greedy = replace(greedy, emitted_in_chunk=0)
     greedy_done = greedy is None
     for _round in range(cap + 1):
         if not frontier and greedy_done:
@@ -152,30 +152,67 @@ def _with_greedy(hyps, greedy, width):
     return sorted(hyps + [greedy], key=lambda h: -h.log_prob)[:width]
 
 
-def _search(model, chunks, cfg):
-    """Run _advance_chunk over encoded chunks; returns the n-best Hypothesis list.
+def _shared_prefix(hyps):
+    """The longest prefix that every hypothesis starts with."""
+    n = 0
+    for column in zip(*(h.prefix for h in hyps)):
+        if len(set(column)) > 1:
+            break
+        n += 1
+    return hyps[0].prefix[:n]
 
-    Above width 1 the greedy path is carried as a floor; at width 1 the
-    search is the greedy path.
+
+def _drive(model, fragments, cfg, clock=None, collect_emissions=False):
+    """The one decode driver; returns (n-best Hypothesis list, emissions).
+
+    Feeds the fragments through a StreamBuffer and each chunk it releases
+    through _advance_chunk. The buffered frames are encoded only when some
+    arrived since the last encode, so one fragment is encoded once. Above
+    width 1 the greedy path is carried as a floor; at width 1 the search is
+    the greedy path. Emissions are as stream_decode describes.
     """
-    start = Hypothesis((model.vocab.start_id,), 0.0, 0, 0)
+    clock = clock or time.monotonic
+    t0 = clock()
+    buf = StreamBuffer(model.cfg.W, model.cfg.B)
+    start = Hypothesis((model.vocab.start_id,), 0.0, 0)
     hyps, greedy = [start], start if cfg.width > 1 else None
-    for m, chunk in enumerate(chunks):
-        hyps, greedy = _advance_chunk(model, hyps, greedy, chunk, m, cfg)
-    return _with_greedy(hyps, greedy, cfg.width)
+    m, n_encoded, emissions = -1, 0, []  # m: the last chunk searched
 
+    def emit(settled, log_prob):
+        now_ms = (clock() - t0) * 1000.0
+        emissions.extend([Emission(m, int(sym), log_prob, now_ms)
+                          for sym in settled[1 + len(emissions):]])
 
-def _encode_chunks(model, x):
-    """Encode an utterance once and cut its states into chunks."""
-    states = model.encode_states(x)
-    return [states[a:b] for a, b in model.geometry_for(np.asarray(x).shape[0]).spans]
+    def releases():
+        for frag in fragments:
+            frag = np.asarray(frag, dtype=np.float64)
+            if frag.ndim != 2 or frag.shape[1] != model.cfg.d_in:
+                raise ContractError(f"expected (n, {model.cfg.d_in}) fragment, "
+                                    f"got shape {frag.shape}")
+            yield buf.push(frag)
+        yield buf.flush()
+
+    for spans in releases():
+        with ad.no_grad():
+            if spans and buf.raw_count > n_encoded:
+                states = model.encode_states(np.asarray(buf.frames, dtype=np.float64))
+                n_encoded = buf.raw_count
+            for a, b in spans:
+                if b > states.shape[0]:
+                    raise AvailabilityError(f"chunk end {b} beyond encoded prefix")
+                hyps, greedy = _advance_chunk(model, hyps, greedy, states[a:b], cfg)
+                m += 1
+                if collect_emissions:
+                    emit(_shared_prefix(hyps + [greedy] if greedy else hyps), hyps[0].log_prob)
+    hyps = _with_greedy(hyps, greedy, cfg.width)
+    if collect_emissions:
+        emit(hyps[0].prefix, hyps[0].log_prob)
+    return hyps, emissions
 
 
 def greedy_decode(model, x, cfg=None):
     """Argmax decoding, the width-1 search; returns (label ids, log_prob)."""
-    cfg = replace(cfg or BeamConfig(), width=1)
-    with ad.no_grad():
-        best = _search(model, _encode_chunks(model, x), cfg)[0]
+    best = _drive(model, [x], replace(cfg or BeamConfig(), width=1))[0][0]
     return list(best.prefix[1:]), best.log_prob
 
 
@@ -185,23 +222,8 @@ def beam_decode(model, x, cfg=None):
     The greedy path is always included in the candidate pool, so the best
     beam score never falls below the greedy score.
     """
-    cfg = cfg or BeamConfig()
-    with ad.no_grad():
-        hyps = _search(model, _encode_chunks(model, x), cfg)
+    hyps, _ = _drive(model, [x], cfg or BeamConfig())
     return [(list(h.prefix[1:]), h.log_prob) for h in hyps]
-
-
-# -- streaming --------------------------------------------------------------
-
-
-def _shared_prefix(hyps):
-    """The longest prefix that every hypothesis starts with."""
-    n = 0
-    for column in zip(*(h.prefix for h in hyps)):
-        if len(set(column)) > 1:
-            break
-        n += 1
-    return hyps[0].prefix[:n]
 
 
 def stream_decode(model, fragments, cfg=None, clock=None, collect_emissions=True):
@@ -217,42 +239,5 @@ def stream_decode(model, fragments, cfg=None, clock=None, collect_emissions=True
     is one of those paths' extensions, so the emitted symbols are always a
     prefix of the final ids.
     """
-    cfg = cfg or BeamConfig()
-    clock = clock or time.monotonic
-    t0 = clock()
-    buf = StreamBuffer(model.cfg.W, model.cfg.B)
-    hyps = [Hypothesis((model.vocab.start_id,), 0.0, 0, 0)]
-    greedy = hyps[0]
-    n_chunks = 0
-    emissions = []
-
-    def emit(settled, log_prob):
-        now_ms = (clock() - t0) * 1000.0
-        emissions.extend([Emission(n_chunks - 1, int(sym), log_prob, now_ms)
-                          for sym in settled[1 + len(emissions):]])
-
-    def process(spans):
-        nonlocal hyps, greedy, n_chunks
-        if not spans:
-            return
-        with ad.no_grad():
-            states = model.encode_states(np.asarray(buf.frames, dtype=np.float64))
-            for a, b in spans:
-                if b > states.shape[0]:
-                    raise AvailabilityError(f"chunk end {b} beyond encoded prefix")
-                hyps, greedy = _advance_chunk(model, hyps, greedy, states[a:b], n_chunks, cfg)
-                n_chunks += 1
-                if collect_emissions:
-                    emit(_shared_prefix(hyps + [greedy]), hyps[0].log_prob)
-
-    d_in = model.cfg.d_in
-    for frag in fragments:
-        frag = np.asarray(frag, dtype=np.float64)
-        if frag.ndim != 2 or frag.shape[1] != d_in:
-            raise ContractError(f"expected (n, {d_in}) fragment, got shape {frag.shape}")
-        process(buf.push(frag))
-    process(buf.flush())
-    best = _with_greedy(hyps, greedy, cfg.width)[0]
-    if collect_emissions:
-        emit(best.prefix, best.log_prob)
-    return list(best.prefix[1:]), best.log_prob, emissions
+    hyps, emissions = _drive(model, fragments, cfg or BeamConfig(), clock, collect_emissions)
+    return list(hyps[0].prefix[1:]), hyps[0].log_prob, emissions

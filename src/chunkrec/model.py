@@ -12,7 +12,7 @@ initializer walks it and the model checks given parameters against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -40,6 +40,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if type(getattr(self, f.name)) is not int]
+        if bad:
+            raise ConfigError(f"model config fields must be integers: {', '.join(bad)}")
         if self.n_heads < 1:
             raise ConfigError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:

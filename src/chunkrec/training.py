@@ -8,6 +8,7 @@ noise. That keeps end-to-end runs deterministic and desk-sized.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +221,9 @@ def train(model, data, cfg, optimizer=None, eval_data=None, log=None, start_step
 # -- feature files and manifests -------------------------------------------
 
 
+_FEATURE_HEADER = re.compile(rb"(\d{1,12}) (\d{1,12}) f8\n")
+
+
 def save_features(path, x):
     """Write one utterance: text header 'rows cols f8\\n' then little-endian payload."""
     x = np.asarray(x, dtype=np.float64)
@@ -229,28 +233,34 @@ def save_features(path, x):
 
 
 def load_features(path):
-    with open(path, "rb") as f:
-        header = f.readline().decode("ascii").split()
-        if len(header) != 3 or header[2] != "f8":
-            raise ContractError(f"bad feature file header in {path}")
-        rows, cols = int(header[0]), int(header[1])
-        raw = f.read(8 * rows * cols)
-        if len(raw) != 8 * rows * cols:
-            raise ContractError(f"feature file {path} truncated")
-        return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    """Read a save_features file; a missing, misshapen or truncated one is ContractError."""
+    try:
+        with open(path, "rb") as f:
+            header = _FEATURE_HEADER.fullmatch(f.readline())
+            payload = f.read()
+    except OSError as e:
+        raise ContractError(f"cannot read feature file {path}: {e}") from e
+    if header is None:
+        raise ContractError(f"bad feature file header in {path}")
+    rows, cols = int(header[1]), int(header[2])
+    if len(payload) != 8 * rows * cols:
+        raise ContractError(f"feature file {path} holds {len(payload)} payload bytes, "
+                            f"not the {8 * rows * cols} of its {rows} x {cols} header")
+    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
 def load_manifest(path, vocab):
     """Tab-separated (feature path, transcript) lines -> (features, ids) pairs."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ContractError(f"cannot read manifest {path}: {e}") from e
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                feat_path, transcript = line.split("\t", 1)
-            except ValueError:
-                raise ContractError(f"manifest line without a tab: {line!r}")
-            out.append((load_features(feat_path), vocab.encode(transcript)))
+    for line in filter(None, lines):
+        try:
+            feat_path, transcript = line.split("\t", 1)
+        except ValueError:
+            raise ContractError(f"manifest line without a tab: {line!r}")
+        out.append((load_features(feat_path), vocab.encode(transcript)))
     return out

@@ -77,6 +77,18 @@ def test_decode_with_manifest(tmp_path):
     assert len(open(out_file, encoding="utf-8").read().strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("header", [None, b"ab cd f8\n", b"-1 8 f8\n"])
+def test_bad_feature_file_is_contract_error(tmp_path, capsys, header):
+    cfg = tiny_config(tmp_path)
+    feat = tmp_path / "u0.feat"
+    if header is not None:  # None: the manifest names a missing file
+        feat.write_bytes(header + bytes(64))
+    man = tmp_path / "m.tsv"
+    man.write_text(f"{feat}\ts0s1\n", encoding="utf-8")
+    assert main(["--config", cfg, "--manifest", str(man), "decode"]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "contract"
+
+
 def test_error_is_machine_readable(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"not a checkpoint")
@@ -126,6 +138,8 @@ def test_unknown_beam_key_is_config_error(tmp_path, capsys):
     ({"model": {"d_modle": 16}}, "decode"),
     ({"train": {"batch_sise": 2}}, "train"),
     ({"synthetic": {"max_lne": 3}}, "decode"),
+    ({"model": {"n_enc_blocks": 2.5}}, "decode"),
+    ({"model": {"W": "x"}}, "latency"),
 ])
 def test_bad_section_is_config_error(tmp_path, capsys, cfg, command):
     assert _config_error(tmp_path, capsys, cfg, command) == "config"

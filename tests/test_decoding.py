@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chunkrec.chunking import ChunkGeometry
+from chunkrec.chunking import ChunkGeometry, encoded_len
 from chunkrec.decoding import (BeamConfig, Hypothesis, _advance_chunk, beam_decode, cer,
                                edit_distance, greedy_decode, stream_decode)
 from chunkrec.errors import ConfigError, ContractError, UndefinedMetricError
@@ -124,8 +124,38 @@ def test_beam_decode_encodes_once():
             return super().encode_states(x)
 
     m = CountingModel(lambda prefix, chunk: _logdist([0.3, 0.05, 0.35, 0.3]))
-    beam_decode(m, np.zeros((32, 1)), BeamConfig(width=5))
-    assert len(calls) == 1
+    x = np.zeros((32, 1))
+    for decode in (lambda: beam_decode(m, x, BeamConfig(width=5)),
+                   lambda: greedy_decode(m, x),
+                   lambda: stream_decode(m, [x])):
+        calls.clear()
+        decode()
+        assert len(calls) == 1
+
+
+def test_stream_flush_reencodes_only_after_new_frames():
+    # W=4, B=1: chunks (0,4), (3,7) and (6,8) of the 8 encoded frames of
+    # 31 or 32 raw frames; push releases the first at 19 frames, the second
+    # at 31, and flush the last
+    class EncodeLogModel(ScriptedModel):
+        def __init__(self):
+            super().__init__(lambda prefix, chunk: _logdist([0.6, 0.1, 0.2, 0.1]))
+            self.encoded = []
+
+        def encode_states(self, x):
+            self.encoded.append(len(x))
+            return np.arange(encoded_len(len(x)))[:, None].astype(float)
+
+    x = np.zeros((32, 1))
+    m = EncodeLogModel()
+    stream_decode(m, [x[:19], x[19:31]])
+    assert m.encoded == [19, 31]  # nothing new at flush: the states are reused
+    m = EncodeLogModel()
+    stream_decode(m, [x[:19], x[19:31], x[31:]])
+    assert m.encoded == [19, 31, 32]
+    m = EncodeLogModel()
+    stream_decode(m, [x[:10], x[10:19], x[19:25]])
+    assert m.encoded == [19, 25]  # a push that releases nothing encodes nothing
 
 
 def test_beam_config_rejects_bad_values():
@@ -161,9 +191,9 @@ def test_beam_search_batches_the_frontier():
 
 def _beam_only(m, cfg):
     """The beam search over 32 frames without the greedy floor."""
-    hyps = [Hypothesis((m.vocab.start_id,), 0.0, 0, 0)]
-    for i, (a, b) in enumerate(m.geometry_for(32).spans):
-        hyps, _ = _advance_chunk(m, hyps, None, m.encode_states(None)[a:b], i, cfg)
+    hyps = [Hypothesis((m.vocab.start_id,), 0.0, 0)]
+    for a, b in m.geometry_for(32).spans:
+        hyps, _ = _advance_chunk(m, hyps, None, m.encode_states(None)[a:b], cfg)
     return hyps
 
 
@@ -287,6 +317,19 @@ def test_stream_single_fragment_matches_offline(tiny_model, rng):
     off = beam_decode(tiny_model, x)[0]
     ids, lp, _ = stream_decode(tiny_model, [x])
     assert ids == off[0] and lp == pytest.approx(off[1], abs=1e-12)
+
+
+def test_width_one_stream_equals_greedy_bitwise():
+    rng = np.random.default_rng(5)
+    cfg = BeamConfig(width=1)
+    for seed in range(8):
+        m = make_tiny_model(seed=seed)
+        x = rng.normal(size=(int(rng.integers(12, 60)), 4))
+        cuts = np.sort(rng.choice(np.arange(1, len(x)), size=4, replace=False))
+        for frags in ([x], np.split(x, cuts), [x[i:i + 1] for i in range(len(x))]):
+            ids, lp, emissions = stream_decode(m, frags, cfg)
+            assert (ids, lp) == greedy_decode(m, x)
+            assert [e.symbol for e in emissions] == ids
 
 
 def test_stream_frame_by_frame_matches_offline(tiny_model, rng):

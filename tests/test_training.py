@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chunkrec.errors import ConfigError, ContractError
 from chunkrec.training import (Adam, SyntheticTaskSpec, TrainConfig, batch_loss,
@@ -148,6 +149,41 @@ def test_feature_file_roundtrip(tmp_path):
     p = tmp_path / "utt0.feat"
     save_features(p, x)
     assert np.array_equal(load_features(p), x)
+
+
+_dim = st.integers(-2, 5).map(str) | st.sampled_from(["", "ab", "1.5", "+3", "100000000000"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=_dim, cols=_dim, dtype=st.sampled_from(["f8", "f8", "f4", "", "f8 f8"]),
+       sep=st.sampled_from([" ", " ", "  ", "\t"]), end=st.sampled_from(["\n", "\n", "", "\r\n"]),
+       extra=st.sampled_from([0, 0, 0, -8, -1, 1, 8]))
+def test_feature_file_header_fuzz(tmp_path_factory, rows, cols, dtype, sep, end, extra):
+    # loads exactly when the file is what save_features writes; else ContractError
+    n = 8 * int(rows) * int(cols) if rows.isdigit() and cols.isdigit() else -1
+    payload = bytes(max(n + extra, 0)) if n <= 8 * 25 else b""  # a huge header stays short
+    p = tmp_path_factory.mktemp("feat") / "u.feat"
+    p.write_bytes(sep.join([rows, cols, dtype]).encode() + end.encode() + payload)
+    if len(payload) == n and (dtype, sep, end) == ("f8", " ", "\n"):
+        assert load_features(p).shape == (int(rows), int(cols))
+    else:
+        with pytest.raises(ContractError):
+            load_features(p)
+
+
+def test_bad_feature_files_are_contract_errors(tmp_path):
+    p = tmp_path / "u.feat"
+    for header in (b"ab cd f8\n", b"-1 8 f8\n", b"2 4 f4\n", b"2 4\n", b"\xff\xfe f8\n"):
+        p.write_bytes(header + bytes(64))
+        with pytest.raises(ContractError):
+            load_features(p)
+    p.write_bytes(b"2 4 f8\n" + bytes(63))  # truncated
+    with pytest.raises(ContractError):
+        load_features(p)
+    with pytest.raises(ContractError):
+        load_features(tmp_path / "missing.feat")
+    with pytest.raises(ContractError):
+        load_manifest(tmp_path / "missing.tsv", make_tiny_model().vocab)
 
 
 def test_manifest_loading(tmp_path):
