@@ -2,9 +2,9 @@
 
 Reverse-mode only, covering exactly the operations the streaming transducer
 model needs: linear (x @ w + b), multi-head attention (with a masked
-softmax inside), layer norm, GLU, time-axis convolution, indexing and
-embedding, plus the add, mul, scale and sum that losses and gradient
-checks compose.
+softmax inside), layer norm, GLU, time-axis convolution and indexing
+(``take``, which is also the embedding lookup), plus the add, mul, scale
+and sum that losses and gradient checks compose.
 Attention and linear layers are single ops with hand-written backward
 passes, because on a small model each op costs mostly Python overhead.
 Broadcasting is limited to leading batch dimensions (a parameter of shape
@@ -436,20 +436,6 @@ def take(a, idx):
         return (ga,)
 
     return _make(data.copy() if isinstance(data, np.ndarray) else np.asarray(data), (a,), bwd)
-
-
-def embedding(table, ids):
-    """Row lookup: out[i] = table[ids[i]]."""
-    table = _as_tensor(table)
-    ids = np.asarray(ids, dtype=np.intp)
-    data = table.data[ids]
-
-    def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
-
-    return _make(data, (table,), bwd)
 
 
 # -- finite-difference checking --------------------------------------------

@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import CorruptHeaderError, TruncatedFileError, VersionMismatchError
+from .errors import ConfigError, CorruptHeaderError, TruncatedFileError, VersionMismatchError
 from .model import ChunkTransducerModel, ModelConfig, Vocabulary
 
 MAGIC = b"CKTD"
@@ -124,7 +124,7 @@ def load_checkpoint(path):
             raise CorruptHeaderError("trailing bytes after checkpoint payload")
     try:
         cfg = ModelConfig(**header["config"])
-    except TypeError as e:
+    except (TypeError, ConfigError) as e:
         raise CorruptHeaderError(f"checkpoint config does not fit ModelConfig: {e}") from e
     vocab = Vocabulary(symbols=tuple(header["vocab"]))
     return ChunkTransducerModel(cfg, vocab, params=params), opt

@@ -23,8 +23,7 @@ from .decoding import BeamConfig, beam_decode, edit_distance, greedy_decode, str
 from .errors import ChunkrecError, ConfigError
 from .lattice import diagonal_identity_check, backward_pass, enumerate_paths, forward_pass
 from .model import ChunkTransducerModel, ModelConfig, Vocabulary
-from .training import (Adam, SyntheticTaskSpec, TrainConfig, gen_synthetic,
-                       load_manifest, train)
+from .training import SyntheticTaskSpec, TrainConfig, gen_synthetic, load_manifest, train
 
 
 def _load_config(path):
@@ -32,9 +31,12 @@ def _load_config(path):
         return {}
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            cfg_dict = json.load(f)
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(cfg_dict, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg_dict
 
 
 def _section(cls, cfg_dict, key, **defaults):
@@ -43,6 +45,14 @@ def _section(cls, cfg_dict, key, **defaults):
         return cls(**{**defaults, **cfg_dict.get(key, {})})
     except TypeError as e:
         raise ConfigError(f"bad {key} section {cfg_dict.get(key)!r}: {e}") from e
+
+
+def _count(cfg_dict, key, default):
+    """The top-level count `key` of the config, an int >= 1; else ConfigError."""
+    n = cfg_dict.get(key, default)
+    if type(n) is not int or n < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {n!r}")
+    return n
 
 
 def _model_from_config(cfg_dict, seed=None):
@@ -75,16 +85,15 @@ def cmd_train(args):
     cfg_dict = _load_config(args.config)
     model = _model_from_config(cfg_dict, seed=args.seed)
     tc = _section(TrainConfig, cfg_dict, "train")
-    if args.checkpoint:
-        tc.checkpoint_path = args.checkpoint
     data = _data_from_args(args, cfg_dict, model,
-                           n=cfg_dict.get("n_train", 2000), seed=model.cfg.seed + 101)
+                           n=_count(cfg_dict, "n_train", 2000), seed=model.cfg.seed + 101)
     eval_data = None
     if not args.manifest:
         eval_data = _data_from_args(args, cfg_dict, model, n=32, seed=model.cfg.seed + 202)
-    train(model, data, tc, eval_data=eval_data, log=lambda m: print(m, flush=True))
-    if tc.checkpoint_path:
-        print(f"checkpoint written to {tc.checkpoint_path}")
+    optimizer = train(model, data, tc, eval_data=eval_data, log=lambda m: print(m, flush=True))[0]
+    if args.checkpoint:
+        save_checkpoint(args.checkpoint, model, optimizer)
+        print(f"checkpoint written to {args.checkpoint}")
     return 0
 
 
@@ -99,7 +108,7 @@ def cmd_decode(args):
     cfg_dict = _load_config(args.config)
     model = _load_model(args, cfg_dict)
     beam = _section(BeamConfig, cfg_dict, "beam")
-    data = _data_from_args(args, cfg_dict, model, n=cfg_dict.get("n_decode", 16),
+    data = _data_from_args(args, cfg_dict, model, n=_count(cfg_dict, "n_decode", 16),
                            seed=model.cfg.seed + 303)
     with _out_stream(args) as out:
         for x, _y in data:
@@ -115,7 +124,7 @@ def cmd_stream_demo(args):
     beam = _section(BeamConfig, cfg_dict, "beam")
     data = _data_from_args(args, cfg_dict, model, n=1, seed=model.cfg.seed + 404)
     x, _y = data[0]
-    frag_len = int(cfg_dict.get("fragment_frames", 5))
+    frag_len = _count(cfg_dict, "fragment_frames", 5)
     frags = [x[i:i + frag_len] for i in range(0, len(x), frag_len)]
     ids, lp, emissions = stream_decode(model, frags, beam)
     with _out_stream(args) as out:
@@ -129,7 +138,7 @@ def cmd_eval_cer(args):
     cfg_dict = _load_config(args.config)
     model = _load_model(args, cfg_dict)
     beam = _section(BeamConfig, cfg_dict, "beam")
-    data = _data_from_args(args, cfg_dict, model, n=cfg_dict.get("n_eval", 64),
+    data = _data_from_args(args, cfg_dict, model, n=_count(cfg_dict, "n_eval", 64),
                            seed=model.cfg.seed + 505)
     errs = refs = 0
     for x, y in data:

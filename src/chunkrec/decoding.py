@@ -8,12 +8,13 @@ arrived: one fragment, encoded once.
 Within a chunk a hypothesis keeps emitting symbols until it predicts
 blank (adding the blank's log-probability) or hits the per-chunk symbol
 cap (advancing without a score factor). Alignment paths with identical
-prefixes are kept separate. The chunk moves in lock-step rounds: each
-scores the whole frontier (the hypotheses still emitting) with one padded
-``decoder_steps`` pass, ranks every hypothesis's next symbols with one
-stable argsort, and prunes extended and finished candidates together to
-the beam width. A chunk therefore costs at most ``max_symbols_per_chunk +
-1`` decoder passes, whatever the width. Width 1 is greedy decoding.
+prefixes are kept separate. The chunk moves in lock-step rounds; in round
+r every hypothesis still emitting has emitted r symbols, so a hypothesis
+is only a prefix and a score. A round scores that frontier with one
+padded ``decoder_steps`` pass and ranks the finished hypotheses and every
+extension with one stable argsort, keeping the first ``width``: at most
+``max_symbols_per_chunk`` passes per chunk, whatever the width. Width 1
+is greedy decoding.
 
 Above width 1 the result takes the greedy path as a floor, carried in the
 same rounds as one protected row, not as a second search. ``decoder_steps``
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .chunking import StreamBuffer
-from .errors import AvailabilityError, ConfigError, ContractError, UndefinedMetricError
+from .errors import AvailabilityError, ContractError, UndefinedMetricError, check_fields
 
 
 @dataclass(frozen=True)
@@ -38,15 +39,13 @@ class BeamConfig:
     max_symbols_per_chunk: int = 10
 
     def __post_init__(self):
-        if self.width < 1 or self.max_symbols_per_chunk < 1:
-            raise ConfigError("beam width and per-chunk cap must be >= 1")
+        check_fields(self, width=1, max_symbols_per_chunk=1)
 
 
 @dataclass(frozen=True)
 class Hypothesis:
     prefix: tuple
     log_prob: float
-    emitted_in_chunk: int
 
 
 @dataclass(frozen=True)
@@ -87,37 +86,35 @@ def cer(hyp, ref):
 # -- the chunk-synchronous search --------------------------------------------
 
 
-def _extend(h, sym, dist, blank, cap):
-    """(h followed by sym, done with this chunk): done on blank or at the cap,
-    a forced advance where the symbol still scores."""
+def _extend(h, sym, dist, blank, at_cap):
+    """(h followed by sym, done with this chunk): done on blank or, at the
+    cap, as a forced advance where the symbol still scores."""
     lp = h.log_prob + float(dist[sym])
     if sym == blank:
-        return replace(h, log_prob=lp), True
-    n = h.emitted_in_chunk + 1
-    return Hypothesis(h.prefix + (sym,), lp, n), n >= cap
+        return Hypothesis(h.prefix, lp), True
+    return Hypothesis(h.prefix + (sym,), lp), at_cap
 
 
 def _advance_chunk(model, hyps, greedy, chunk, cfg):
     """Push every hypothesis, and the greedy path, through one chunk.
 
-    Each round scores the whole frontier with one decoder_steps call.
-    Active and already-finished candidates compete in one pool each round,
-    pruned to the beam width; ties go to the lower symbol id, so width 1
-    reproduces greedy (argmax) decoding exactly.
+    Round r scores the frontier, whose hypotheses have all emitted r symbols
+    in this chunk, with one decoder_steps call. One stable ranking of the
+    finished log-probs and every extension then keeps the first width: ties
+    go to a finished hypothesis, then the earlier row, then the lower symbol
+    id, so width 1 reproduces greedy (argmax) decoding exactly.
 
     greedy, unless None, is the width-1 path: it takes the argmax of the
     row of a frontier hypothesis with its prefix, and adds a row only once
     the beam has pruned that prefix. Returns (finished hypotheses, greedy).
     """
     blank, cap = model.vocab.blank_id, cfg.max_symbols_per_chunk
-    frontier = [replace(h, emitted_in_chunk=0) for h in hyps]
-    finished = []
-    if greedy is not None:
-        greedy = replace(greedy, emitted_in_chunk=0)
+    frontier, finished = hyps, []
     greedy_done = greedy is None
-    for _round in range(cap + 1):
+    for r in range(cap):
         if not frontier and greedy_done:
             break
+        at_cap = r + 1 >= cap
         prefixes = [h.prefix for h in frontier]
         if not greedy_done:
             if greedy.prefix not in prefixes:
@@ -126,21 +123,22 @@ def _advance_chunk(model, hyps, greedy, chunk, cfg):
         dists = model.decoder_steps([list(p) for p in prefixes], chunk)
         if not greedy_done:
             greedy, greedy_done = _extend(greedy, int(np.argmax(dists[g_row])), dists[g_row],
-                                          blank, cap)
+                                          blank, at_cap)
         if not frontier:
             continue
-        # pool entries: (hypothesis, done-with-this-chunk flag)
-        pool = [(h, True) for h in finished]
-        dists = dists[:len(frontier)]
-        orders = np.argsort(-dists, axis=1, kind="stable")[:, :cfg.width + 1]
-        for h, dist, row in zip(frontier, dists, orders):
-            order = row.tolist()
-            if blank not in order:
-                order.append(blank)
-            pool.extend(_extend(h, sym, dist, blank, cap) for sym in order)
-        pool = sorted(pool, key=lambda e: -e[0].log_prob)[:cfg.width]
-        finished = [h for h, done in pool if done]
-        frontier = [h for h, done in pool if not done]
+        # finished log-probs, then every (row, symbol) extension in row-major order
+        lps = np.array([h.log_prob for h in finished + frontier])
+        n_done, dists = len(finished), dists[:len(frontier)]
+        scores = np.concatenate([lps[:n_done], (lps[n_done:, None] + dists).ravel()])
+        kept = []
+        for k in np.argsort(-scores, kind="stable")[:cfg.width].tolist():
+            if k < n_done:
+                kept.append((finished[k], True))
+            else:
+                row, sym = divmod(k - n_done, dists.shape[1])
+                kept.append(_extend(frontier[row], sym, dists[row], blank, at_cap))
+        finished = [h for h, done in kept if done]
+        frontier = [h for h, done in kept if not done]
     return finished, greedy
 
 
@@ -174,7 +172,7 @@ def _drive(model, fragments, cfg, clock=None, collect_emissions=False):
     clock = clock or time.monotonic
     t0 = clock()
     buf = StreamBuffer(model.cfg.W, model.cfg.B)
-    start = Hypothesis((model.vocab.start_id,), 0.0, 0)
+    start = Hypothesis((model.vocab.start_id,), 0.0)
     hyps, greedy = [start], start if cfg.width > 1 else None
     m, n_encoded, emissions = -1, 0, []  # m: the last chunk searched
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy. Every error carries a short machine-readable category."""
+"""Exception hierarchy, each error with a short machine-readable category,
+and the field check that every config dataclass runs."""
+
+import math
+from dataclasses import fields
 
 
 class ChunkrecError(Exception):
@@ -69,9 +73,17 @@ class VersionMismatchError(CheckpointError):
     category = "version-mismatch"
 
 
-class TrainingAbortedError(ChunkrecError):
-    category = "training-aborted"
-
-
 class ConfigError(ChunkrecError):
     category = "config"
+
+
+def check_fields(cfg, **minimums):
+    """Raise ConfigError unless each field of dataclass cfg has its default's type (an
+    int; for a float default, a finite int or float; never a bool) and its minimum."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if not (type(v) is int or type(f.default) is float and type(v) is float
+                and math.isfinite(v)):
+            raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {v!r}")
+        if v < minimums.get(f.name, v):
+            raise ConfigError(f"{f.name} must be >= {minimums[f.name]}, got {v}")

@@ -68,24 +68,18 @@ def _sweep(down, right, start):
     return np.array(rows)
 
 
-def _alpha(blank_lp, label_lp):
+def forward_pass(blank_lp, label_lp):
+    """Return (alpha, log_prob) for the lattice tables."""
+    blank_lp, label_lp = _validate(blank_lp, label_lp)
     alpha = _sweep(blank_lp[:-1], label_lp, 0.0)
     return alpha, alpha[-1, -1] + blank_lp[-1, -1]
 
 
-def _beta(blank_lp, label_lp):
-    # alpha's recursion on the lattice with both axes flipped
-    return _sweep(blank_lp[-2::-1, ::-1], label_lp[::-1, ::-1], blank_lp[-1, -1])[::-1, ::-1]
-
-
-def forward_pass(blank_lp, label_lp):
-    """Return (alpha, log_prob) for the lattice tables."""
-    return _alpha(*_validate(blank_lp, label_lp))
-
-
 def backward_pass(blank_lp, label_lp):
     """Return beta; beta[0, 0] equals the total log_prob."""
-    return _beta(*_validate(blank_lp, label_lp))
+    blank_lp, label_lp = _validate(blank_lp, label_lp)
+    # alpha's recursion on the lattice with both axes flipped
+    return _sweep(blank_lp[-2::-1, ::-1], label_lp[::-1, ::-1], blank_lp[-1, -1])[::-1, ::-1]
 
 
 def _logsumexp(terms):
@@ -125,10 +119,10 @@ def lattice_grad(blank_lp, label_lp):
     Returns (log_prob, grad_blank, grad_label).
     """
     blank_lp, label_lp = _validate(blank_lp, label_lp)
-    alpha, log_prob = _alpha(blank_lp, label_lp)
+    alpha, log_prob = forward_pass(blank_lp, label_lp)
     if log_prob == NEG_INF:
         raise DegenerateLatticeError("lattice carries no path mass")
-    beta = _beta(blank_lp, label_lp)
+    beta = backward_pass(blank_lp, label_lp)
     # An edge no path uses has a -inf log-occupancy, and exp(-inf) = 0.
     grad_blank = np.zeros_like(blank_lp)
     grad_blank[:-1] = np.exp(alpha[:-1] + blank_lp[:-1] + beta[1:] - log_prob)

@@ -12,7 +12,7 @@ initializer walks it and the model checks given parameters against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .autodiff import Tensor
 from . import chunking
 from .chunking import (FRONT_END_DOWNSAMPLE, FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry,
                        left_context_mask)
-from .errors import AvailabilityError, ConfigError, ContractError, EmptyInputError, VocabError
+from .errors import (AvailabilityError, ConfigError, ContractError, EmptyInputError, VocabError,
+                     check_fields)
 from .lattice import lattice_nll
 
 
@@ -40,17 +41,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        bad = [f.name for f in fields(self) if type(getattr(self, f.name)) is not int]
-        if bad:
-            raise ConfigError(f"model config fields must be integers: {', '.join(bad)}")
-        if self.n_heads < 1:
-            raise ConfigError("n_heads must be >= 1")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError("d_model must be divisible by n_heads")
-        if not (self.W > self.B >= 0):
+        # vocab_size 3 holds blank, unk and one symbol
+        check_fields(self, d_model=2, n_heads=1, n_enc_blocks=0, n_dec_blocks=0, d_in=1,
+                     left_context=0, B=0, vocab_size=3, ffn_inner=1, seed=0)
+        if self.d_model % self.n_heads or self.d_model % 2:
+            raise ConfigError("d_model must be even and divisible by n_heads")
+        if self.W <= self.B:
             raise ConfigError("chunk geometry requires W > B >= 0")
-        if self.vocab_size < 3:
-            raise ConfigError("vocab must hold blank, unk and at least one symbol")
 
 
 BLANK = "<blk>"
@@ -303,7 +300,7 @@ class ChunkTransducerModel:
         scores; chunk positions it marks False get exactly zero attention.
         """
         P = ids.shape[-1]
-        h = ad.embedding(self.params["dec.embed"], ids) + Tensor(
+        h = ad.take(self.params["dec.embed"], ids) + Tensor(
             sinusoidal_positions(np.arange(P), self.cfg.d_model))
         for i in range(self.cfg.n_dec_blocks):
             n = self._ln(f"dec.{i}.ln1", h)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, TrainingAbortedError
+from .decoding import edit_distance, greedy_decode
+from .errors import ConfigError, ContractError, check_fields
 
 
 # -- synthetic data ---------------------------------------------------------
@@ -31,9 +32,10 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.frames_per_symbol < 4:
-            raise ConfigError("frames_per_symbol must be >= 4 for the front end")
-        if not (1 <= self.min_len <= self.max_len):
+        # frames_per_symbol >= 4 for the front end; vocab_size 3 holds one symbol
+        check_fields(self, vocab_size=3, min_len=1, frames_per_symbol=4, noise_std=0,
+                     d_in=1, seed=0)
+        if self.min_len > self.max_len:
             raise ConfigError("need 1 <= min_len <= max_len")
 
     def symbol_embedding(self):
@@ -135,13 +137,11 @@ class TrainConfig:
     lr_scale: float = 1.0
     grad_clip: float = 5.0
     eval_interval: int = 200
-    checkpoint_path: str = ""
     seed: int = 0
     target_eval_cer: float = 0.0  # stop early once held-out CER <= this
 
     def __post_init__(self):
-        if self.warmup_steps < 1 or self.batch_size < 1:
-            raise ConfigError("warmup_steps and batch_size must be >= 1")
+        check_fields(self, batch_size=1, total_steps=0, warmup_steps=1, eval_interval=0, seed=0)
 
 
 def batch_loss(model, batch):
@@ -154,20 +154,16 @@ def batch_loss(model, batch):
 
 
 def train_step(model, batch, optimizer, step, cfg):
-    """One optimization step; returns the (finite) batch loss value."""
+    """One optimization step; returns the batch loss (finite: ops raise NumericError)."""
     if not batch:
         raise ContractError("empty batch")
     optimizer.zero_grad()
     loss = batch_loss(model, batch)
-    value = loss.item()
-    if not np.isfinite(value):
-        raise TrainingAbortedError(
-            f"non-finite loss at step {step}; first sample labels: {batch[0][1]}")
     loss.backward()
     clip_grad_norm(model.params, cfg.grad_clip)
     lr = noam_lr(step, model.cfg.d_model, cfg.warmup_steps, cfg.lr_scale)
     optimizer.step(lr)
-    return value
+    return loss.item()
 
 
 def nats_per_symbol(model, samples):
@@ -185,8 +181,6 @@ def train(model, data, cfg, optimizer=None, eval_data=None, log=None, start_step
     Batch membership at step s depends only on (cfg.seed, s), so resuming
     from a checkpoint at start_step replays the identical trajectory.
     """
-    from .decoding import edit_distance, greedy_decode  # local import avoids a cycle
-
     optimizer = optimizer or Adam(model.params)
     history = []
     for step in range(start_step, cfg.total_steps + 1):
@@ -198,23 +192,13 @@ def train(model, data, cfg, optimizer=None, eval_data=None, log=None, start_step
         if cfg.eval_interval and step % cfg.eval_interval == 0:
             msg = f"step {step} loss {loss:.4f}"
             if eval_data:
-                errs = 0
-                n_ref = 0
-                for x, y in eval_data:
-                    hyp, _ = greedy_decode(model, x)
-                    errs += edit_distance(hyp, y)
-                    n_ref += len(y)
-                eval_cer = errs / max(n_ref, 1)
+                errs = sum(edit_distance(greedy_decode(model, x)[0], y) for x, y in eval_data)
+                eval_cer = errs / max(sum(len(y) for _, y in eval_data), 1)
                 msg += f" eval_cer {eval_cer:.4f}"
-                if log:
-                    log(msg)
-                if eval_cer <= cfg.target_eval_cer:
-                    break
-            elif log:
+            if log:
                 log(msg)
-    if cfg.checkpoint_path:
-        from .checkpoint import save_checkpoint
-        save_checkpoint(cfg.checkpoint_path, model, optimizer)
+            if eval_data and eval_cer <= cfg.target_eval_cer:
+                break
     return optimizer, history
 
 

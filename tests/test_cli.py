@@ -1,30 +1,39 @@
+import contextlib
+import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chunkrec.checkpoint import save_checkpoint
 from chunkrec.cli import main
-from chunkrec.training import save_features
+from chunkrec.decoding import BeamConfig
+from chunkrec.model import ModelConfig
+from chunkrec.training import SyntheticTaskSpec, TrainConfig, save_features
 
 from conftest import make_tiny_model
 from test_checkpoint import saved_parts, write_with_header
 
 
-def tiny_config(tmp_path, **train_overrides):
-    train = dict(batch_size=2, total_steps=4, warmup_steps=10, eval_interval=0)
-    train.update(train_overrides)
-    cfg = {
+def tiny_config_dict():
+    return {
         "model": {"d_model": 16, "n_heads": 2, "n_enc_blocks": 1, "n_dec_blocks": 1,
                   "d_in": 4, "left_context": 4, "W": 3, "B": 1, "vocab_size": 8,
                   "ffn_inner": 16, "seed": 1},
-        "train": train,
+        "train": dict(batch_size=2, total_steps=4, warmup_steps=10, eval_interval=0),
         "beam": {"width": 3},
         "synthetic": {"vocab_size": 8, "d_in": 4, "min_len": 2, "max_len": 3, "seed": 5},
         "n_train": 16,
         "n_decode": 2,
         "n_eval": 4,
     }
+
+
+def tiny_config(tmp_path, **train_overrides):
+    cfg = tiny_config_dict()
+    cfg["train"].update(train_overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
@@ -140,9 +149,52 @@ def test_unknown_beam_key_is_config_error(tmp_path, capsys):
     ({"synthetic": {"max_lne": 3}}, "decode"),
     ({"model": {"n_enc_blocks": 2.5}}, "decode"),
     ({"model": {"W": "x"}}, "latency"),
+    ({"model": {"d_model": 0}}, "decode"),
+    ({"model": {"n_enc_blocks": -1}}, "decode"),
+    ({"model": {"seed": -1}}, "stream-demo"),
+    ({"beam": {"width": 2.5}}, "decode"),
+    ({"beam": {"max_symbols_per_chunk": 1.5}}, "stream-demo"),
+    ({"train": {"total_steps": "3"}}, "train"),
+    ({"train": {"batch_size": 2.5}}, "train"),
+    ({"train": {"checkpoint_path": 5}}, "train"),
+    ({"synthetic": {"min_len": 2.5}}, "decode"),
+    ({"fragment_frames": 0}, "stream-demo"),
+    ({"n_decode": 1.5}, "decode"),
 ])
 def test_bad_section_is_config_error(tmp_path, capsys, cfg, command):
     assert _config_error(tmp_path, capsys, cfg, command) == "config"
+
+
+@pytest.mark.parametrize("raw", [b"[1]", b'{"n_decode": 1}\xff', b"{"])
+def test_config_that_is_not_a_json_object_is_config_error(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["--config", str(path), "decode"]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
+SECTIONS = {"model": ModelConfig, "beam": BeamConfig, "train": TrainConfig,
+            "synthetic": SyntheticTaskSpec}
+TOP_LEVEL = ["n_train", "n_decode", "fragment_frames"]  # section None: a top-level count
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["decode", "train", "stream-demo"]),
+       section=st.sampled_from([*SECTIONS, None]), data=st.data())
+def test_fuzzed_config_value_runs_or_gives_a_json_record(tmp_path_factory, command, section,
+                                                         data):
+    keys = TOP_LEVEL if section is None else [f.name for f in fields(SECTIONS[section])]
+    key = data.draw(st.sampled_from(keys))
+    value = data.draw(st.one_of(st.integers(-2, 5), st.floats(-2, 5), st.booleans(), st.none(),
+                                st.text(max_size=2)))
+    cfg = tiny_config_dict()
+    (cfg if section is None else cfg[section])[key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), command])
+    assert code == 0 or (code == 1 and "error" in json.loads(err.getvalue().strip()))
 
 
 def test_gradcheck_command(capsys):

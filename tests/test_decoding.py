@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from chunkrec import decoding
 from chunkrec.chunking import ChunkGeometry, encoded_len
 from chunkrec.decoding import (BeamConfig, Hypothesis, _advance_chunk, beam_decode, cer,
                                edit_distance, greedy_decode, stream_decode)
@@ -115,6 +116,42 @@ def test_ties_go_to_the_lower_symbol_id():
     assert beam_decode(m, x, BeamConfig(width=1))[0][0] == [2]
 
 
+def test_ties_go_to_finished_then_earlier_row_then_lower_symbol_id():
+    # binary log-probs, so every sum is exact. Round 0 keeps a, b and the
+    # start finished by blank; in round 1 that finished hypothesis ties at
+    # -1.0 with the four extensions of rows a and b by blank or a
+    def dist_fn(prefix, chunk):
+        if len(prefix) == 1:
+            return np.array([-1.0, -8.0, -0.5, -0.5])
+        return np.array([-0.5, -8.0, -0.5, -8.0])
+
+    m = ScriptedModel(dist_fn)
+    cfg = BeamConfig(width=3, max_symbols_per_chunk=2)
+    finished, _ = _advance_chunk(m, [Hypothesis((0,), 0.0)], None, None, cfg)
+    # row b's blank loses to row a's a, though its symbol id is lower
+    assert finished == [Hypothesis((0,), -1.0), Hypothesis((0, 2), -1.0),
+                        Hypothesis((0, 2, 2), -1.0)]
+
+
+def test_search_extends_at_most_width_plus_one_hypotheses_per_pass(monkeypatch):
+    # labels stay likely, so the frontier stays full for several rounds; only
+    # the width survivors of each round's ranking and the greedy path extend
+    m = ScriptedModel(lambda prefix, chunk: _logdist([0.3, 0.05, 0.35, 0.3]))
+    rows, extends = _counting(m), []
+    steps, extend = m.decoder_steps, decoding._extend
+    m.decoder_steps = lambda prefixes, chunk: extends.append(0) or steps(prefixes, chunk)
+
+    def counted(*args):
+        extends[-1] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(decoding, "_extend", counted)
+    cfg = BeamConfig(width=5, max_symbols_per_chunk=4)
+    beam_decode(m, np.zeros((32, 1)), cfg)
+    assert max(rows) >= cfg.width
+    assert max(extends) <= cfg.width + 1
+
+
 def test_beam_decode_encodes_once():
     calls = []
 
@@ -191,7 +228,7 @@ def test_beam_search_batches_the_frontier():
 
 def _beam_only(m, cfg):
     """The beam search over 32 frames without the greedy floor."""
-    hyps = [Hypothesis((m.vocab.start_id,), 0.0, 0)]
+    hyps = [Hypothesis((m.vocab.start_id,), 0.0)]
     for a, b in m.geometry_for(32).spans:
         hyps, _ = _advance_chunk(m, hyps, None, m.encode_states(None)[a:b], cfg)
     return hyps

@@ -11,10 +11,11 @@ from conftest import make_tiny_model
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ModelConfig(d_model=10, n_heads=4)
-    with pytest.raises(ConfigError):
-        ModelConfig(W=3, B=3)
+    for bad in [dict(d_model=10, n_heads=4), dict(W=3, B=3), dict(d_model=0),
+                dict(d_model=5, n_heads=1), dict(n_enc_blocks=-1), dict(seed=-1),
+                dict(W=4.0), dict(n_heads=True)]:
+        with pytest.raises(ConfigError):
+            ModelConfig(**bad)
 
 
 def test_model_rejects_params_that_differ_from_config():

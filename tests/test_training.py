@@ -50,6 +50,20 @@ def test_gen_synthetic_front_end_guard():
         SyntheticTaskSpec(frames_per_symbol=3)
 
 
+@pytest.mark.parametrize("bad", [dict(min_len=2.5), dict(vocab_size=2), dict(noise_std=-0.1),
+                                 dict(noise_std=float("nan")), dict(seed=-1)])
+def test_synthetic_spec_rejects_bad_values(bad):
+    with pytest.raises(ConfigError):
+        SyntheticTaskSpec(**bad)
+
+
+@pytest.mark.parametrize("bad", [dict(batch_size=2.5), dict(total_steps="3"), dict(seed=-1),
+                                 dict(eval_interval=-1), dict(lr_scale=float("inf"))])
+def test_train_config_rejects_bad_values(bad):
+    with pytest.raises(ConfigError):
+        TrainConfig(**bad)
+
+
 # -- schedule ---------------------------------------------------------------
 
 
