@@ -2,13 +2,15 @@
 
 Reverse-mode only, covering exactly the operations the streaming transducer
 model needs: linear (x @ w + b), multi-head attention (with a masked
-softmax inside), layer norm, GLU, time-axis convolution and indexing
+softmax inside), layer norm, GLU, ReLU, time-axis convolution and indexing
 (``take``, which is also the embedding lookup), plus the add, mul, scale
-and sum that losses and gradient checks compose.
+and sum that losses and gradient checks compose. ``+``, ``*`` and ``[]``
+on a Tensor are add, mul (scale for a scalar) and take.
 Attention and linear layers are single ops with hand-written backward
 passes, because on a small model each op costs mostly Python overhead.
-Broadcasting is limited to leading batch dimensions (a parameter of shape
-(d,) may be added to a (..., d) activation); anything fancier is a
+Every tensor is float64. Broadcasting is limited to leading batch
+dimensions (a parameter of shape (d,) may be added to a (..., d)
+activation); a size-1 axis is never stretched, and anything fancier is a
 deliberate non-goal.
 """
 
@@ -46,8 +48,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -105,22 +107,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return scale(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -153,7 +143,7 @@ def _toposort(root):
 def _make(data, parents, backward):
     if not np.isfinite(data).all():
         raise NumericError("non-finite value produced in forward op")
-    out = Tensor(data, dtype=data.dtype)
+    out = Tensor(data)
     if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
@@ -165,9 +155,6 @@ def _unbroadcast(g, shape):
     """Sum gradient g down to `shape` (leading-batch broadcasting only)."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
     return g
 
 
@@ -221,16 +208,14 @@ def linear(x, w, b):
     return _make(data, (x, w, b), bwd)
 
 
-def tsum(a, axis=None):
+def tsum(a):
+    """Sum of every entry, a scalar."""
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return _make(data, (a,), bwd)
+    return _make(a.data.sum(), (a,), bwd)
 
 
 # -- nonlinearities ---------------------------------------------------------
@@ -352,7 +337,7 @@ def _row_mean(a):
     return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Per-row normalization over the last axis, then affine by gain/bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
@@ -361,7 +346,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     mu = _row_mean(x.data)
     xc = x.data - mu
     var = _row_mean(xc * xc)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 
@@ -376,10 +361,6 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 
 # -- time-axis convolution --------------------------------------------------
-
-
-def conv_out_len(t, stride):
-    return -(-t // stride)
 
 
 def conv1d_time(x, kernels, stride):
@@ -401,7 +382,7 @@ def conv1d_time(x, kernels, stride):
         raise ShapeError(f"conv1d_time channel mismatch: {d_in} vs {kd_in}")
     if stride < 1 or k < 1:
         raise ShapeError("conv1d_time: stride and kernel size must be >= 1")
-    T_out = conv_out_len(T, stride)
+    T_out = -(-T // stride)
     pad = (T_out - 1) * stride + k - T
     xp = np.zeros((T + max(pad, 0), d_in), dtype=x.data.dtype)
     xp[:T] = x.data

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def _array_bytes(a):
 def save_checkpoint(path, model, optimizer=None):
     names = sorted(model.params)
     header = {
-        "config": model.config_dict(),
+        "config": asdict(model.cfg),
         "vocab": list(model.vocab.symbols),
         "params": [[n, list(model.params[n].shape)] for n in names],
         "optimizer": None,
@@ -84,8 +85,8 @@ def _check_header(header):
     """Raise CorruptHeaderError unless header has the structure save_checkpoint writes."""
     h = header if isinstance(header, dict) else {}
     cfg, opt = h.get("config"), h.get("optimizer")
-    if not (isinstance(cfg, dict) and all(type(v) is int for v in cfg.values())
-            and isinstance(h.get("vocab"), list) and _shapes_ok(h.get("params"))
+    if not (isinstance(cfg, dict) and isinstance(h.get("vocab"), list)
+            and _shapes_ok(h.get("params"))
             and (opt is None or (isinstance(opt, dict) and type(opt.get("step")) is int
                                  and _shapes_ok(opt.get("slots"), (".m", ".v"))))):
         raise CorruptHeaderError("checkpoint header lacks the structure save_checkpoint writes")

@@ -1,5 +1,5 @@
-"""Front-end receptive field, chunk geometry, left-context masks, streaming
-frame buffering and latency.
+"""Front-end receptive field, chunk geometry, left-context masks, the raw
+frame check, streaming frame buffering and latency.
 
 An encoded sequence of length L is cut into M windows of W frames whose
 starts advance by W-B, so adjacent windows share B frames. The final window
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, GeometryError, ProtocolError
+from .errors import ContractError, EmptyInputError, GeometryError, ProtocolError
 
 # The front end is two stride-2 time convolutions with right-only zero
 # padding; this module is the one place that knows its receptive field.
@@ -97,6 +97,19 @@ def effective_latency_ms(W, B, downsample=FRONT_END_DOWNSAMPLE, frame_shift_ms=1
     """Latency with the overlap discounted: only W-B frames are new per chunk."""
     _check_geometry(W, B)
     return (W - B) * downsample * frame_shift_ms
+
+
+def as_frames(x, d_in=None):
+    """Raw frames as a float64 (n, d_in) array; ContractError unless x is a real
+    (bool, integer or float) 2-D array whose rows are d_in wide, if d_in is given."""
+    try:
+        a = np.asarray(x)
+    except ValueError as e:  # ragged rows
+        raise ContractError(f"frames are not an array: {e}") from e
+    if a.dtype.kind not in "biuf" or a.ndim != 2 or d_in not in (None, a.shape[1]):
+        raise ContractError(f"expected real (n, {d_in or 'd_in'}) frames, "
+                            f"got {a.dtype} array of shape {a.shape}")
+    return a.astype(np.float64, copy=False)
 
 
 class StreamBuffer:

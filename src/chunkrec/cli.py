@@ -2,7 +2,8 @@
 oracle-check, latency.
 
 The --config file is JSON with optional sections "model", "train", "beam"
-and "synthetic"; geometry (W, B, left_context) lives inside "model".
+and "synthetic" (geometry W, B, left_context lives in "model") and optional
+TOP_LEVEL keys; every command rejects any other key or section field.
 Failures exit nonzero after printing a machine-readable JSON error record
 to stderr.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -26,7 +27,13 @@ from .model import ChunkTransducerModel, ModelConfig, Vocabulary
 from .training import SyntheticTaskSpec, TrainConfig, gen_synthetic, load_manifest, train
 
 
+SECTIONS = {"model": ModelConfig, "train": TrainConfig, "beam": BeamConfig,
+            "synthetic": SyntheticTaskSpec}
+TOP_LEVEL = {"vocab_units", "n_train", "n_decode", "n_eval", "fragment_frames"}
+
+
 def _load_config(path):
+    """The --config object; an unknown key or section field is ConfigError."""
     if path is None:
         return {}
     try:
@@ -36,15 +43,23 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {e}") from e
     if not isinstance(cfg_dict, dict):
         raise ConfigError(f"config {path} is not a JSON object")
+    unknown = cfg_dict.keys() - SECTIONS.keys() - TOP_LEVEL
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    for key, cls in SECTIONS.items():
+        section = cfg_dict.get(key, {})
+        if not isinstance(section, dict) or section.keys() - {f.name for f in fields(cls)}:
+            raise ConfigError(f"bad {key} section {section!r}: not an object of "
+                              f"{cls.__name__} fields")
+    units = cfg_dict.get("vocab_units", [])
+    if not (isinstance(units, list) and all(isinstance(u, str) for u in units)):
+        raise ConfigError(f"vocab_units must be a list of strings, got {units!r}")
     return cfg_dict
 
 
-def _section(cls, cfg_dict, key, **defaults):
-    """cls built from the config's `key` section over defaults; bad keys are ConfigError."""
-    try:
-        return cls(**{**defaults, **cfg_dict.get(key, {})})
-    except TypeError as e:
-        raise ConfigError(f"bad {key} section {cfg_dict.get(key)!r}: {e}") from e
+def _section(cfg_dict, key, **defaults):
+    """The SECTIONS class of `key`, built from the config's section over defaults."""
+    return SECTIONS[key](**{**defaults, **cfg_dict.get(key, {})})
 
 
 def _count(cfg_dict, key, default):
@@ -56,22 +71,19 @@ def _count(cfg_dict, key, default):
 
 
 def _model_from_config(cfg_dict, seed=None):
-    cfg = _section(ModelConfig, cfg_dict, "model")
+    cfg = _section(cfg_dict, "model")
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    units = cfg_dict.get("vocab_units")
-    if units is None:
-        units = [f"s{i}" for i in range(cfg.vocab_size - 2)]
-    vocab = Vocabulary.from_units(units)
-    return ChunkTransducerModel(cfg, vocab)
+    units = cfg_dict.get("vocab_units", [f"s{i}" for i in range(cfg.vocab_size - 2)])
+    return ChunkTransducerModel(cfg, Vocabulary.from_units(units))
 
 
-def _data_from_args(args, cfg_dict, model, n=None, seed=None):
+def _data_from_args(args, cfg_dict, model, n, seed):
     if args.manifest:
         return load_manifest(args.manifest, model.vocab)
-    spec = _section(SyntheticTaskSpec, cfg_dict, "synthetic",
+    spec = _section(cfg_dict, "synthetic",
                     vocab_size=model.cfg.vocab_size, d_in=model.cfg.d_in)
-    return gen_synthetic(spec, n if n is not None else 64, seed=seed)
+    return gen_synthetic(spec, n, seed=seed)
 
 
 def _out_stream(args):
@@ -81,10 +93,9 @@ def _out_stream(args):
     return contextlib.nullcontext(sys.stdout)
 
 
-def cmd_train(args):
-    cfg_dict = _load_config(args.config)
+def cmd_train(args, cfg_dict):
     model = _model_from_config(cfg_dict, seed=args.seed)
-    tc = _section(TrainConfig, cfg_dict, "train")
+    tc = _section(cfg_dict, "train")
     data = _data_from_args(args, cfg_dict, model,
                            n=_count(cfg_dict, "n_train", 2000), seed=model.cfg.seed + 101)
     eval_data = None
@@ -104,10 +115,9 @@ def _load_model(args, cfg_dict):
     return _model_from_config(cfg_dict, seed=args.seed)
 
 
-def cmd_decode(args):
-    cfg_dict = _load_config(args.config)
+def cmd_decode(args, cfg_dict):
     model = _load_model(args, cfg_dict)
-    beam = _section(BeamConfig, cfg_dict, "beam")
+    beam = _section(cfg_dict, "beam")
     data = _data_from_args(args, cfg_dict, model, n=_count(cfg_dict, "n_decode", 16),
                            seed=model.cfg.seed + 303)
     with _out_stream(args) as out:
@@ -118,10 +128,9 @@ def cmd_decode(args):
     return 0
 
 
-def cmd_stream_demo(args):
-    cfg_dict = _load_config(args.config)
+def cmd_stream_demo(args, cfg_dict):
     model = _load_model(args, cfg_dict)
-    beam = _section(BeamConfig, cfg_dict, "beam")
+    beam = _section(cfg_dict, "beam")
     data = _data_from_args(args, cfg_dict, model, n=1, seed=model.cfg.seed + 404)
     x, _y = data[0]
     frag_len = _count(cfg_dict, "fragment_frames", 5)
@@ -134,10 +143,9 @@ def cmd_stream_demo(args):
     return 0
 
 
-def cmd_eval_cer(args):
-    cfg_dict = _load_config(args.config)
+def cmd_eval_cer(args, cfg_dict):
     model = _load_model(args, cfg_dict)
-    beam = _section(BeamConfig, cfg_dict, "beam")
+    beam = _section(cfg_dict, "beam")
     data = _data_from_args(args, cfg_dict, model, n=_count(cfg_dict, "n_eval", 64),
                            seed=model.cfg.seed + 505)
     errs = refs = 0
@@ -151,7 +159,7 @@ def cmd_eval_cer(args):
     return 0
 
 
-def cmd_gradcheck(args):
+def cmd_gradcheck(args, _cfg_dict):
     cfg = ModelConfig(d_model=16, n_heads=2, n_enc_blocks=1, n_dec_blocks=1, d_in=4,
                       left_context=4, W=3, B=1, vocab_size=8, ffn_inner=16,
                       seed=args.seed or 0)
@@ -166,7 +174,7 @@ def cmd_gradcheck(args):
     return 0 if ok else 1
 
 
-def cmd_oracle_check(args):
+def cmd_oracle_check(args, _cfg_dict):
     rng = np.random.default_rng(args.seed or 0)
     max_dev = 0.0
     max_diag = 0.0
@@ -186,9 +194,8 @@ def cmd_oracle_check(args):
     return 0 if ok else 1
 
 
-def cmd_latency(args):
-    cfg_dict = _load_config(args.config)
-    mc = _section(ModelConfig, cfg_dict, "model", W=10, B=3)
+def cmd_latency(args, cfg_dict):
+    mc = _section(cfg_dict, "model", W=10, B=3)
     W, B = mc.W, mc.B
     with _out_stream(args) as out:
         out.write(f"chunk latency: {chunk_latency_ms(W):.0f} ms\n")
@@ -217,7 +224,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except ChunkrecError as e:
         sys.stderr.write(json.dumps({"error": e.category, "message": str(e)}) + "\n")
         return 1

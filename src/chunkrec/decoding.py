@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .chunking import StreamBuffer
-from .errors import AvailabilityError, ContractError, UndefinedMetricError, check_fields
+from .chunking import StreamBuffer, as_frames
+from .errors import AvailabilityError, UndefinedMetricError, check_fields
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ class Emission:
     cumulative_log_prob: float
     wall_clock_ms: float
 
-    def as_line(self, vocab=None):
-        sym = self.symbol if vocab is None else vocab.symbols[self.symbol]
-        return f"{self.chunk_index}\t{sym}\t{self.cumulative_log_prob:.6f}\t{self.wall_clock_ms:.3f}"
+    def as_line(self, vocab):
+        return (f"{self.chunk_index}\t{vocab.symbols[self.symbol]}\t"
+                f"{self.cumulative_log_prob:.6f}\t{self.wall_clock_ms:.3f}")
 
 
 # -- edit distance / CER ----------------------------------------------------
@@ -183,17 +183,13 @@ def _drive(model, fragments, cfg, clock=None, collect_emissions=False):
 
     def releases():
         for frag in fragments:
-            frag = np.asarray(frag, dtype=np.float64)
-            if frag.ndim != 2 or frag.shape[1] != model.cfg.d_in:
-                raise ContractError(f"expected (n, {model.cfg.d_in}) fragment, "
-                                    f"got shape {frag.shape}")
-            yield buf.push(frag)
+            yield buf.push(as_frames(frag, model.cfg.d_in))
         yield buf.flush()
 
     for spans in releases():
         with ad.no_grad():
             if spans and buf.raw_count > n_encoded:
-                states = model.encode_states(np.asarray(buf.frames, dtype=np.float64))
+                states = model.encode_states(buf.frames)
                 n_encoded = buf.raw_count
             for a, b in spans:
                 if b > states.shape[0]:
@@ -227,7 +223,7 @@ def beam_decode(model, x, cfg=None):
 def stream_decode(model, fragments, cfg=None, clock=None, collect_emissions=True):
     """Decode raw-frame fragments as they arrive.
 
-    fragments: iterable of 2-D (n_i, d_in) arrays, any other shape raises
+    fragments: iterable of real 2-D (n_i, d_in) arrays, anything else raises
     ContractError; the stream is flushed after the last one. Returns
     (label ids, log_prob, emissions); the transcript equals offline
     beam_decode of the concatenated stream and the score agrees to 1e-10.

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from . import autodiff
-from .errors import CapacityError, DegenerateLatticeError, NumericError
+from .errors import CapacityError, DegenerateLatticeError, NumericError, ShapeError
 
 NEG_INF = -np.inf
 
@@ -38,10 +38,10 @@ def _validate(blank_lp, label_lp):
     blank_lp = np.asarray(blank_lp, dtype=np.float64)
     label_lp = np.asarray(label_lp, dtype=np.float64)
     if blank_lp.ndim != 2:
-        raise NumericError("blank_lp must be 2-d (M, U+1)")
+        raise ShapeError("blank_lp must be 2-d (M, U+1)")
     M, U1 = blank_lp.shape
     if label_lp.shape != (M, U1 - 1):
-        raise NumericError(f"label_lp shape {label_lp.shape} != ({M}, {U1 - 1})")
+        raise ShapeError(f"label_lp shape {label_lp.shape} != ({M}, {U1 - 1})")
     if np.isnan(blank_lp).any() or np.isnan(label_lp).any():
         raise NumericError("NaN in lattice log-probabilities")
     return blank_lp, label_lp
@@ -143,15 +143,15 @@ def alignment_paths(M, U):
         yield counts
 
 
-def enumerate_paths(blank_lp, label_lp, max_size=8):
+def enumerate_paths(blank_lp, label_lp):
     """Brute-force total log-probability by explicit path enumeration.
 
-    Guarded to M, U <= max_size; the number of paths is C(U+M-1, M-1).
+    Guarded to M, U <= 8; the number of paths is C(U+M-1, M-1).
     """
     blank_lp, label_lp = _validate(blank_lp, label_lp)
     M, U = label_lp.shape
-    if M > max_size or U > max_size:
-        raise CapacityError(f"enumerate_paths limited to M,U <= {max_size}")
+    if M > 8 or U > 8:
+        raise CapacityError("enumerate_paths limited to M,U <= 8")
     terms = []
     for counts in alignment_paths(M, U):
         lp = 0.0

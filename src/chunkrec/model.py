@@ -12,7 +12,7 @@ initializer walks it and the model checks given parameters against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from . import chunking
 from .chunking import (FRONT_END_DOWNSAMPLE, FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry,
-                       left_context_mask)
+                       as_frames, left_context_mask)
 from .errors import (AvailabilityError, ConfigError, ContractError, EmptyInputError, VocabError,
                      check_fields)
 from .lattice import lattice_nll
@@ -163,9 +163,9 @@ def parameter_table(cfg):
     return table
 
 
-def init_parameters(cfg, rng=None):
+def init_parameters(cfg):
     """Uniform fan-in-scaled init; deterministic for a given config seed."""
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     params = {}
     for name, shape, init in parameter_table(cfg):
         if init == "zeros":
@@ -192,8 +192,6 @@ def check_parameters(cfg, params):
 @dataclass
 class EncodedChunk:
     states: Tensor
-    chunk_index: int
-    span: tuple
 
 
 class ChunkTransducerModel:
@@ -214,9 +212,7 @@ class ChunkTransducerModel:
 
     def front_end(self, x):
         """Raw frames (T, d_in) -> encoded inputs (L, d_model)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.cfg.d_in:
-            raise ContractError(f"expected (T, {self.cfg.d_in}) features, got {x.shape}")
+        x = as_frames(x, self.cfg.d_in)
         if x.shape[0] < FRONT_END_DOWNSAMPLE:
             raise EmptyInputError(f"need at least {FRONT_END_DOWNSAMPLE} frames, got {x.shape[0]}")
         p = self.params
@@ -275,13 +271,13 @@ class ChunkTransducerModel:
 
     def encode_chunk(self, x, m):
         """Encode chunk m of an utterance (offline path)."""
-        x = np.asarray(x, dtype=np.float64)
+        x = as_frames(x, self.cfg.d_in)
         geom = self.geometry_for(x.shape[0])
         if not 0 <= m < geom.M:
             raise AvailabilityError(f"chunk {m} outside [0, {geom.M})")
         a, b = geom.spans[m]
         states = self.encode_states(x)
-        return EncodedChunk(states=states[a:b], chunk_index=m, span=(a, b))
+        return EncodedChunk(states=states[a:b])
 
     # -- decoder ------------------------------------------------------------
 
@@ -361,17 +357,14 @@ class ChunkTransducerModel:
         cross-attention mask hides the padding, so it gets exactly zero
         attention and zero gradient.
         """
-        y_ids = np.asarray(y_ids, dtype=np.intp)
-        if y_ids.size and ((y_ids < 0).any() or (y_ids >= self.cfg.vocab_size).any()):
-            raise VocabError("label id out of vocabulary")
-        x = np.asarray(x, dtype=np.float64)
+        prefix = self._check_prefix([self.vocab.start_id, *y_ids])
+        y_ids, U = prefix[1:], len(prefix) - 1
+        x = as_frames(x, self.cfg.d_in)
         states = self.encode_states(x)
         spans = np.array(self.geometry_for(x.shape[0]).spans)
-        W, U = self.cfg.W, int(y_ids.size)
-        pos = spans[:, :1] + np.arange(W)
+        pos = spans[:, :1] + np.arange(self.cfg.W)
         valid = pos < spans[:, 1:]
         chunks = states[np.minimum(pos, states.shape[0] - 1)]
-        prefix = np.concatenate(([self.vocab.start_id], y_ids))
         ids = np.broadcast_to(prefix, (len(spans), U + 1))
         ld = self._decode(ids, np.tril(np.ones((U + 1, U + 1), dtype=bool)), chunks,
                           valid[:, None, None, :])
@@ -381,6 +374,3 @@ class ChunkTransducerModel:
         """Negative log-probability of y given x (scalar Tensor)."""
         blank_lp, label_lp = self.lattice_probs_for(x, y_ids)
         return lattice_nll(blank_lp, label_lp)
-
-    def config_dict(self):
-        return asdict(self.cfg)

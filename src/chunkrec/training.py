@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .chunking import as_frames
 from .decoding import edit_distance, greedy_decode
 from .errors import ConfigError, ContractError, check_fields
 
@@ -72,9 +73,10 @@ class Adam:
     """Adam over a name->Tensor parameter dict; betas follow the cited
     transformer recipe (0.9, 0.98, eps 1e-9)."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.98, eps=1e-9):
+    beta1, beta2, eps = 0.9, 0.98, 1e-9
+
+    def __init__(self, params):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.state = {n: {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data)}
                       for n, t in params.items()}
@@ -113,11 +115,6 @@ def clip_grad_norm(params, max_norm):
         if p.grad is not None:
             total += float((p.grad ** 2).sum())
     norm = np.sqrt(total)
-    if max_norm <= 0.0:
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = np.zeros_like(p.grad)
-        return norm
     if norm > max_norm:
         s = max_norm / norm
         for p in params.values():
@@ -141,7 +138,8 @@ class TrainConfig:
     target_eval_cer: float = 0.0  # stop early once held-out CER <= this
 
     def __post_init__(self):
-        check_fields(self, batch_size=1, total_steps=0, warmup_steps=1, eval_interval=0, seed=0)
+        check_fields(self, batch_size=1, total_steps=0, warmup_steps=1, grad_clip=0,
+                     eval_interval=0, seed=0)
 
 
 def batch_loss(model, batch):
@@ -210,7 +208,7 @@ _FEATURE_HEADER = re.compile(rb"(\d{1,12}) (\d{1,12}) f8\n")
 
 def save_features(path, x):
     """Write one utterance: text header 'rows cols f8\\n' then little-endian payload."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_frames(x)
     with open(path, "wb") as f:
         f.write(f"{x.shape[0]} {x.shape[1]} f8\n".encode("ascii"))
         f.write(x.astype("<f8").tobytes())
@@ -222,7 +220,7 @@ def load_features(path):
         with open(path, "rb") as f:
             header = _FEATURE_HEADER.fullmatch(f.readline())
             payload = f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise ContractError(f"cannot read feature file {path}: {e}") from e
     if header is None:
         raise ContractError(f"bad feature file header in {path}")
@@ -238,7 +236,7 @@ def load_manifest(path, vocab):
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().split("\n")
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or a NUL byte in the path
         raise ContractError(f"cannot read manifest {path}: {e}") from e
     out = []
     for line in filter(None, lines):

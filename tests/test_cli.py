@@ -160,6 +160,14 @@ def test_unknown_beam_key_is_config_error(tmp_path, capsys):
     ({"synthetic": {"min_len": 2.5}}, "decode"),
     ({"fragment_frames": 0}, "stream-demo"),
     ({"n_decode": 1.5}, "decode"),
+    ({"beem": {"width": 3}}, "decode"),
+    ({"train": {"batch_sise": 2}}, "decode"),
+    ({"beam": {"widht": 3}}, "latency"),
+    ({"modle": {}}, "oracle-check"),
+    ({"beam": [3]}, "decode"),
+    ({"vocab_units": 5}, "decode"),
+    ({"vocab_units": [2, 3]}, "decode"),
+    ({"vocab_units": "s0 s1"}, "stream-demo"),
 ])
 def test_bad_section_is_config_error(tmp_path, capsys, cfg, command):
     assert _config_error(tmp_path, capsys, cfg, command) == "config"

@@ -2,12 +2,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chunkrec import decoding
 from chunkrec.chunking import ChunkGeometry, encoded_len
 from chunkrec.decoding import (BeamConfig, Hypothesis, _advance_chunk, beam_decode, cer,
                                edit_distance, greedy_decode, stream_decode)
-from chunkrec.errors import ConfigError, ContractError, UndefinedMetricError
+from chunkrec.errors import ChunkrecError, ConfigError, ContractError, UndefinedMetricError
 from chunkrec.model import Vocabulary
 
 from conftest import make_tiny_model
@@ -382,6 +384,37 @@ def test_stream_rejects_misshapen_fragments(tiny_model, rng):
         stream_decode(tiny_model, [x[:8], x[8:14].T])  # transposed (d_in, n)
     with pytest.raises(ContractError):
         stream_decode(tiny_model, [x[:8], x[8]])  # one frame as a 1-D vector
+    for bad in (x[8:14] * 1j, x[8:14].astype(str), [[0.0] * 4, [0.0] * 3]):
+        with pytest.raises(ContractError):
+            stream_decode(tiny_model, [x[:8], bad])
+
+
+# Finite values of moderate size: an infinite frame also ends in NumericError,
+# but only after numpy warns of the invalid arithmetic on the way.
+_ELEMENTS = {"f8": st.floats(-100, 100) | st.just(float("nan")),
+             "f4": st.floats(-100, 100, width=32), "i8": st.integers(-100, 100),
+             "u1": st.integers(0, 255), "?": st.booleans(),
+             "c16": st.complex_numbers(max_magnitude=100, allow_nan=False),
+             "U2": st.text(max_size=2),
+             "O": st.none() | st.floats(-100, 100) | st.text(max_size=1)}
+_REAL = st.sampled_from(["f8", "f8", "f4", "i8", "u1", "?"]).flatmap(lambda dt: hnp.arrays(
+    dt, st.tuples(st.integers(0, 12), st.just(4)), elements=_ELEMENTS[dt]))
+_ANY = st.sampled_from(sorted(_ELEMENTS)).flatmap(lambda dt: hnp.arrays(
+    dt, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5), elements=_ELEMENTS[dt]))
+# nested lists of rows, ragged unless every row is as wide
+_NESTED = st.lists(st.lists(st.floats(-100, 100), min_size=3, max_size=5), max_size=12)
+_FRAGMENTS = st.one_of(_REAL, _REAL, _REAL, _REAL, _ANY, _NESTED)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fragments=st.lists(_FRAGMENTS, max_size=4))
+def test_fuzzed_fragments_decode_or_raise_a_chunkrec_error(fragments):
+    try:
+        ids, _, emissions = stream_decode(make_tiny_model(), fragments,
+                                          BeamConfig(width=2, max_symbols_per_chunk=2))
+    except ChunkrecError:
+        return
+    assert [e.symbol for e in emissions] == ids
 
 
 def test_stream_emission_clock_respects_arrival(tiny_model, rng):

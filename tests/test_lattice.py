@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chunkrec.autodiff import Tensor, check_gradients
-from chunkrec.errors import CapacityError, DegenerateLatticeError, NumericError
+from chunkrec.errors import CapacityError, DegenerateLatticeError, NumericError, ShapeError
 from chunkrec.lattice import (alignment_paths, backward_pass,
                               diagonal_identity_check, enumerate_paths,
                               forward_pass, lattice_grad, lattice_nll)
@@ -153,6 +153,13 @@ def test_nan_rejected():
     blank = np.array([[np.nan]])
     with pytest.raises(NumericError):
         forward_pass(blank, np.zeros((1, 0)))
+
+
+@pytest.mark.parametrize("blank, label", [((2, 3), (2, 1)), ((2, 2), (1, 1)), ((3,), (1, 2))])
+def test_misshapen_tables_are_shape_errors(blank, label):
+    for fn in (forward_pass, backward_pass, lattice_grad):
+        with pytest.raises(ShapeError):
+            fn(np.zeros(blank), np.zeros(label))
 
 
 def test_lattice_nll_tensor_grads():

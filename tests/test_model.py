@@ -85,6 +85,15 @@ def test_front_end_too_short(tiny_model):
         tiny_model.front_end(np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("x", [np.zeros((16, 4), dtype=complex), np.zeros((16, 4)).astype(str),
+                               [[0.0] * 4] * 15 + [[0.0] * 3], np.zeros((16, 5)), np.zeros(16)])
+def test_frames_that_are_not_real_2d_are_contract_errors(tiny_model, x):
+    for encode in (tiny_model.front_end, lambda x: tiny_model.encode_chunk(x, 0),
+                   lambda x: tiny_model.lattice_probs_for(x, [2])):
+        with pytest.raises(ContractError):
+            encode(x)
+
+
 def test_encoder_self_only_with_zero_context(rng):
     m = make_tiny_model(left_context=0)
     x = rng.normal(size=(24, 4))

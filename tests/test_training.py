@@ -58,7 +58,8 @@ def test_synthetic_spec_rejects_bad_values(bad):
 
 
 @pytest.mark.parametrize("bad", [dict(batch_size=2.5), dict(total_steps="3"), dict(seed=-1),
-                                 dict(eval_interval=-1), dict(lr_scale=float("inf"))])
+                                 dict(eval_interval=-1), dict(lr_scale=float("inf")),
+                                 dict(grad_clip=-1.0)])
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
         TrainConfig(**bad)
@@ -198,6 +199,38 @@ def test_bad_feature_files_are_contract_errors(tmp_path):
         load_features(tmp_path / "missing.feat")
     with pytest.raises(ContractError):
         load_manifest(tmp_path / "missing.tsv", make_tiny_model().vocab)
+
+
+def test_feature_files_reject_frames_that_are_not_real_2d_and_nul_paths(tmp_path):
+    for x in (np.zeros(4), np.zeros((2, 4), dtype=complex), [[1.0], [1.0, 2.0]]):
+        with pytest.raises(ContractError):
+            save_features(tmp_path / "u.feat", x)
+    with pytest.raises(ContractError):
+        load_features(str(tmp_path / "u\x00.feat"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lines=st.lists(st.tuples(
+    st.sampled_from(["good", "good", "good", "missing", "dir"]) | st.text("s0/.\x00é", max_size=4),
+    st.text(alphabet="s01 \t\x00/.é", max_size=6),
+    st.sampled_from(["\t", "\t", "\t", "", "\t\t", " "])), max_size=3),
+    newline=st.sampled_from(["\n", "\r\n", "\n\n"]),
+    fault=st.sampled_from([None, None, None, None, "bad-utf8", "nul-in-path"]))
+def test_fuzzed_manifest_loads_pairs_or_raises_contract_error(tmp_path_factory, lines, newline,
+                                                               fault):
+    d = tmp_path_factory.mktemp("manifest")
+    save_features(d / "good", np.zeros((9, 4)))
+    paths = {"good": str(d / "good"), "missing": str(d / "missing"), "dir": str(d)}
+    text = newline.join(paths.get(p, p) + sep + t for p, t, sep in lines)
+    man = d / "m.tsv"
+    man.write_bytes(text.encode("utf-8") + b"\xff" * (fault == "bad-utf8"))
+    path = str(man) + "\x00" * (fault == "nul-in-path")
+    try:
+        pairs = load_manifest(path, make_tiny_model().vocab)
+    except ContractError:
+        return
+    assert [x.shape for x, _ in pairs] == [(9, 4)] * len(pairs)
+    assert all(isinstance(ids, list) for _, ids in pairs)
 
 
 def test_manifest_loading(tmp_path):
