@@ -366,15 +366,16 @@ def layer_norm(x, gain, bias):
 def conv1d_time(x, kernels, stride):
     """Convolution along the time axis.
 
-    x: (T, d_in); kernels: (k, d_in, d_out); output: (ceil(T/stride), d_out).
+    x: (..., T, d_in); kernels: (k, d_in, d_out); output: (..., ceil(T/stride),
+    d_out). Leading batch dimensions are convolved independently.
     Zero padding is applied on the right only, so output frame i depends on
     input frames [i*stride, i*stride + k - 1] and never on anything earlier
     arriving later — the property streaming release relies on.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
-    if x.data.ndim != 2 or kernels.data.ndim != 3:
-        raise ShapeError("conv1d_time expects x (T,d_in) and kernels (k,d_in,d_out)")
-    T, d_in = x.data.shape
+    if x.data.ndim < 2 or kernels.data.ndim != 3:
+        raise ShapeError("conv1d_time expects x (..., T, d_in) and kernels (k, d_in, d_out)")
+    *lead, T, d_in = x.data.shape
     k, kd_in, d_out = kernels.data.shape
     if T == 0:
         raise EmptyInputError("conv1d_time: empty input")
@@ -384,21 +385,22 @@ def conv1d_time(x, kernels, stride):
         raise ShapeError("conv1d_time: stride and kernel size must be >= 1")
     T_out = -(-T // stride)
     pad = (T_out - 1) * stride + k - T
-    xp = np.zeros((T + max(pad, 0), d_in), dtype=x.data.dtype)
-    xp[:T] = x.data
-    data = np.zeros((T_out, d_out), dtype=x.data.dtype)
+    xp = np.zeros((*lead, T + max(pad, 0), d_in), dtype=x.data.dtype)
+    xp[..., :T, :] = x.data
+    data = np.zeros((*lead, T_out, d_out), dtype=x.data.dtype)
     for j in range(k):
-        seg = xp[j:j + stride * T_out:stride]
+        seg = xp[..., j:j + stride * T_out:stride, :]
         data += seg @ kernels.data[j]
 
     def bwd(g):
         gxp = np.zeros_like(xp)
         gk = np.zeros_like(kernels.data)
+        g2 = g.reshape(-1, d_out)
         for j in range(k):
-            seg = xp[j:j + stride * T_out:stride]
-            gk[j] = seg.T @ g
-            gxp[j:j + stride * T_out:stride] += g @ kernels.data[j].T
-        return gxp[:T], gk
+            seg = xp[..., j:j + stride * T_out:stride, :]
+            gk[j] = seg.reshape(-1, d_in).T @ g2
+            gxp[..., j:j + stride * T_out:stride, :] += g @ kernels.data[j].T
+        return gxp[..., :T, :], gk
 
     return _make(data, (x, kernels), bwd)
 

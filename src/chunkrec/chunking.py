@@ -12,13 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, EmptyInputError, GeometryError, ProtocolError
+from .errors import ContractError, EmptyInputError, GeometryError, NumericError, ProtocolError
 
 # The front end is two stride-2 time convolutions with right-only zero
 # padding; this module is the one place that knows its receptive field.
 FRONT_END_KERNEL = 3
 FRONT_END_STRIDE = 2
 FRONT_END_DOWNSAMPLE = FRONT_END_STRIDE * FRONT_END_STRIDE
+
+# Largest raw frame magnitude accepted. layer_norm squares deviations of
+# the front end's outputs, which overflow float64 from about 1.3e154; this
+# leaves 54 orders of magnitude for the front end's weights and sums.
+MAX_FRAME_ABS = 1e100
 
 
 def encoded_len(T):
@@ -101,7 +106,8 @@ def effective_latency_ms(W, B, downsample=FRONT_END_DOWNSAMPLE, frame_shift_ms=1
 
 def as_frames(x, d_in=None):
     """Raw frames as a float64 (n, d_in) array; ContractError unless x is a real
-    (bool, integer or float) 2-D array whose rows are d_in wide, if d_in is given."""
+    (bool, integer or float) 2-D array whose rows are d_in wide, if d_in is given,
+    and NumericError unless every value is finite with magnitude <= MAX_FRAME_ABS."""
     try:
         a = np.asarray(x)
     except ValueError as e:  # ragged rows
@@ -109,7 +115,10 @@ def as_frames(x, d_in=None):
     if a.dtype.kind not in "biuf" or a.ndim != 2 or d_in not in (None, a.shape[1]):
         raise ContractError(f"expected real (n, {d_in or 'd_in'}) frames, "
                             f"got {a.dtype} array of shape {a.shape}")
-    return a.astype(np.float64, copy=False)
+    a = a.astype(np.float64, copy=False)
+    if not np.abs(a).max(initial=0.0) <= MAX_FRAME_ABS:  # a NaN max compares False
+        raise NumericError(f"frames must be finite with magnitude <= {MAX_FRAME_ABS:g}")
+    return a
 
 
 class StreamBuffer:

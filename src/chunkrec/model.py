@@ -4,8 +4,10 @@ Convolutional front end (two stride-2 time convolutions, ReLU, sinusoidal
 positions), a left-context-masked pre-norm transformer encoder, and a
 decoder whose cross-attention sees exactly one encoded chunk at a time.
 The decoder output is a log-distribution over vocabulary + blank, from
-which the training lattice tables are extracted by teacher forcing: one
-decoder pass scores the label prefix against all M chunks at once.
+which the training lattice tables are extracted by teacher forcing. A
+whole batch is scored in one padded pass: the utterances' frames are
+right-padded and encoded together, and one decoder pass scores every
+label prefix against every chunk of its utterance.
 ``parameter_table`` is the one list of parameter names and shapes; the
 initializer walks it and the model checks given parameters against it.
 """
@@ -210,17 +212,36 @@ class ChunkTransducerModel:
 
     # -- front end ----------------------------------------------------------
 
-    def front_end(self, x):
-        """Raw frames (T, d_in) -> encoded inputs (L, d_model)."""
+    def _frames(self, x):
+        """One utterance's raw frames, checked by as_frames and long enough to encode."""
         x = as_frames(x, self.cfg.d_in)
         if x.shape[0] < FRONT_END_DOWNSAMPLE:
             raise EmptyInputError(f"need at least {FRONT_END_DOWNSAMPLE} frames, got {x.shape[0]}")
+        return x
+
+    def front_end(self, x, lengths=None):
+        """Raw frames (T, d_in) -> encoded inputs (L, d_model).
+
+        With lengths, x is instead N utterances' frames right-padded with zeros
+        to (N, T, d_in), lengths[n] (at least FRONT_END_DOWNSAMPLE) the frame
+        count of utterance n, and the output is (N, L, d_model). Encoded
+        frames of utterance n up to encoded_len(lengths[n]) equal its
+        unbatched front end; those past it are filler.
+        """
+        if lengths is None:
+            x = self._frames(x)
         p = self.params
         h = ad.conv1d_time(Tensor(x), p["fe.conv1.w"], FRONT_END_STRIDE)
         h = ad.relu(h + p["fe.conv1.b"])
+        if lengths is not None:
+            # Conv 2 must read conv-1 frames past an utterance's end as the
+            # zeros of the right padding, as the unbatched path does, not as
+            # the relu(b1) that the padded input frames make.
+            live = np.arange(h.shape[-2]) < -(-np.asarray(lengths)[:, None] // FRONT_END_STRIDE)
+            h = h * Tensor(np.broadcast_to(live[..., None], h.shape))
         h = ad.conv1d_time(h, p["fe.conv2.w"], FRONT_END_STRIDE)
         h = ad.relu(h + p["fe.conv2.b"])
-        L = h.shape[0]
+        L = h.shape[-2]
         return h + Tensor(sinusoidal_positions(np.arange(L), self.cfg.d_model))
 
     encoded_len = staticmethod(chunking.encoded_len)
@@ -228,9 +249,10 @@ class ChunkTransducerModel:
 
     # -- attention plumbing -------------------------------------------------
     #
-    # Activations are (..., t, d): the encoder passes 2-D sequences, search
-    # passes (n, t, d) prefixes against one chunk, and teacher forcing passes
-    # (M, U+1, d) prefixes against (M, W, d) chunks. A 2-D kv_in under a
+    # Activations are (..., t, d): the encoder passes one (L, d) sequence or
+    # an (N, L, d) padded batch, search passes (n, t, d) prefixes against one
+    # chunk, and teacher forcing passes (sum of M, U+1, d) prefixes against
+    # (sum of M, W, d) chunks. A 2-D kv_in under a
     # batched q_in (cross-attention to one chunk) is projected once and
     # broadcast over the batch.
 
@@ -252,14 +274,16 @@ class ChunkTransducerModel:
 
     # -- encoder ------------------------------------------------------------
 
-    def encode_states(self, x):
+    def encode_states(self, x, lengths=None):
         """Full causal encoding of a raw (prefix of a) feature sequence.
 
         The left-context mask is strictly causal, so state i is identical
-        whether computed from the prefix or the whole utterance.
+        whether computed from the prefix or the whole utterance. For the same
+        reason a right-padded batch (x and lengths as front_end takes them)
+        needs no key mask: no state of an utterance reads its padding.
         """
-        s = self.front_end(x)
-        mask = left_context_mask(s.shape[0], self.cfg.left_context)
+        s = self.front_end(x, lengths)
+        mask = left_context_mask(s.shape[-2], self.cfg.left_context)
         for i in range(self.cfg.n_enc_blocks):
             n = self._ln(f"enc.{i}.ln1", s)
             s = s + self._mha(f"enc.{i}.attn", n, n, mask)
@@ -348,29 +372,51 @@ class ChunkTransducerModel:
 
     # -- training surface ---------------------------------------------------
 
-    def lattice_probs_for(self, x, y_ids):
-        """Teacher-forced lattice tables for one (features, labels) pair.
+    def lattice_probs(self, batch):
+        """Teacher-forced lattice tables for (features, labels) pairs, in one padded pass.
 
-        Returns (blank_lp, label_lp) Tensors of shapes (M, U+1) and (M, U).
-        All M chunks are scored in one decoder pass with the chunk axis as
-        the batch axis: a truncated last chunk is padded to W states and the
-        cross-attention mask hides the padding, so it gets exactly zero
-        attention and zero gradient.
+        Returns one (blank_lp, label_lp) pair of Tensors per pair, of shapes
+        (M, U+1) and (M, U). The frames are right-padded and encoded as one
+        batch, and one decoder pass scores every chunk of every utterance with
+        the chunk as the batch axis, (sum of M, max U + 1). Padded labels come
+        after the real ones, so the causal self-attention mask hides them. A
+        truncated last chunk is padded to W states and the cross-attention
+        mask hides the padding. Padding gets exactly zero attention and zero
+        gradient.
         """
-        prefix = self._check_prefix([self.vocab.start_id, *y_ids])
-        y_ids, U = prefix[1:], len(prefix) - 1
-        x = as_frames(x, self.cfg.d_in)
-        states = self.encode_states(x)
-        spans = np.array(self.geometry_for(x.shape[0]).spans)
+        if not batch:
+            raise ContractError("empty batch")
+        prefixes = [self._check_prefix([self.vocab.start_id, *y]) for _, y in batch]
+        xs = [self._frames(x) for x, _ in batch]
+        T = np.array([len(x) for x in xs])
+        frames = np.zeros((len(xs), T.max(), self.cfg.d_in))
+        for row, x in zip(frames, xs):
+            row[:len(x)] = x
+        states = self.encode_states(frames, T)
+        spans = [np.array(self.geometry_for(t).spans) for t in T]
+        M = np.array([len(s) for s in spans])
+        utt, spans = np.repeat(np.arange(len(xs)), M), np.concatenate(spans)
         pos = spans[:, :1] + np.arange(self.cfg.W)
         valid = pos < spans[:, 1:]
-        chunks = states[np.minimum(pos, states.shape[0] - 1)]
-        ids = np.broadcast_to(prefix, (len(spans), U + 1))
-        ld = self._decode(ids, np.tril(np.ones((U + 1, U + 1), dtype=bool)), chunks,
+        chunks = states[utt[:, None], np.minimum(pos, spans[:, 1:] - 1)]
+        P = max(len(p) for p in prefixes)
+        ids = np.full((len(xs), P), self.vocab.start_id, dtype=np.intp)
+        for row, p in zip(ids, prefixes):
+            row[:len(p)] = p
+        ld = self._decode(ids[utt], np.tril(np.ones((P, P), dtype=bool)), chunks,
                           valid[:, None, None, :])
-        return ld[:, :, self.vocab.blank_id], ld[:, np.arange(U), y_ids]
+        ends = np.cumsum(M)
+        return [(ld[a:b, :len(p), self.vocab.blank_id], ld[a:b, np.arange(len(p) - 1), p[1:]])
+                for a, b, p in zip(ends - M, ends, prefixes)]
+
+    def lattice_probs_for(self, x, y_ids):
+        """Teacher-forced lattice tables for one (features, labels) pair."""
+        return self.lattice_probs([(x, y_ids)])[0]
+
+    def sequence_nlls(self, batch):
+        """Negative log-probability of each y given its x (scalar Tensors), in one padded pass."""
+        return [lattice_nll(blank_lp, label_lp) for blank_lp, label_lp in self.lattice_probs(batch)]
 
     def sequence_nll(self, x, y_ids):
         """Negative log-probability of y given x (scalar Tensor)."""
-        blank_lp, label_lp = self.lattice_probs_for(x, y_ids)
-        return lattice_nll(blank_lp, label_lp)
+        return self.sequence_nlls([(x, y_ids)])[0]

@@ -91,15 +91,16 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
         for n, p in self.params.items():
             if p.grad is None:
                 continue
-            st = self.state[n]
-            st["m"] = b1 * st["m"] + (1 - b1) * p.grad
-            st["v"] = b2 * st["v"] + (1 - b2) * p.grad ** 2
-            mhat = st["m"] / (1 - b1 ** t)
-            vhat = st["v"] / (1 - b2 ** t)
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+            m, v = self.state[n]["m"], self.state[n]["v"]
+            m *= b1
+            m += (1 - b1) * p.grad
+            v *= b2
+            v += (1 - b2) * p.grad ** 2
+            p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -143,18 +144,14 @@ class TrainConfig:
 
 
 def batch_loss(model, batch):
-    """Mean per-sequence lattice NLL over a batch (scalar Tensor)."""
-    total = None
-    for x, y in batch:
-        nll = model.sequence_nll(x, y)
-        total = nll if total is None else total + nll
-    return total * (1.0 / len(batch))
+    """Mean per-sequence lattice NLL over a batch (scalar Tensor), teacher-forced in one
+    padded pass."""
+    nlls = model.sequence_nlls(batch)
+    return sum(nlls[1:], nlls[0]) * (1.0 / len(batch))
 
 
 def train_step(model, batch, optimizer, step, cfg):
     """One optimization step; returns the batch loss (finite: ops raise NumericError)."""
-    if not batch:
-        raise ContractError("empty batch")
     optimizer.zero_grad()
     loss = batch_loss(model, batch)
     loss.backward()
@@ -165,12 +162,9 @@ def train_step(model, batch, optimizer, step, cfg):
 
 
 def nats_per_symbol(model, samples):
-    total_nll, total_syms = 0.0, 0
     with ad.no_grad():
-        for x, y in samples:
-            total_nll += model.sequence_nll(x, y).item()
-            total_syms += max(len(y), 1)
-    return total_nll / total_syms
+        nlls = model.sequence_nlls(samples)
+    return sum(nll.item() for nll in nlls) / sum(max(len(y), 1) for _, y in samples)
 
 
 def train(model, data, cfg, optimizer=None, eval_data=None, log=None, start_step=1):

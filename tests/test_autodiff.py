@@ -236,6 +236,20 @@ def test_conv1d_gradcheck():
     assert ok, dev
 
 
+def test_conv1d_leading_batch_dims_convolve_each_row():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(2, 3, 7, 3)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
+    out = ad.conv1d_time(x, k, 2)
+    assert out.shape == (2, 3, 4, 2)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(out.data[idx], ad.conv1d_time(Tensor(x.data[idx]), k, 2).data)
+    w = rng.normal(size=out.shape)
+    ok, dev = ad.check_gradients(
+        lambda: ad.tsum(ad.conv1d_time(x, k, 2) * Tensor(w)), [x, k], tol=1e-6)
+    assert ok, dev
+
+
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(5.0), requires_grad=True)
     ad.tsum(x).backward()

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from chunkrec.chunking import (StreamBuffer, chunk_latency_ms, chunk_spans,
-                               effective_latency_ms, left_context_mask, num_chunks)
-from chunkrec.errors import EmptyInputError, GeometryError, ProtocolError
+from chunkrec.chunking import (MAX_FRAME_ABS, StreamBuffer, as_frames, chunk_latency_ms,
+                               chunk_spans, effective_latency_ms, left_context_mask, num_chunks)
+from chunkrec.decoding import beam_decode
+from chunkrec.errors import EmptyInputError, GeometryError, NumericError, ProtocolError
+
+from conftest import make_tiny_model
 
 
 def enumerate_chunk_count(L, W, B):
@@ -143,3 +146,15 @@ def test_stream_buffer_empty_flush():
     buf = StreamBuffer(4, 1)
     with pytest.raises(EmptyInputError):
         buf.flush()
+
+
+def test_as_frames_rejects_non_finite_and_huge_values():
+    for bad in (np.nan, np.inf, -np.inf, 2 * MAX_FRAME_ABS, -1e300):
+        x = np.zeros((3, 4))
+        x[2, 1] = bad
+        with pytest.raises(NumericError):
+            as_frames(x)
+    # frames at the limit decode without overflow (pytest makes numpy warnings errors)
+    x = np.full((16, 4), MAX_FRAME_ABS)
+    x[::2] *= -1
+    beam_decode(make_tiny_model(), as_frames(x))

@@ -257,6 +257,9 @@ def test_lattice_probs_make_one_decoder_pass(tiny_model, rng, monkeypatch):
         batches.clear()
         tiny_model.lattice_probs_for(rng.normal(size=(T, 4)), [2, 5])
         assert batches == [tiny_model.geometry_for(T).M]
+    batches.clear()
+    tiny_model.lattice_probs([(rng.normal(size=(T, 4)), [2, 5]) for T in (8, 24, 64)])
+    assert batches == [sum(tiny_model.geometry_for(T).M for T in (8, 24, 64))]
 
 
 def test_lattice_probs_empty_target(tiny_model, rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chunkrec import autodiff as ad
 from chunkrec.errors import ConfigError, ContractError
 from chunkrec.training import (Adam, SyntheticTaskSpec, TrainConfig, batch_loss,
                                clip_grad_norm, gen_synthetic, load_features,
@@ -101,6 +102,32 @@ def test_two_steps_reduce_loss_on_same_batch():
     train_step(m, batch, opt, 2, cfg)
     l3 = batch_loss(m, batch).item()
     assert l3 < l1
+
+
+def test_padded_batch_loss_matches_the_per_utterance_loop():
+    # Nonzero biases (as after training) make the front end's padded frames
+    # nonzero unless the batched pass re-zeroes them.
+    m = make_tiny_model(seed=4)
+    rng = np.random.default_rng(4)
+    for p in m.params.values():
+        p.data = p.data + rng.normal(0.0, 0.1, size=p.shape)
+    # U = 0; one truncated chunk (L = 2 < W); one exact chunk (L = W = 3); a
+    # truncated last chunk; T = 13 and 37, not multiples of 4
+    batch = [(rng.normal(size=(T, 4)), y) for T, y in [
+        (24, []), (8, [2, 5]), (12, [3]), (24, [2, 5, 3]), (13, [4]), (37, [6, 2, 7, 3])]]
+    alone = [m.sequence_nll(x, y) for x, y in batch]
+    for nll, ref in zip(m.sequence_nlls(batch), alone):
+        assert abs(nll.item() - ref.item()) <= 1e-12
+    (sum(alone[1:], alone[0]) * (1.0 / len(batch))).backward()  # the per-utterance loop
+    want = {n: p.grad.copy() for n, p in m.params.items()}
+    for p in m.params.values():
+        p.zero_grad()
+    batch_loss(m, batch).backward()
+    for n, p in m.params.items():
+        assert np.max(np.abs(p.grad - want[n])) <= 1e-12, n
+    names = ["fe.conv1.w", "fe.conv1.b", "fe.conv2.b", "dec.0.cross_attn.bv", "dec.embed"]
+    ok, dev = ad.check_gradients(lambda: batch_loss(m, batch), [m.params[n] for n in names])
+    assert ok, dev
 
 
 def test_zero_lr_leaves_params_bitwise():
