@@ -143,9 +143,11 @@ class StreamBuffer:
         return len(self.frames)
 
     def push(self, frames):
-        """Append raw frames; return encoded [start, end) ranges now complete."""
+        """Append raw frames, as wide as those already buffered (as_frames checks
+        them); return the encoded [start, end) ranges now complete."""
         if self._flushed:
             raise ProtocolError("push after end-of-stream flush")
+        frames = as_frames(frames, len(self.frames[0]) if self.frames else None)
         self.frames.extend(frames)
         out = []
         while frames_needed(self._next_start + self.W) <= self.raw_count:

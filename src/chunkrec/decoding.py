@@ -120,7 +120,7 @@ def _advance_chunk(model, hyps, greedy, chunk, cfg):
             if greedy.prefix not in prefixes:
                 prefixes.append(greedy.prefix)
             g_row = prefixes.index(greedy.prefix)
-        dists = model.decoder_steps([list(p) for p in prefixes], chunk)
+        dists = model.decoder_steps(prefixes, chunk)
         if not greedy_done:
             greedy, greedy_done = _extend(greedy, int(np.argmax(dists[g_row])), dists[g_row],
                                           blank, at_cap)

@@ -191,6 +191,15 @@ def check_parameters(cfg, params):
             f"{n} {given.get(n, 'missing')} (config: {expected.get(n, 'none')})" for n in bad))
 
 
+def _right_pad(rows, fill, min_len=1):
+    """Arrays of differing lengths stacked as (n, max(longest, min_len), ...), filled after each."""
+    out = np.full((len(rows), max(min_len, *map(len, rows))) + rows[0].shape[1:], fill,
+                  dtype=rows[0].dtype)
+    for row, r in zip(out, rows):
+        row[:len(r)] = r
+    return out
+
+
 @dataclass
 class EncodedChunk:
     states: Tensor
@@ -295,12 +304,11 @@ class ChunkTransducerModel:
 
     def encode_chunk(self, x, m):
         """Encode chunk m of an utterance (offline path)."""
-        x = as_frames(x, self.cfg.d_in)
-        geom = self.geometry_for(x.shape[0])
+        states = self.encode_states(x)
+        geom = ChunkGeometry(W=self.cfg.W, B=self.cfg.B, L=states.shape[0])
         if not 0 <= m < geom.M:
             raise AvailabilityError(f"chunk {m} outside [0, {geom.M})")
         a, b = geom.spans[m]
-        states = self.encode_states(x)
         return EncodedChunk(states=states[a:b])
 
     # -- decoder ------------------------------------------------------------
@@ -313,13 +321,16 @@ class ChunkTransducerModel:
             raise VocabError("prefix id out of vocabulary")
         return ids
 
-    def _decode(self, ids, self_mask, chunk_states, cross_mask=True):
+    def _decode(self, ids, chunk_states, cross_mask=True):
         """Decoder blocks over ids of shape (..., P) -> (..., P, vocab) log-softmax.
 
-        cross_mask broadcasts against the (..., heads, P, W) cross-attention
-        scores; chunk positions it marks False get exactly zero attention.
+        Causal by construction: row i depends on ids[..., :i + 1] and the chunk
+        alone, so right padding reaches no real row. cross_mask broadcasts
+        against the (..., heads, P, W) cross-attention scores; chunk positions
+        it marks False get exactly zero attention.
         """
         P = ids.shape[-1]
+        self_mask = left_context_mask(P, P)
         h = ad.take(self.params["dec.embed"], ids) + Tensor(
             sinusoidal_positions(np.arange(P), self.cfg.d_model))
         for i in range(self.cfg.n_dec_blocks):
@@ -336,16 +347,14 @@ class ChunkTransducerModel:
         prefix_ids must start with the start symbol (= blank id). Output is
         (len(prefix), vocab_size) log-softmax rows.
         """
-        ids = self._check_prefix(prefix_ids)
-        P = len(ids)
-        return self._decode(ids, np.tril(np.ones((P, P), dtype=bool)), chunk_states)
+        return self._decode(self._check_prefix(prefix_ids), chunk_states)
 
     def decoder_steps(self, prefixes, chunk_states):
         """Next-symbol log-distributions for n prefixes in one decoder pass.
 
         The prefixes may differ in length: they are right-padded to the
-        longest, and the self-attention mask hides padded key positions as
-        well as future ones. Returns an (n, vocab_size) numpy array.
+        longest, and causality, not a key mask, hides the padding from the
+        row read, each prefix's last. Returns an (n, vocab_size) numpy array.
 
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
         chunk_states)[0]. Masked keys add exact zeros to the softmax's
@@ -356,15 +365,8 @@ class ChunkTransducerModel:
         if len(prefixes) == 0:
             raise ContractError("decoder_steps needs at least one prefix")
         rows = [self._check_prefix(pre) for pre in prefixes]
-        lens = np.array([len(r) for r in rows])
-        P = max(int(lens.max()), 2)
-        ids = np.full((len(rows), P), self.vocab.start_id, dtype=np.intp)
-        for i, r in enumerate(rows):
-            ids[i, :len(r)] = r
-        valid = np.arange(P)[None, :] < lens[:, None]
-        mask = np.tril(np.ones((P, P), dtype=bool))[None] & valid[:, None, :]
-        logp = self._decode(ids, mask[:, None], chunk_states)
-        return logp.data[np.arange(len(rows)), lens - 1]
+        logp = self._decode(_right_pad(rows, self.vocab.start_id, min_len=2), chunk_states)
+        return logp.data[np.arange(len(rows)), [len(r) - 1 for r in rows]]
 
     def decoder_step(self, prefix_ids, chunk_states):
         """Log-distribution (numpy vector) for the next symbol."""
@@ -389,21 +391,14 @@ class ChunkTransducerModel:
         prefixes = [self._check_prefix([self.vocab.start_id, *y]) for _, y in batch]
         xs = [self._frames(x) for x, _ in batch]
         T = np.array([len(x) for x in xs])
-        frames = np.zeros((len(xs), T.max(), self.cfg.d_in))
-        for row, x in zip(frames, xs):
-            row[:len(x)] = x
-        states = self.encode_states(frames, T)
+        states = self.encode_states(_right_pad(xs, 0.0), T)
         spans = [np.array(self.geometry_for(t).spans) for t in T]
         M = np.array([len(s) for s in spans])
         utt, spans = np.repeat(np.arange(len(xs)), M), np.concatenate(spans)
         pos = spans[:, :1] + np.arange(self.cfg.W)
         valid = pos < spans[:, 1:]
         chunks = states[utt[:, None], np.minimum(pos, spans[:, 1:] - 1)]
-        P = max(len(p) for p in prefixes)
-        ids = np.full((len(xs), P), self.vocab.start_id, dtype=np.intp)
-        for row, p in zip(ids, prefixes):
-            row[:len(p)] = p
-        ld = self._decode(ids[utt], np.tril(np.ones((P, P), dtype=bool)), chunks,
+        ld = self._decode(_right_pad(prefixes, self.vocab.start_id)[utt], chunks,
                           valid[:, None, None, :])
         ends = np.cumsum(M)
         return [(ld[a:b, :len(p), self.vocab.blank_id], ld[a:b, np.arange(len(p) - 1), p[1:]])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .chunking import as_frames
+from .chunking import FRONT_END_DOWNSAMPLE, as_frames
 from .decoding import edit_distance, greedy_decode
 from .errors import ConfigError, ContractError, check_fields
 
@@ -33,9 +33,9 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # frames_per_symbol >= 4 for the front end; vocab_size 3 holds one symbol
-        check_fields(self, vocab_size=3, min_len=1, frames_per_symbol=4, noise_std=0,
-                     d_in=1, seed=0)
+        # one symbol must span the front end's downsampling; vocab_size 3 holds one symbol
+        check_fields(self, vocab_size=3, min_len=1, frames_per_symbol=FRONT_END_DOWNSAMPLE,
+                     noise_std=0, d_in=1, seed=0)
         if self.min_len > self.max_len:
             raise ConfigError("need 1 <= min_len <= max_len")
 

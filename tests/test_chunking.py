@@ -4,7 +4,8 @@ import pytest
 from chunkrec.chunking import (MAX_FRAME_ABS, StreamBuffer, as_frames, chunk_latency_ms,
                                chunk_spans, effective_latency_ms, left_context_mask, num_chunks)
 from chunkrec.decoding import beam_decode
-from chunkrec.errors import EmptyInputError, GeometryError, NumericError, ProtocolError
+from chunkrec.errors import (ContractError, EmptyInputError, GeometryError, NumericError,
+                             ProtocolError)
 
 from conftest import make_tiny_model
 
@@ -140,6 +141,19 @@ def test_stream_buffer_push_after_flush():
     buf.flush()
     with pytest.raises(ProtocolError):
         buf.push(np.zeros((1, 2)))
+
+
+def test_stream_buffer_push_checks_each_fragment():
+    for bad in (np.zeros(40), "x" * 40):
+        with pytest.raises(ContractError):
+            StreamBuffer(4, 1).push(bad)
+    with pytest.raises(NumericError):
+        StreamBuffer(4, 1).push(np.full((40, 2), np.nan))
+    buf = StreamBuffer(4, 1)
+    buf.push(np.zeros((8, 2)))
+    with pytest.raises(ContractError):
+        buf.push(np.zeros((40, 3)))
+    assert buf.push(np.zeros((40, 2))) != []
 
 
 def test_stream_buffer_empty_flush():

@@ -283,15 +283,6 @@ def test_single_chunk_loss_is_teacher_forced_product(rng):
     assert abs(nll + direct) <= 1e-12
 
 
-def test_end_to_end_gradients_match_finite_differences(rng):
-    m = make_tiny_model(seed=11)
-    x = rng.normal(size=(24, 4))
-    y = [2, 5]
-    tensors = [m.params[n] for n in sorted(m.params)]
-    ok, dev = ad.check_gradients(lambda: m.sequence_nll(x, y), tensors, tol=1e-4)
-    assert ok, dev
-
-
 def test_op_budget_of_a_decoder_pass_and_an_encode(rng, monkeypatch):
     # attention and linear layers are single autodiff ops: a 2+2-block model
     # makes at most 44 ops per decoder_steps pass and 32 per encode
