@@ -23,13 +23,18 @@ spec = SyntheticTaskSpec(vocab_size=8, d_in=4, min_len=3, max_len=3, seed=5)
 x, y = gen_synthetic(spec, 1)[0]
 print(f"utterance: {len(x)} raw frames, reference ids {y}")
 
-# First, watch the buffer release chunks as frames trickle in.
-buf = StreamBuffer(W=cfg.W, B=cfg.B)
+# One fragment schedule of 1 to 6 frames each, used twice below.
 rng = np.random.default_rng(0)
+frags = []
 pos = 0
 while pos < len(x):
-    n = int(rng.integers(1, 7))
-    frag = x[pos:pos + n]
+    frags.append(x[pos:pos + int(rng.integers(1, 7))])
+    pos += len(frags[-1])
+
+# First, watch the buffer release chunks as frames trickle in.
+buf = StreamBuffer(W=cfg.W, B=cfg.B)
+pos = 0
+for frag in frags:
     pos += len(frag)
     spans = buf.push(frag)
     if spans:
@@ -37,14 +42,6 @@ while pos < len(x):
 print(f"  flush releases the remainder: {buf.flush()}")
 
 # Now decode the same fragment schedule and compare with offline.
-rng = np.random.default_rng(0)
-frags = []
-pos = 0
-while pos < len(x):
-    n = int(rng.integers(1, 7))
-    frags.append(x[pos:pos + n])
-    pos += len(frags[-1])
-
 ids, lp, emissions = stream_decode(model, frags)
 off_ids, off_lp = beam_decode(model, x)[0]
 # A symbol is emitted once every surviving hypothesis, and the greedy path

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 from chunkrec.checkpoint import load_checkpoint, save_checkpoint
-from chunkrec.decoding import BeamConfig, beam_decode, edit_distance, greedy_decode
+from chunkrec.decoding import BeamConfig, beam_decode, cer, greedy_decode
 from chunkrec.model import ChunkTransducerModel, ModelConfig, Vocabulary
 from chunkrec.training import SyntheticTaskSpec, TrainConfig, gen_synthetic, train
 
@@ -35,15 +35,10 @@ with tempfile.TemporaryDirectory() as td:
     print(f"checkpoint round-tripped through {ckpt.name}")
 
 test = gen_synthetic(spec, 100, seed=12345)
-g_errs = b_errs = refs = 0
-for x, y in test:
-    gids, _ = greedy_decode(model, x)
-    bids, _ = beam_decode(model, x, BeamConfig(width=5))[0]
-    g_errs += edit_distance(gids, y)
-    b_errs += edit_distance(bids, y)
-    refs += len(y)
-print(f"held-out greedy CER: {g_errs / refs:.4f}")
-print(f"held-out beam(5) CER: {b_errs / refs:.4f}")
+g_cer = cer((greedy_decode(model, x)[0], y) for x, y in test)
+b_cer = cer((beam_decode(model, x, BeamConfig(width=5))[0][0], y) for x, y in test)
+print(f"held-out greedy CER: {g_cer:.4f}")
+print(f"held-out beam(5) CER: {b_cer:.4f}")
 x, y = test[0]
 ids, lp = beam_decode(model, x, BeamConfig(width=5))[0]
 print(f"sample decode: ref {vocab.decode(y)} -> hyp {vocab.decode(ids)} ({lp:.3f})")

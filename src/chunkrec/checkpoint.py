@@ -35,6 +35,12 @@ def _array_bytes(a):
     return np.ascontiguousarray(a, dtype=np.float64).astype("<f8").tobytes()
 
 
+def _slots_for(params):
+    """The [name.m, shape] and [name.v, shape] slot entries of [name, shape] parameter
+    entries, in payload order."""
+    return [[f"{n}.{slot}", shape] for n, shape in params for slot in ("m", "v")]
+
+
 def save_checkpoint(path, model, optimizer=None):
     names = sorted(model.params)
     header = {
@@ -45,12 +51,8 @@ def save_checkpoint(path, model, optimizer=None):
     }
     blobs = [_array_bytes(model.params[n].data) for n in names]
     if optimizer is not None:
-        slots = []
-        for n in names:
-            for slot in ("m", "v"):
-                slots.append([f"{n}.{slot}", list(model.params[n].shape)])
-                blobs.append(_array_bytes(optimizer.state[n][slot]))
-        header["optimizer"] = {"step": optimizer.step_count, "slots": slots}
+        header["optimizer"] = {"step": optimizer.step_count, "slots": _slots_for(header["params"])}
+        blobs += [_array_bytes(optimizer.state[n][slot]) for n in names for slot in ("m", "v")]
     hjson = json.dumps(header).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -73,22 +75,20 @@ def _read_array(f, shape, what):
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
-def _shapes_ok(entries, suffixes=("",)):
+def _shapes_ok(entries):
     """Whether entries is a list of [name, shape], shape a list of ints >= 0."""
     return isinstance(entries, list) and all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
-        and e[0].endswith(suffixes) and isinstance(e[1], list)
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], list)
         and all(type(d) is int and d >= 0 for d in e[1]) for e in entries)
 
 
 def _check_header(header):
     """Raise CorruptHeaderError unless header has the structure save_checkpoint writes."""
     h = header if isinstance(header, dict) else {}
-    cfg, opt = h.get("config"), h.get("optimizer")
-    if not (isinstance(cfg, dict) and isinstance(h.get("vocab"), list)
-            and _shapes_ok(h.get("params"))
+    cfg, params, opt = h.get("config"), h.get("params"), h.get("optimizer")
+    if not (isinstance(cfg, dict) and isinstance(h.get("vocab"), list) and _shapes_ok(params)
             and (opt is None or (isinstance(opt, dict) and type(opt.get("step")) is int
-                                 and _shapes_ok(opt.get("slots"), (".m", ".v"))))):
+                                 and opt.get("slots") == _slots_for(params)))):
         raise CorruptHeaderError("checkpoint header lacks the structure save_checkpoint writes")
 
 
@@ -115,10 +115,9 @@ def load_checkpoint(path):
                   for name, shape in header["params"]}
         opt = None
         if header.get("optimizer") is not None:
-            slots = {}
-            for name, shape in header["optimizer"]["slots"]:
-                base, _, slot = name.rpartition(".")
-                slots.setdefault(base, {})[slot] = _read_array(f, shape, f"optimizer slot {name}")
+            slots = {name: {slot: _read_array(f, shape, f"optimizer slot {name}.{slot}")
+                            for slot in ("m", "v")}
+                     for name, shape in header["params"]}
             opt = {"step": header["optimizer"]["step"], "slots": slots}
         extra = f.read(1)
         if extra:

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .chunking import chunk_latency_ms, effective_latency_ms
-from .decoding import BeamConfig, beam_decode, edit_distance, greedy_decode, stream_decode
+from .decoding import BeamConfig, beam_decode, cer, stream_decode
 from .errors import ChunkrecError, ConfigError
 from .lattice import diagonal_identity_check, backward_pass, enumerate_paths, forward_pass
 from .model import ChunkTransducerModel, ModelConfig, Vocabulary
@@ -148,12 +148,8 @@ def cmd_eval_cer(args, cfg_dict):
     beam = _section(cfg_dict, "beam")
     data = _data_from_args(args, cfg_dict, model, n=_count(cfg_dict, "n_eval", 64),
                            seed=model.cfg.seed + 505)
-    errs = refs = 0
-    for x, y in data:
-        nbest = beam_decode(model, x, beam)
-        errs += edit_distance(nbest[0][0], y)
-        refs += len(y)
-    result = {"utterances": len(data), "cer": errs / max(refs, 1)}
+    result = {"utterances": len(data),
+              "cer": cer((beam_decode(model, x, beam)[0][0], y) for x, y in data)}
     with _out_stream(args) as out:
         out.write(json.dumps(result) + "\n")
     return 0

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .chunking import StreamBuffer, as_frames
-from .errors import AvailabilityError, UndefinedMetricError, check_fields
+from .errors import UndefinedMetricError, check_fields
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,16 @@ def edit_distance(a, b):
     return prev[-1]
 
 
-def cer(hyp, ref):
-    """Edit distance divided by reference length; empty references are undefined."""
-    ref = list(ref)
-    if len(ref) == 0:
-        raise UndefinedMetricError("CER undefined for an empty reference")
-    return edit_distance(hyp, ref) / len(ref)
+def cer(pairs):
+    """Corpus CER of (hypothesis, reference) pairs: total edit distance over total
+    reference length. References with no symbol at all make it undefined."""
+    errs = refs = 0
+    for hyp, ref in pairs:
+        errs += edit_distance(hyp, ref)
+        refs += len(ref)
+    if refs == 0:
+        raise UndefinedMetricError("CER undefined: the references hold no symbol")
+    return errs / refs
 
 
 # -- the chunk-synchronous search --------------------------------------------
@@ -192,8 +196,6 @@ def _drive(model, fragments, cfg, clock=None, collect_emissions=False):
                 states = model.encode_states(buf.frames)
                 n_encoded = buf.raw_count
             for a, b in spans:
-                if b > states.shape[0]:
-                    raise AvailabilityError(f"chunk end {b} beyond encoded prefix")
                 hyps, greedy = _advance_chunk(model, hyps, greedy, states[a:b], cfg)
                 m += 1
                 if collect_emissions:

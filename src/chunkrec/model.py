@@ -404,10 +404,6 @@ class ChunkTransducerModel:
         return [(ld[a:b, :len(p), self.vocab.blank_id], ld[a:b, np.arange(len(p) - 1), p[1:]])
                 for a, b, p in zip(ends - M, ends, prefixes)]
 
-    def lattice_probs_for(self, x, y_ids):
-        """Teacher-forced lattice tables for one (features, labels) pair."""
-        return self.lattice_probs([(x, y_ids)])[0]
-
     def sequence_nlls(self, batch):
         """Negative log-probability of each y given its x (scalar Tensors), in one padded pass."""
         return [lattice_nll(blank_lp, label_lp) for blank_lp, label_lp in self.lattice_probs(batch)]

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .chunking import FRONT_END_DOWNSAMPLE, as_frames
-from .decoding import edit_distance, greedy_decode
+from .decoding import cer, greedy_decode
 from .errors import ConfigError, ContractError, check_fields
 
 
@@ -161,12 +160,6 @@ def train_step(model, batch, optimizer, step, cfg):
     return loss.item()
 
 
-def nats_per_symbol(model, samples):
-    with ad.no_grad():
-        nlls = model.sequence_nlls(samples)
-    return sum(nll.item() for nll in nlls) / sum(max(len(y), 1) for _, y in samples)
-
-
 def train(model, data, cfg, optimizer=None, eval_data=None, log=None, start_step=1):
     """Run the training loop; returns (optimizer, history of (step, loss)).
 
@@ -184,8 +177,7 @@ def train(model, data, cfg, optimizer=None, eval_data=None, log=None, start_step
         if cfg.eval_interval and step % cfg.eval_interval == 0:
             msg = f"step {step} loss {loss:.4f}"
             if eval_data:
-                errs = sum(edit_distance(greedy_decode(model, x)[0], y) for x, y in eval_data)
-                eval_cer = errs / max(sum(len(y) for _, y in eval_data), 1)
+                eval_cer = cer((greedy_decode(model, x)[0], y) for x, y in eval_data)
                 msg += f" eval_cer {eval_cer:.4f}"
             if log:
                 log(msg)

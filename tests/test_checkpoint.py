@@ -173,9 +173,22 @@ def test_header_that_is_not_an_object_is_corrupt_header_error(tmp_path):
         load_checkpoint(path)
 
 
-def test_slot_name_without_m_or_v_is_corrupt_header_error(tmp_path):
+def _two_m_slots(slots):
+    slots[1][0] = slots[0][0]
+
+
+@pytest.mark.parametrize("mutate", [
+    _set([0, 0], "dec.out.b"),
+    _set([0, 0], "zzz.m"),
+    _two_m_slots,
+    _set([0, 1], [1, 1, 1]),
+    list.reverse,
+    list.pop,
+], ids=["no-m-or-v", "unknown-parameter", "two-m-no-v", "slot-shape", "slot-order",
+        "missing-slot"])
+def test_slots_that_do_not_pair_with_the_parameters_are_corrupt_header_errors(tmp_path, mutate):
     header, payload = saved_parts(optimizer=True)
-    header["optimizer"]["slots"][0][0] = "dec.out.b"
+    mutate(header["optimizer"]["slots"])
     path = tmp_path / "bad.ckpt"
     write_with_header(path, header, payload)
     with pytest.raises(CorruptHeaderError):
@@ -225,6 +238,8 @@ def test_fuzzed_header_loads_or_raises_a_chunkrec_error(data, optimizer):
         path = Path(d) / "fuzzed.ckpt"
         write_with_header(path, root[""], payload)
         try:
-            load_checkpoint(path)
+            model, state = load_checkpoint(path)
         except ChunkrecError:
-            pass
+            return
+    if state is not None:
+        Adam(model.params).load_state(state)

@@ -86,6 +86,22 @@ def test_decode_with_manifest(tmp_path):
     assert len(open(out_file, encoding="utf-8").read().strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("transcripts", [["", ""], []], ids=["empty-transcripts", "no-lines"])
+def test_eval_cer_without_reference_units_is_undefined_metric(tmp_path, capsys, transcripts):
+    cfg = tiny_config(tmp_path)
+    lines = []
+    for i, text in enumerate(transcripts):
+        feat = tmp_path / f"u{i}.feat"
+        save_features(feat, np.random.default_rng(i).normal(size=(12, 4)))
+        lines.append(f"{feat}\t{text}\n")
+    man = tmp_path / "m.tsv"
+    man.write_text("".join(lines), encoding="utf-8")
+    assert main(["--config", cfg, "--manifest", str(man), "eval-cer"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "undefined-metric"
+
+
 @pytest.mark.parametrize("header", [None, b"ab cd f8\n", b"-1 8 f8\n"])
 def test_bad_feature_file_is_contract_error(tmp_path, capsys, header):
     cfg = tiny_config(tmp_path)

@@ -19,20 +19,30 @@ from conftest import make_tiny_model
 
 
 def test_cer_identical():
-    assert cer("abc", "abc") == 0.0
+    assert cer([("abc", "abc")]) == 0.0
 
 
 def test_cer_substitution():
-    assert cer("abc", "abd") == pytest.approx(1 / 3)
+    assert cer([("abc", "abd")]) == pytest.approx(1 / 3)
 
 
 def test_cer_empty_hypothesis():
-    assert cer("", "ab") == 1.0
+    assert cer([("", "ab")]) == 1.0
 
 
 def test_cer_empty_reference():
     with pytest.raises(UndefinedMetricError):
-        cer("ab", "")
+        cer([("ab", "")])
+
+
+def test_cer_is_total_edits_over_total_reference_length():
+    assert cer([("a", "ab"), ("", "c")]) == 2 / 3
+    assert cer([("ab", ""), ("a", "a")]) == 2.0
+
+
+def test_cer_of_no_pairs_is_undefined():
+    with pytest.raises(UndefinedMetricError):
+        cer([])
 
 
 def test_edit_distance_symmetric():

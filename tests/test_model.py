@@ -89,7 +89,7 @@ def test_front_end_too_short(tiny_model):
                                [[0.0] * 4] * 15 + [[0.0] * 3], np.zeros((16, 5)), np.zeros(16)])
 def test_frames_that_are_not_real_2d_are_contract_errors(tiny_model, x):
     for encode in (tiny_model.front_end, lambda x: tiny_model.encode_chunk(x, 0),
-                   lambda x: tiny_model.lattice_probs_for(x, [2])):
+                   lambda x: tiny_model.lattice_probs([(x, [2])])[0]):
         with pytest.raises(ContractError):
             encode(x)
 
@@ -216,7 +216,7 @@ def test_decoder_contract_errors(tiny_model, rng):
 def test_lattice_probs_shapes_and_range(tiny_model, rng):
     x = rng.normal(size=(40, 4))
     y = [2, 5, 3]
-    blank_lp, label_lp = tiny_model.lattice_probs_for(x, y)
+    blank_lp, label_lp = tiny_model.lattice_probs([(x, y)])[0]
     M = tiny_model.geometry_for(40).M
     assert blank_lp.shape == (M, 4)
     assert label_lp.shape == (M, 3)
@@ -235,7 +235,7 @@ def test_lattice_probs_match_per_chunk_decoder_passes(tiny_model, rng, T, y, chu
     x = rng.normal(size=(T, 4))
     spans = m.geometry_for(T).spans
     assert [b - a for a, b in spans] == chunk_lens
-    blank_lp, label_lp = m.lattice_probs_for(x, y)
+    blank_lp, label_lp = m.lattice_probs([(x, y)])[0]
     assert blank_lp.shape == (len(spans), len(y) + 1) and label_lp.shape == (len(spans), len(y))
     states = m.encode_states(x)
     for row, (a, b) in enumerate(spans):
@@ -255,7 +255,7 @@ def test_lattice_probs_make_one_decoder_pass(tiny_model, rng, monkeypatch):
     monkeypatch.setattr(tiny_model, "_decode", counted)
     for T in (8, 24, 64):
         batches.clear()
-        tiny_model.lattice_probs_for(rng.normal(size=(T, 4)), [2, 5])
+        tiny_model.lattice_probs([(rng.normal(size=(T, 4)), [2, 5])])
         assert batches == [tiny_model.geometry_for(T).M]
     batches.clear()
     tiny_model.lattice_probs([(rng.normal(size=(T, 4)), [2, 5]) for T in (8, 24, 64)])
@@ -263,20 +263,20 @@ def test_lattice_probs_make_one_decoder_pass(tiny_model, rng, monkeypatch):
 
 
 def test_lattice_probs_empty_target(tiny_model, rng):
-    blank_lp, label_lp = tiny_model.lattice_probs_for(rng.normal(size=(16, 4)), [])
+    blank_lp, label_lp = tiny_model.lattice_probs([(rng.normal(size=(16, 4)), [])])[0]
     assert blank_lp.shape[1] == 1 and label_lp.shape[1] == 0
 
 
 def test_lattice_probs_vocab_error(tiny_model, rng):
     with pytest.raises(VocabError):
-        tiny_model.lattice_probs_for(rng.normal(size=(16, 4)), [99])
+        tiny_model.lattice_probs([(rng.normal(size=(16, 4)), [99])])
 
 
 def test_single_chunk_loss_is_teacher_forced_product(rng):
     m = make_tiny_model(W=6, B=0)
     x = rng.normal(size=(16, 4))  # L=4 <= W: one chunk
     y = [2, 4]
-    blank_lp, label_lp = m.lattice_probs_for(x, y)
+    blank_lp, label_lp = m.lattice_probs([(x, y)])[0]
     assert blank_lp.shape[0] == 1
     direct = float(label_lp.data[0, 0] + label_lp.data[0, 1] + blank_lp.data[0, 2])
     nll = m.sequence_nll(x, y).item()

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunkrec import autodiff as ad
-from chunkrec.errors import ConfigError, ContractError
+from chunkrec.errors import ConfigError, ContractError, UndefinedMetricError
 from chunkrec.training import (Adam, SyntheticTaskSpec, TrainConfig, batch_loss,
                                clip_grad_norm, gen_synthetic, load_features,
-                               load_manifest, nats_per_symbol, noam_lr,
-                               save_features, train, train_step)
+                               load_manifest, noam_lr, save_features, train, train_step)
 
 from conftest import make_tiny_model
 
@@ -169,6 +168,24 @@ def test_training_deterministic_across_runs():
         _, hist = train(m, data, batch_cfg)
         hists.append(hist)
     assert hists[0] == hists[1]
+
+
+def test_eval_on_empty_references_is_undefined_metric():
+    m = make_tiny_model(seed=7)
+    data = gen_synthetic(spec_for_tiny(), 8)
+    opt, logged = Adam(m.params), []
+    cfg = TrainConfig(batch_size=2, total_steps=50, warmup_steps=10, eval_interval=5)
+    with pytest.raises(UndefinedMetricError):
+        train(m, data, cfg, optimizer=opt, eval_data=[(x, []) for x, _ in data[:2]],
+              log=logged.append)
+    assert opt.step_count == 5 and logged == []
+
+
+def nats_per_symbol(model, samples):
+    """Mean teacher-forced NLL per reference symbol."""
+    with ad.no_grad():
+        nlls = model.sequence_nlls(samples)
+    return sum(nll.item() for nll in nlls) / sum(len(y) for _, y in samples)
 
 
 def test_single_batch_overfit_below_threshold():
