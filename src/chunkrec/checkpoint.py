@@ -88,6 +88,7 @@ def _check_header(header):
     cfg, params, opt = h.get("config"), h.get("params"), h.get("optimizer")
     if not (isinstance(cfg, dict) and isinstance(h.get("vocab"), list) and _shapes_ok(params)
             and (opt is None or (isinstance(opt, dict) and type(opt.get("step")) is int
+                                 and opt["step"] >= 0
                                  and opt.get("slots") == _slots_for(params)))):
         raise CorruptHeaderError("checkpoint header lacks the structure save_checkpoint writes")
 

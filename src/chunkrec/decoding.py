@@ -11,7 +11,8 @@ cap (advancing without a score factor). Alignment paths with identical
 prefixes are kept separate. The chunk moves in lock-step rounds; in round
 r every hypothesis still emitting has emitted r symbols, so a hypothesis
 is only a prefix and a score. A round scores that frontier with one
-padded ``decoder_steps`` pass and ranks the finished hypotheses and every
+``decoder_steps`` pass over its prefix trie, which scores a history the
+hypotheses share once, and ranks the finished hypotheses and every
 extension with one stable argsort, keeping the first ``width``: at most
 ``max_symbols_per_chunk`` passes per chunk, whatever the width. Width 1
 is greedy decoding.
@@ -109,8 +110,9 @@ def _advance_chunk(model, hyps, greedy, chunk, cfg):
     id, so width 1 reproduces greedy (argmax) decoding exactly.
 
     greedy, unless None, is the width-1 path: it takes the argmax of the
-    row of a frontier hypothesis with its prefix, and adds a row only once
-    the beam has pruned that prefix. Returns (finished hypotheses, greedy).
+    last row. A frontier hypothesis with the same prefix shares its trie
+    nodes, so that row costs nothing extra. Returns (finished hypotheses,
+    greedy).
     """
     blank, cap = model.vocab.blank_id, cfg.max_symbols_per_chunk
     frontier, finished = hyps, []
@@ -119,15 +121,11 @@ def _advance_chunk(model, hyps, greedy, chunk, cfg):
         if not frontier and greedy_done:
             break
         at_cap = r + 1 >= cap
-        prefixes = [h.prefix for h in frontier]
-        if not greedy_done:
-            if greedy.prefix not in prefixes:
-                prefixes.append(greedy.prefix)
-            g_row = prefixes.index(greedy.prefix)
+        prefixes = [h.prefix for h in frontier] + ([] if greedy_done else [greedy.prefix])
         dists = model.decoder_steps(prefixes, chunk)
         if not greedy_done:
-            greedy, greedy_done = _extend(greedy, int(np.argmax(dists[g_row])), dists[g_row],
-                                          blank, at_cap)
+            greedy, greedy_done = _extend(greedy, int(np.argmax(dists[-1])), dists[-1], blank,
+                                          at_cap)
         if not frontier:
             continue
         # finished log-probs, then every (row, symbol) extension in row-major order

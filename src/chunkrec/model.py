@@ -191,13 +191,39 @@ def check_parameters(cfg, params):
             f"{n} {given.get(n, 'missing')} (config: {expected.get(n, 'none')})" for n in bad))
 
 
-def _right_pad(rows, fill, min_len=1):
-    """Arrays of differing lengths stacked as (n, max(longest, min_len), ...), filled after each."""
-    out = np.full((len(rows), max(min_len, *map(len, rows))) + rows[0].shape[1:], fill,
+def _right_pad(rows, fill):
+    """Arrays of differing lengths stacked as (n, longest, ...), filled after each."""
+    out = np.full((len(rows), max(map(len, rows))) + rows[0].shape[1:], fill,
                   dtype=rows[0].dtype)
     for row, r in zip(out, rows):
         row[:len(r)] = r
     return out
+
+
+def _prefix_trie(rows):
+    """Id sequences as one trie: (node ids, ancestor mask, each row's last node).
+
+    There is one node per distinct prefix of a row, keyed by (parent node,
+    id) and numbered in walk order, so every ancestor precedes its
+    descendants; equal rows share their nodes. mask[j, i] is True iff node
+    i is node j or one of its ancestors.
+    """
+    nodes, paths = {}, []
+    for row in rows:
+        node, path = -1, []
+        for tok in row.tolist():
+            node = nodes.setdefault((node, tok), len(nodes))
+            path.append(node)
+        paths.append(path)
+    # Along each path the nodes are a chain. Node pairs on a common path get
+    # the chain mask's value, the same on every path they share; the rest stay
+    # False. Padding writes only to an extra node N, which is cut off.
+    N, P = len(nodes), max(map(len, paths))
+    chains = _right_pad([np.array(path) for path in paths], N)
+    mask = np.zeros((N + 1, N + 1), dtype=bool)
+    mask[chains[:, :, None], chains[:, None, :]] = left_context_mask(P, P)
+    ids = np.array([tok for _parent, tok in nodes], dtype=np.intp)
+    return ids, mask[:N, :N], np.array([path[-1] for path in paths])
 
 
 @dataclass
@@ -259,11 +285,9 @@ class ChunkTransducerModel:
     # -- attention plumbing -------------------------------------------------
     #
     # Activations are (..., t, d): the encoder passes one (L, d) sequence or
-    # an (N, L, d) padded batch, search passes (n, t, d) prefixes against one
-    # chunk, and teacher forcing passes (sum of M, U+1, d) prefixes against
-    # (sum of M, W, d) chunks. A 2-D kv_in under a
-    # batched q_in (cross-attention to one chunk) is projected once and
-    # broadcast over the batch.
+    # an (N, L, d) padded batch, search passes one (nodes, d) prefix trie
+    # against one (W, d) chunk, and teacher forcing passes (sum of M, U+1, d)
+    # prefixes against (sum of M, W, d) chunks.
 
     def _linear(self, prefix, x, suffix=""):
         p = self.params
@@ -321,21 +345,32 @@ class ChunkTransducerModel:
             raise VocabError("prefix id out of vocabulary")
         return ids
 
-    def _decode(self, ids, chunk_states, cross_mask=True):
+    def _decode(self, ids, chunk_states, cross_mask=True, self_mask=None, read=None):
         """Decoder blocks over ids of shape (..., P) -> (..., P, vocab) log-softmax.
 
-        Causal by construction: row i depends on ids[..., :i + 1] and the chunk
-        alone, so right padding reaches no real row. cross_mask broadcasts
-        against the (..., heads, P, W) cross-attention scores; chunk positions
-        it marks False get exactly zero attention.
+        self_mask is a (P, P) ancestor mask, by default the chain
+        left_context_mask(P, P); a row sits at position (rows it sees) - 1.
+        Row j depends on its ancestors' ids and the chunk alone, so right
+        padding reaches no real row. cross_mask broadcasts against the (...,
+        heads, P, W) cross-attention scores; chunk positions it marks False
+        get exactly zero attention. With read, row indices, the last block
+        carries only the read rows past its keys and values, outside the
+        autodiff graph (decoder_steps runs it under no_grad), and the output
+        is (..., len(read), vocab).
         """
-        P = ids.shape[-1]
-        self_mask = left_context_mask(P, P)
+        if self_mask is None:
+            self_mask = left_context_mask(ids.shape[-1], ids.shape[-1])
         h = ad.take(self.params["dec.embed"], ids) + Tensor(
-            sinusoidal_positions(np.arange(P), self.cfg.d_model))
+            sinusoidal_positions(np.count_nonzero(self_mask, axis=-1) - 1, self.cfg.d_model))
+        last = self.cfg.n_dec_blocks - 1
+        if read is not None and last < 0:
+            h = Tensor(h.data[..., read, :])
         for i in range(self.cfg.n_dec_blocks):
-            n = self._ln(f"dec.{i}.ln1", h)
-            h = h + self._mha(f"dec.{i}.self_attn", n, n, self_mask)
+            n = q_in = self._ln(f"dec.{i}.ln1", h)
+            if read is not None and i == last:
+                h, q_in = Tensor(h.data[..., read, :]), Tensor(n.data[..., read, :])
+                self_mask = self_mask[read]
+            h = h + self._mha(f"dec.{i}.self_attn", q_in, n, self_mask)
             h = h + self._mha(f"dec.{i}.cross_attn",
                               self._ln(f"dec.{i}.ln2", h), chunk_states, cross_mask)
             h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
@@ -352,21 +387,30 @@ class ChunkTransducerModel:
     def decoder_steps(self, prefixes, chunk_states):
         """Next-symbol log-distributions for n prefixes in one decoder pass.
 
-        The prefixes may differ in length: they are right-padded to the
-        longest, and causality, not a key mask, hides the padding from the
-        row read, each prefix's last. Returns an (n, vocab_size) numpy array.
+        The pass runs the prefixes' trie (_prefix_trie) as one sequence under
+        its ancestor mask, so a symbol that several prefixes share, and a
+        prefix repeated, is scored once. The last block carries on only the
+        distinct last nodes, the rows read. Returns an (n, vocab_size) numpy
+        array.
 
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
         chunk_states)[0]. Masked keys add exact zeros to the softmax's
-        sequential sum, and padding to at least two positions keeps a lone
-        one-symbol prefix off BLAS's matrix-vector path, which sums in
-        another order. Rows equal decoder_forward(...)[-1] up to summation order.
+        sequential sum, and a node's ancestors keep their depth order. At
+        least two nodes and two read rows keep every row a row of a matrix
+        product, off BLAS's matrix-vector path, which sums in another order.
+        Rows equal decoder_forward(...)[-1] up to summation order.
         """
         if len(prefixes) == 0:
             raise ContractError("decoder_steps needs at least one prefix")
         rows = [self._check_prefix(pre) for pre in prefixes]
-        logp = self._decode(_right_pad(rows, self.vocab.start_id, min_len=2), chunk_states)
-        return logp.data[np.arange(len(rows)), [len(r) - 1 for r in rows]]
+        if max(map(len, rows)) == 1:  # a trie of the start node alone gets a second node
+            rows.append(np.repeat(rows[0], 2))
+        ids, mask, ends = _prefix_trie(rows)
+        read, back = np.unique(ends[:len(prefixes)], return_inverse=True)
+        if len(read) == 1:  # and one read row a second
+            read = np.append(read, int(read[0] == 0))
+        with ad.no_grad():
+            return self._decode(ids, chunk_states, self_mask=mask, read=read).data[back]
 
     def decoder_step(self, prefix_ids, chunk_states):
         """Log-distribution (numpy vector) for the next symbol."""

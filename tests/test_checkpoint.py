@@ -195,6 +195,16 @@ def test_slots_that_do_not_pair_with_the_parameters_are_corrupt_header_errors(tm
         load_checkpoint(path)
 
 
+def test_negative_optimizer_step_is_corrupt_header_error(tmp_path):
+    # Adam at step 0 divides by zero bias corrections and turns every parameter into NaN
+    header, payload = saved_parts(optimizer=True)
+    header["optimizer"]["step"] = -1
+    path = tmp_path / "bad.ckpt"
+    write_with_header(path, header, payload)
+    with pytest.raises(CorruptHeaderError):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("hlen", [2 ** 40, 2 ** 64 - 1])
 def test_header_length_past_the_end_is_truncated_file_error(tmp_path, hlen):
     path = tmp_path / "bad.ckpt"

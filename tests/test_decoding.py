@@ -215,12 +215,13 @@ def test_beam_config_rejects_bad_values():
 
 
 def _counting(model):
-    """Wrap model.decoder_steps; returns the list of each pass's row count."""
+    """Wrap model.decoder_steps; returns the list of each pass's distinct prefix
+    count, the rows the pass reads (a repeated prefix shares its trie nodes)."""
     rows = []
     steps = model.decoder_steps
 
     def counted(prefixes, chunk):
-        rows.append(len(prefixes))
+        rows.append(len(set(map(tuple, prefixes))))
         return steps(prefixes, chunk)
 
     model.decoder_steps = counted

@@ -203,6 +203,63 @@ def test_decoder_steps_rows_are_batch_invariant(overrides):
                 f"{np.max(np.abs(row - alone)):.3g}")
 
 
+# beam-shaped prefix sets, as symbol lists after the start symbol
+TRIE_SETS = {
+    "duplicates": [[3, 4], [3, 4], [2], [3, 4]],
+    "read-on-an-interior-node": [[3, 4, 2], [3], [3, 4], [5]],
+    "siblings-differing-in-the-last-symbol": [[5, 2, 3], [5, 2, 4], [5, 2, 6]],
+    "start-only-among-longer": [[4, 4], [], [4]],
+    "lone-start-only": [[]],
+    "one-node": [[], [], []],
+}
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(n_dec_blocks=2), dict(n_dec_blocks=0)],
+                         ids=["one-block", "two-blocks", "no-block"])
+@pytest.mark.parametrize("symbols", TRIE_SETS.values(), ids=TRIE_SETS.keys())
+def test_decoder_steps_rows_over_beam_shaped_tries(symbols, overrides, rng):
+    m = make_tiny_model(seed=3, **overrides)
+    chunk = rng.normal(size=(m.cfg.W, m.cfg.d_model))
+    prefixes = [[m.vocab.start_id, *s] for s in symbols]
+    batched = m.decoder_steps(prefixes, chunk)
+    assert batched.shape == (len(prefixes), m.cfg.vocab_size)
+    for prefix, row in zip(prefixes, batched):
+        assert np.array_equal(row, m.decoder_steps([prefix], chunk)[0])
+        assert np.max(np.abs(row - m.decoder_forward(prefix, chunk).data[-1])) <= 1e-12
+
+
+def test_decoder_steps_scores_each_distinct_prefix_once(monkeypatch):
+    # the pass runs one row per distinct prefix of a prefix, and its last block
+    # one per distinct prefix, each at least two
+    m = make_tiny_model(n_dec_blocks=2)
+    chunk = np.random.default_rng(0).normal(size=(m.cfg.W, m.cfg.d_model))
+    start = m.vocab.start_id
+    seen = []
+    decode, ffn = m._decode, m._ffn
+
+    def recorded_decode(ids, chunk_states, cross_mask=True, self_mask=None, read=None):
+        seen.append(ids.shape)
+        return decode(ids, chunk_states, cross_mask, self_mask, read)
+
+    def recorded_ffn(prefix, x):
+        seen.append((prefix, x.shape[0]))
+        return ffn(prefix, x)
+
+    monkeypatch.setattr(m, "_decode", recorded_decode)
+    monkeypatch.setattr(m, "_ffn", recorded_ffn)
+    rng = np.random.default_rng(7)
+    beams = [[start, *rng.integers(1, 4, size=rng.integers(0, 6)).tolist()]
+             for _ in range(60)]
+    sets = [[[start, *s] for s in symbols] for symbols in TRIE_SETS.values()]
+    sets += [beams[i:i + 6] for i in range(0, 60, 6)]
+    for prefixes in sets:
+        seen.clear()
+        m.decoder_steps(prefixes, chunk)
+        nodes = {tuple(p[:k]) for p in prefixes for k in range(1, len(p) + 1)}
+        rows, read = max(2, len(nodes)), max(2, len({tuple(p) for p in prefixes}))
+        assert seen == [(rows,), ("dec.0.ffn", rows), ("dec.1.ffn", read)]
+
+
 def test_decoder_contract_errors(tiny_model, rng):
     chunk = tiny_model.encode_chunk(rng.normal(size=(16, 4)), 0).states
     with pytest.raises(ContractError):
