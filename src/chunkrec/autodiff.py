@@ -3,9 +3,9 @@
 Reverse-mode only, covering exactly the operations the streaming transducer
 model needs: linear (x @ w + b), multi-head attention (with a masked
 softmax inside), layer norm, GLU, ReLU, time-axis convolution and indexing
-(``take``, which is also the embedding lookup), plus the add, mul, scale
-and sum that losses and gradient checks compose. ``+``, ``*`` and ``[]``
-on a Tensor are add, mul (scale for a scalar) and take.
+(``take``, which is also the embedding lookup), plus the add, mul and
+sum that losses and gradient checks compose. ``+``, ``*`` and ``[]`` on a
+Tensor are add, mul (a scalar as a 0-d tensor) and take.
 Attention and linear layers are single ops with hand-written backward
 passes, because on a small model each op costs mostly Python overhead.
 Every tensor is float64. Broadcasting is limited to leading batch
@@ -86,17 +86,15 @@ class Tensor:
             raise ContractError(f"backward requires a scalar, got shape {self.data.shape}")
         order = _toposort(self)
         grads = {id(self): np.ones((), dtype=self.data.dtype)}
+        # every node after self is a parent of an earlier one, and each op's
+        # backward returns one gradient per parent, so every pop finds one
         for t in order:
-            g = grads.pop(id(t), None)
-            if g is None:
-                continue
+            g = grads.pop(id(t))
             if t._backward is None:
                 if t.requires_grad:
                     t._accumulate(g)
             else:
                 for parent, pg in zip(t._parents, t._backward(g)):
-                    if pg is None:
-                        continue
                     if id(parent) in grads:
                         grads[id(parent)] = grads[id(parent)] + pg
                     else:
@@ -105,11 +103,9 @@ class Tensor:
     # -- operator sugar -----------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, other)
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return scale(self, float(other))
         return mul(self, other)
 
     def __getitem__(self, idx):
@@ -179,16 +175,6 @@ def mul(a, b):
         return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _make(data, (a, b), bwd)
-
-
-def scale(a, c):
-    a = _as_tensor(a)
-    c = float(c)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _make(a.data * c, (a,), bwd)
 
 
 def linear(x, w, b):

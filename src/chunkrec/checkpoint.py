@@ -1,14 +1,14 @@
-"""Self-describing binary checkpoint container.
+"""Binary checkpoint container; the header stores only what the config cannot derive.
 
 Layout (little-endian throughout):
 
     magic   4 bytes  b"CKTD"
     version u32
     hlen    u64      length of the JSON header in bytes
-    header  JSON     {"config": ..., "vocab": [...], "params": [[name, shape], ...],
-                      "optimizer": {...} | null}
-    payload          float64 arrays, row-major, in header order
-                     (parameters first, then optimizer slots)
+    header  JSON     {"config": ..., "vocab": [...], "optimizer": {"step": int} | null}
+    payload          float64 arrays, row-major: the parameters in
+                     model.parameter_table(config) order, then, with an
+                     optimizer, each parameter's Adam m and v in that order
 
 A save/load round trip is bitwise lossless, including optimizer state.
 """
@@ -25,33 +25,25 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, CorruptHeaderError, TruncatedFileError, VersionMismatchError
-from .model import ChunkTransducerModel, ModelConfig, Vocabulary
+from .model import ChunkTransducerModel, ModelConfig, Vocabulary, check_parameters, parameter_table
 
 MAGIC = b"CKTD"
-VERSION = 1
+VERSION = 2
 
 
 def _array_bytes(a):
     return np.ascontiguousarray(a, dtype=np.float64).astype("<f8").tobytes()
 
 
-def _slots_for(params):
-    """The [name.m, shape] and [name.v, shape] slot entries of [name, shape] parameter
-    entries, in payload order."""
-    return [[f"{n}.{slot}", shape] for n, shape in params for slot in ("m", "v")]
-
-
 def save_checkpoint(path, model, optimizer=None):
-    names = sorted(model.params)
-    header = {
-        "config": asdict(model.cfg),
-        "vocab": list(model.vocab.symbols),
-        "params": [[n, list(model.params[n].shape)] for n in names],
-        "optimizer": None,
-    }
+    """Write model, and optimizer's step and slots; ContractError naming the
+    parameter unless model's parameters are the ones its config defines."""
+    check_parameters(model.cfg, model.params)
+    names = [name for name, _shape, _init in parameter_table(model.cfg)]
+    header = {"config": asdict(model.cfg), "vocab": list(model.vocab.symbols), "optimizer": None}
     blobs = [_array_bytes(model.params[n].data) for n in names]
     if optimizer is not None:
-        header["optimizer"] = {"step": optimizer.step_count, "slots": _slots_for(header["params"])}
+        header["optimizer"] = {"step": optimizer.step_count}
         blobs += [_array_bytes(optimizer.state[n][slot]) for n in names for slot in ("m", "v")]
     hjson = json.dumps(header).encode("utf-8")
     with open(path, "wb") as f:
@@ -63,9 +55,14 @@ def save_checkpoint(path, model, optimizer=None):
             f.write(b)
 
 
+def _room(f):
+    """Bytes left in f after its position."""
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
 def _read_exact(f, n, what):
     """Read n bytes; a length past the end raises before f.read can allocate it."""
-    if n > os.fstat(f.fileno()).st_size - f.tell():
+    if n > _room(f):
         raise TruncatedFileError(f"checkpoint truncated while reading {what}")
     return f.read(n)
 
@@ -75,26 +72,20 @@ def _read_array(f, shape, what):
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
-def _shapes_ok(entries):
-    """Whether entries is a list of [name, shape], shape a list of ints >= 0."""
-    return isinstance(entries, list) and all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], list)
-        and all(type(d) is int and d >= 0 for d in e[1]) for e in entries)
-
-
 def _check_header(header):
     """Raise CorruptHeaderError unless header has the structure save_checkpoint writes."""
     h = header if isinstance(header, dict) else {}
-    cfg, params, opt = h.get("config"), h.get("params"), h.get("optimizer")
-    if not (isinstance(cfg, dict) and isinstance(h.get("vocab"), list) and _shapes_ok(params)
-            and (opt is None or (isinstance(opt, dict) and type(opt.get("step")) is int
-                                 and opt["step"] >= 0
-                                 and opt.get("slots") == _slots_for(params)))):
+    opt = h.get("optimizer")
+    if not (h.keys() == {"config", "vocab", "optimizer"} and isinstance(h["config"], dict)
+            and isinstance(h["vocab"], list)
+            and (opt is None or (isinstance(opt, dict) and opt.keys() == {"step"}
+                                 and type(opt["step"]) is int and opt["step"] >= 0))):
         raise CorruptHeaderError("checkpoint header lacks the structure save_checkpoint writes")
 
 
 def load_checkpoint(path):
-    """Returns (model, optimizer_state_or_None).
+    """Returns (model, optimizer_state_or_None); the header's config fixes the
+    payload's names and shapes through parameter_table.
 
     optimizer state is {"step": int, "slots": {name: {"m": arr, "v": arr}}}.
     """
@@ -112,20 +103,24 @@ def load_checkpoint(path):
         except (ValueError, RecursionError) as e:
             raise CorruptHeaderError(f"unreadable checkpoint header: {e}") from e
         _check_header(header)
+        try:
+            cfg = ModelConfig(**header["config"])
+        except (TypeError, ConfigError) as e:
+            raise CorruptHeaderError(f"checkpoint config does not fit ModelConfig: {e}") from e
+        # every block adds parameters of at least one float each, so a block
+        # count past the payload's floats fails before parameter_table lists it
+        if cfg.n_enc_blocks + cfg.n_dec_blocks > _room(f) // 8:
+            raise TruncatedFileError("checkpoint config has more blocks than its payload holds")
+        table = parameter_table(cfg)
         params = {name: Tensor(_read_array(f, shape, f"parameter {name}"), requires_grad=True)
-                  for name, shape in header["params"]}
+                  for name, shape, _init in table}
         opt = None
-        if header.get("optimizer") is not None:
+        if header["optimizer"] is not None:
             slots = {name: {slot: _read_array(f, shape, f"optimizer slot {name}.{slot}")
                             for slot in ("m", "v")}
-                     for name, shape in header["params"]}
+                     for name, shape, _init in table}
             opt = {"step": header["optimizer"]["step"], "slots": slots}
-        extra = f.read(1)
-        if extra:
+        if f.read(1):
             raise CorruptHeaderError("trailing bytes after checkpoint payload")
-    try:
-        cfg = ModelConfig(**header["config"])
-    except (TypeError, ConfigError) as e:
-        raise CorruptHeaderError(f"checkpoint config does not fit ModelConfig: {e}") from e
     vocab = Vocabulary(symbols=tuple(header["vocab"]))
     return ChunkTransducerModel(cfg, vocab, params=params), opt

@@ -109,10 +109,10 @@ def _advance_chunk(model, hyps, greedy, chunk, cfg):
     go to a finished hypothesis, then the earlier row, then the lower symbol
     id, so width 1 reproduces greedy (argmax) decoding exactly.
 
-    greedy, unless None, is the width-1 path: it takes the argmax of the
-    last row. A frontier hypothesis with the same prefix shares its trie
-    nodes, so that row costs nothing extra. Returns (finished hypotheses,
-    greedy).
+    greedy, unless None, is the width-1 path: it takes the lowest symbol id
+    of highest log_prob + last-row score, the sum a width-1 beam ranks by.
+    A frontier hypothesis with the same prefix shares its trie nodes, so
+    that row costs nothing extra. Returns (finished hypotheses, greedy).
     """
     blank, cap = model.vocab.blank_id, cfg.max_symbols_per_chunk
     frontier, finished = hyps, []
@@ -124,8 +124,8 @@ def _advance_chunk(model, hyps, greedy, chunk, cfg):
         prefixes = [h.prefix for h in frontier] + ([] if greedy_done else [greedy.prefix])
         dists = model.decoder_steps(prefixes, chunk)
         if not greedy_done:
-            greedy, greedy_done = _extend(greedy, int(np.argmax(dists[-1])), dists[-1], blank,
-                                          at_cap)
+            sym = int(np.argmax(greedy.log_prob + dists[-1]))
+            greedy, greedy_done = _extend(greedy, sym, dists[-1], blank, at_cap)
         if not frontier:
             continue
         # finished log-probs, then every (row, symbol) extension in row-major order

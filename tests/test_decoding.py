@@ -145,6 +145,18 @@ def test_ties_go_to_finished_then_earlier_row_then_lower_symbol_id():
                         Hypothesis((0, 2, 2), -1.0)]
 
 
+def test_greedy_floor_ranks_as_a_width_one_beam():
+    # -3.0 + -0.5 and -3.0 + nextafter(-0.5, 0) round to the same sum, so the
+    # beam takes the lower id 2, though symbol 3's own score is higher
+    row = np.array([-5.0, -9.0, -0.5, np.nextafter(-0.5, 0.0)])
+    m = ScriptedModel(lambda prefix, chunk: row)
+    h = Hypothesis((0,), -3.0)
+    cfg = BeamConfig(width=1, max_symbols_per_chunk=1)
+    beam, _ = _advance_chunk(m, [h], None, None, cfg)
+    _, floor = _advance_chunk(m, [], h, None, cfg)
+    assert beam == [floor] == [Hypothesis((0, 2), -3.5)]
+
+
 def test_search_extends_at_most_width_plus_one_hypotheses_per_pass(monkeypatch):
     # labels stay likely, so the frontier stays full for several rounds; only
     # the width survivors of each round's ranking and the greedy path extend
