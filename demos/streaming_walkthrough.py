@@ -3,8 +3,12 @@
 Raw frames arrive in uneven fragments; the stream buffer tracks which
 encoded frames are final under the convolutional receptive field and
 releases chunks as soon as they are stable, and the decoder advances
-through each chunk as it is released. The streamed transcript equals the
-offline decode of the whole utterance, and the scores agree to 1e-10.
+through each chunk as it is released. Each frame is encoded about once:
+the encoder runs over only the positions not yet final, with a bounded
+cache of each block's last left_context rows as their left context, and
+the buffer keeps only the raw frames those positions read. The streamed
+transcript equals the offline decode of the whole utterance, and the
+scores agree to 1e-10, not bit for bit.
 """
 
 import numpy as np

@@ -41,6 +41,13 @@ def frames_needed(encoded_end):
     return FRONT_END_DOWNSAMPLE * (encoded_end - 1) + margin + 1
 
 
+def final_len(T):
+    """Encoded positions final once T raw frames have arrived: the largest e
+    with frames_needed(e) <= T. Positions from e on read raw frames from
+    FRONT_END_DOWNSAMPLE * e on, so a stream keeps only those."""
+    return max(0, (T - frames_needed(1)) // FRONT_END_DOWNSAMPLE + 1)
+
+
 def _check_geometry(W, B):
     if W <= 0:
         raise GeometryError(f"chunk length must be positive, got W={W}")
@@ -127,15 +134,17 @@ class StreamBuffer:
     A chunk is released as soon as frames_needed says its last encoded frame
     is final, which also guarantees the chunk is not the (truncated) final
     one. Remaining chunks are released on flush(), when the true encoded
-    length is known.
+    length is known. frames holds the stream's last raw_count raw frames as
+    one array, and keep_from drops those no later encoding reads.
     """
 
     def __init__(self, W, B):
         _check_geometry(W, B)
         self.W = W
         self.B = B
-        self.frames = []
-        self._next_start = 0
+        self.frames = np.zeros((0, 0))
+        self.end = 0  # raw frames the stream has delivered
+        self.next_start = 0  # the first encoded position of the next chunk
         self._flushed = False
 
     @property
@@ -147,12 +156,13 @@ class StreamBuffer:
         them); return the encoded [start, end) ranges now complete."""
         if self._flushed:
             raise ProtocolError("push after end-of-stream flush")
-        frames = as_frames(frames, len(self.frames[0]) if self.frames else None)
-        self.frames.extend(frames)
+        frames = as_frames(frames, self.frames.shape[1] if self.raw_count else None)
+        self.frames = np.concatenate([self.frames, frames]) if self.raw_count else frames
+        self.end += len(frames)
         out = []
-        while frames_needed(self._next_start + self.W) <= self.raw_count:
-            out.append((self._next_start, self._next_start + self.W))
-            self._next_start += self.W - self.B
+        while frames_needed(self.next_start + self.W) <= self.end:
+            out.append((self.next_start, self.next_start + self.W))
+            self.next_start += self.W - self.B
         return out
 
     def flush(self):
@@ -160,7 +170,11 @@ class StreamBuffer:
         if self._flushed:
             raise ProtocolError("flush called twice")
         self._flushed = True
-        if self.raw_count < 1:
+        if self.end < 1:
             raise EmptyInputError("flush with no frames buffered")
-        spans = chunk_spans(encoded_len(self.raw_count), self.W, self.B)
-        return [s for s in spans if s[0] >= self._next_start]
+        spans = chunk_spans(encoded_len(self.end), self.W, self.B)
+        return [s for s in spans if s[0] >= self.next_start]
+
+    def keep_from(self, e):
+        """Drop the raw frames that encoded positions e and later do not read."""
+        self.frames = self.frames[FRONT_END_DOWNSAMPLE * e - (self.end - self.raw_count):]

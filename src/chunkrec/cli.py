@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .chunking import chunk_latency_ms, effective_latency_ms
-from .decoding import BeamConfig, beam_decode, cer, stream_decode
+from .decoding import BeamConfig, StreamSession, beam_decode, cer
 from .errors import ChunkrecError, ConfigError
 from .lattice import diagonal_identity_check, backward_pass, enumerate_paths, forward_pass
 from .model import ChunkTransducerModel, ModelConfig, Vocabulary
@@ -134,12 +134,19 @@ def cmd_stream_demo(args, cfg_dict):
     data = _data_from_args(args, cfg_dict, model, n=1, seed=model.cfg.seed + 404)
     x, _y = data[0]
     frag_len = _count(cfg_dict, "fragment_frames", 5)
-    frags = [x[i:i + frag_len] for i in range(0, len(x), frag_len)]
-    ids, lp, emissions = stream_decode(model, frags, beam)
+    session = StreamSession(model, beam)
+
+    def emissions():
+        for i in range(0, len(x), frag_len):
+            yield from session.push(x[i:i + frag_len])
+        yield from session.flush()
+
     with _out_stream(args) as out:
-        for e in emissions:
+        for e in emissions():  # each line as soon as its push returns it
             out.write(e.as_line(model.vocab) + "\n")
-        out.write(f"# final\t{model.vocab.decode(ids)}\t{lp:.6f}\n")
+            out.flush()
+        best = session.hyps[0]
+        out.write(f"# final\t{model.vocab.decode(best.prefix[1:])}\t{best.log_prob:.6f}\n")
     return 0
 
 

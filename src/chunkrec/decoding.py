@@ -1,9 +1,9 @@
 """Chunk-synchronous inference and CER scoring.
 
-One driver, ``_drive``, runs every decode: it feeds raw-frame fragments
-through a ``StreamBuffer`` and each chunk the buffer releases through
-``_advance_chunk``. Offline decoding is a stream whose frames have all
-arrived: one fragment, encoded once.
+Every decode is a ``StreamSession``: it feeds raw-frame fragments through
+a ``StreamBuffer``, encodes each frame about once, and passes each chunk
+the buffer releases through ``_advance_chunk``. Offline decoding is a
+stream whose frames have all arrived: one fragment, encoded once.
 
 Within a chunk a hypothesis keeps emitting symbols until it predicts
 blank (adding the blank's log-probability) or hits the per-chunk symbol
@@ -32,6 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .chunking import StreamBuffer, as_frames
 from .errors import UndefinedMetricError, check_fields
+from .model import EncoderCache
 
 
 @dataclass(frozen=True)
@@ -162,51 +163,85 @@ def _shared_prefix(hyps):
     return hyps[0].prefix[:n]
 
 
-def _drive(model, fragments, cfg, clock=None, collect_emissions=False):
-    """The one decode driver; returns (n-best Hypothesis list, emissions).
+class StreamSession:
+    """One decode as a session: push raw-frame fragments as they arrive, then flush.
 
-    Feeds the fragments through a StreamBuffer and each chunk it releases
-    through _advance_chunk. The buffered frames are encoded only when some
-    arrived since the last encode, so one fragment is encoded once. Above
-    width 1 the greedy path is carried as a floor; at width 1 the search is
-    the greedy path. Emissions are as stream_decode describes.
+    Each chunk the StreamBuffer releases goes through _advance_chunk. A push
+    that releases one, or a flush after new frames, encodes the positions
+    not yet final from the raw frames the buffer keeps for them and the
+    EncoderCache, so one fragment is encoded once. Above width 1 the greedy
+    path is carried as a floor; at width 1 the search is the greedy path.
+
+    A symbol is emitted once every surviving hypothesis and the greedy path
+    share it, and the rest of the transcript at flush, so the emitted
+    symbols are always a prefix of the final ids. After flush, hyps is the
+    n-best list.
     """
-    clock = clock or time.monotonic
-    t0 = clock()
-    buf = StreamBuffer(model.cfg.W, model.cfg.B)
-    start = Hypothesis((model.vocab.start_id,), 0.0)
-    hyps, greedy = [start], start if cfg.width > 1 else None
-    m, n_encoded, emissions = -1, 0, []  # m: the last chunk searched
 
-    def emit(settled, log_prob):
-        now_ms = (clock() - t0) * 1000.0
-        emissions.extend([Emission(m, int(sym), log_prob, now_ms)
-                          for sym in settled[1 + len(emissions):]])
+    def __init__(self, model, cfg, clock=None):
+        self.model, self.cfg = model, cfg
+        self.clock = clock or time.monotonic
+        self.t0 = self.clock()
+        self.buf = StreamBuffer(model.cfg.W, model.cfg.B)
+        self.cache = EncoderCache()
+        # the states of encoded positions _first onward, from _n_encoded raw frames
+        self._states, self._first, self._n_encoded = None, 0, 0
+        start = Hypothesis((model.vocab.start_id,), 0.0)
+        self.hyps, self.greedy = [start], start if cfg.width > 1 else None
+        self._chunk, self._emitted = -1, 0  # the last chunk searched, symbols emitted
 
-    def releases():
-        for frag in fragments:
-            yield buf.push(as_frames(frag, model.cfg.d_in))
-        yield buf.flush()
+    def push(self, fragment):
+        """Take the next fragment; returns the Emissions of the chunks it released."""
+        return self._search(self.buf.push(as_frames(fragment, self.model.cfg.d_in)))
 
-    for spans in releases():
+    def flush(self):
+        """End the stream; returns the last Emissions."""
+        out = self._search(self.buf.flush())
+        self.hyps = _with_greedy(self.hyps, self.greedy, self.cfg.width)
+        return out + self._emit(self.hyps[0].prefix)
+
+    def _search(self, spans):
+        if not spans:
+            return []
+        out = []
         with ad.no_grad():
-            if spans and buf.raw_count > n_encoded:
-                states = model.encode_states(buf.frames)
-                n_encoded = buf.raw_count
+            if self.buf.end > self._n_encoded:
+                start = self.cache.start
+                new = ad._as_tensor(self.model.encode_states(self.buf.frames,
+                                                             cache=self.cache)).data
+                if self._states is not None:
+                    new = np.concatenate([self._states[:start - self._first], new])
+                self._states, self._n_encoded = new, self.buf.end
+                self.buf.keep_from(self.cache.start)
             for a, b in spans:
-                hyps, greedy = _advance_chunk(model, hyps, greedy, states[a:b], cfg)
-                m += 1
-                if collect_emissions:
-                    emit(_shared_prefix(hyps + [greedy] if greedy else hyps), hyps[0].log_prob)
-    hyps = _with_greedy(hyps, greedy, cfg.width)
-    if collect_emissions:
-        emit(hyps[0].prefix, hyps[0].log_prob)
-    return hyps, emissions
+                chunk = self._states[a - self._first:b - self._first]
+                self.hyps, self.greedy = _advance_chunk(self.model, self.hyps, self.greedy,
+                                                        chunk, self.cfg)
+                self._chunk += 1
+                out += self._emit(_shared_prefix(self.hyps + [self.greedy] if self.greedy
+                                                 else self.hyps))
+        # the next chunk reads states from next_start, the next encode adds them at cache.start
+        keep = min(self.buf.next_start, self.cache.start)
+        self._states, self._first = self._states[keep - self._first:], keep
+        return out
+
+    def _emit(self, settled):
+        new = settled[1 + self._emitted:]
+        self._emitted += len(new)
+        now_ms = (self.clock() - self.t0) * 1000.0
+        return [Emission(self._chunk, int(sym), self.hyps[0].log_prob, now_ms) for sym in new]
+
+
+def _session(model, fragments, cfg, clock=None):
+    """A flushed session fed every fragment, and the Emissions it returned."""
+    session = StreamSession(model, cfg, clock)
+    emissions = [e for frag in fragments for e in session.push(frag)]
+    return session, emissions + session.flush()
 
 
 def greedy_decode(model, x, cfg=None):
     """Argmax decoding, the width-1 search; returns (label ids, log_prob)."""
-    best = _drive(model, [x], replace(cfg or BeamConfig(), width=1))[0][0]
+    best = _session(model, [x], replace(cfg or BeamConfig(), width=1))[0].hyps[0]
     return list(best.prefix[1:]), best.log_prob
 
 
@@ -216,7 +251,7 @@ def beam_decode(model, x, cfg=None):
     The greedy path is always included in the candidate pool, so the best
     beam score never falls below the greedy score.
     """
-    hyps, _ = _drive(model, [x], cfg or BeamConfig())
+    hyps = _session(model, [x], cfg or BeamConfig())[0].hyps
     return [(list(h.prefix[1:]), h.log_prob) for h in hyps]
 
 
@@ -225,13 +260,10 @@ def stream_decode(model, fragments, cfg=None, clock=None, collect_emissions=True
 
     fragments: iterable of real 2-D (n_i, d_in) arrays, anything else raises
     ContractError; the stream is flushed after the last one. Returns
-    (label ids, log_prob, emissions); the transcript equals offline
+    (label ids, log_prob, emissions), emissions as StreamSession describes
+    them, or [] without collect_emissions. The transcript equals offline
     beam_decode of the concatenated stream and the score agrees to 1e-10.
-
-    A symbol is emitted once every surviving hypothesis and the greedy path
-    share it, and the rest of the transcript at flush. The final transcript
-    is one of those paths' extensions, so the emitted symbols are always a
-    prefix of the final ids.
     """
-    hyps, emissions = _drive(model, fragments, cfg or BeamConfig(), clock, collect_emissions)
-    return list(hyps[0].prefix[1:]), hyps[0].log_prob, emissions
+    session, emissions = _session(model, fragments, cfg or BeamConfig(), clock)
+    best = session.hyps[0]
+    return list(best.prefix[1:]), best.log_prob, emissions if collect_emissions else []

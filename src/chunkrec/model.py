@@ -14,7 +14,7 @@ initializer walks it and the model checks given parameters against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -227,6 +227,14 @@ def _prefix_trie(rows):
 
 
 @dataclass
+class EncoderCache:
+    """A stream's encoder state: start, the first encoded position not yet
+    final, and per encoder block the ln1 rows of the last left_context before it."""
+    start: int = 0
+    rows: list = field(default_factory=list)
+
+
+@dataclass
 class EncodedChunk:
     states: Tensor
 
@@ -247,15 +255,19 @@ class ChunkTransducerModel:
 
     # -- front end ----------------------------------------------------------
 
-    def _frames(self, x):
-        """One utterance's raw frames, checked by as_frames and long enough to encode."""
+    def _frames(self, x, start=0):
+        """Raw frames checked by as_frames. From a stream's first frame (start 0)
+        they must be long enough to encode; a later tail need not be."""
         x = as_frames(x, self.cfg.d_in)
-        if x.shape[0] < FRONT_END_DOWNSAMPLE:
+        if start == 0 and x.shape[0] < FRONT_END_DOWNSAMPLE:
             raise EmptyInputError(f"need at least {FRONT_END_DOWNSAMPLE} frames, got {x.shape[0]}")
         return x
 
-    def front_end(self, x, lengths=None):
+    def front_end(self, x, lengths=None, start=0):
         """Raw frames (T, d_in) -> encoded inputs (L, d_model).
+
+        With start, x is a stream's raw frames from frame FRONT_END_DOWNSAMPLE
+        * start on, and the output is positions start onward.
 
         With lengths, x is instead N utterances' frames right-padded with zeros
         to (N, T, d_in), lengths[n] (at least FRONT_END_DOWNSAMPLE) the frame
@@ -264,7 +276,7 @@ class ChunkTransducerModel:
         unbatched front end; those past it are filler.
         """
         if lengths is None:
-            x = self._frames(x)
+            x = self._frames(x, start)
         p = self.params
         h = ad.conv1d_time(Tensor(x), p["fe.conv1.w"], FRONT_END_STRIDE)
         h = ad.relu(h + p["fe.conv1.b"])
@@ -277,7 +289,7 @@ class ChunkTransducerModel:
         h = ad.conv1d_time(h, p["fe.conv2.w"], FRONT_END_STRIDE)
         h = ad.relu(h + p["fe.conv2.b"])
         L = h.shape[-2]
-        return h + Tensor(sinusoidal_positions(np.arange(L), self.cfg.d_model))
+        return h + Tensor(sinusoidal_positions(start + np.arange(L), self.cfg.d_model))
 
     encoded_len = staticmethod(chunking.encoded_len)
     frames_needed = staticmethod(chunking.frames_needed)
@@ -307,20 +319,36 @@ class ChunkTransducerModel:
 
     # -- encoder ------------------------------------------------------------
 
-    def encode_states(self, x, lengths=None):
+    def encode_states(self, x, lengths=None, cache=None):
         """Full causal encoding of a raw (prefix of a) feature sequence.
 
         The left-context mask is strictly causal, so state i is identical
         whether computed from the prefix or the whole utterance. For the same
         reason a right-padded batch (x and lengths as front_end takes them)
         needs no key mask: no state of an utterance reads its padding.
+
+        With an EncoderCache, x is a stream's raw frames from frame
+        FRONT_END_DOWNSAMPLE * cache.start on, the output is positions
+        cache.start onward, and each block's attention also reads the cached
+        rows, outside the autodiff graph. An empty cache computes what no
+        cache does. The cache then moves on to the first position not yet
+        final (chunking.final_len).
         """
-        s = self.front_end(x, lengths)
-        mask = left_context_mask(s.shape[-2], self.cfg.left_context)
+        start, past = (0, []) if cache is None else (cache.start, cache.rows)
+        s = self.front_end(x, lengths, start)
+        P, left, keys = len(past[0]) if past else 0, self.cfg.left_context, []
+        mask = left_context_mask(P + s.shape[-2], left)[P:]  # rows of the new positions
         for i in range(self.cfg.n_enc_blocks):
             n = self._ln(f"enc.{i}.ln1", s)
-            s = s + self._mha(f"enc.{i}.attn", n, n, mask)
+            kv = Tensor(np.concatenate([past[i], n.data])) if P else n
+            s = s + self._mha(f"enc.{i}.attn", n, kv, mask)
             s = s + self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", s))
+            keys.append(kv.data)  # the rows of positions start - P onward
+        if cache is not None:
+            # positions from final_len on read raw frames still to come
+            cache.start = chunking.final_len(FRONT_END_DOWNSAMPLE * start + len(x))
+            end = P + cache.start - start  # the first such row in keys
+            cache.rows = [k[max(0, end - left):end] for k in keys]
         return self._ln("enc.final_ln", s)
 
     def geometry_for(self, T):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from chunkrec.chunking import (MAX_FRAME_ABS, StreamBuffer, as_frames, chunk_latency_ms,
-                               chunk_spans, effective_latency_ms, left_context_mask, num_chunks)
+                               chunk_spans, effective_latency_ms, final_len, frames_needed,
+                               left_context_mask, num_chunks)
 from chunkrec.decoding import beam_decode
 from chunkrec.errors import (ContractError, EmptyInputError, GeometryError, NumericError,
                              ProtocolError)
@@ -95,6 +96,23 @@ def test_mask_monotone_in_context():
     small = left_context_mask(12, 3)
     large = left_context_mask(12, 7)
     assert (large | ~small).all()  # enlarging never removes a True
+
+
+def test_final_len_inverts_frames_needed():
+    for T in range(60):
+        e = final_len(T)
+        assert e == max([0] + [k for k in range(1, T) if frames_needed(k) <= T]), T
+
+
+def test_stream_buffer_keeps_the_raw_frames_from_a_position_on():
+    frames = np.arange(60.0)[:, None]
+    buf = StreamBuffer(4, 1)
+    buf.push(frames[:25])
+    buf.keep_from(3)  # encoded position 3 reads raw frames from 12 on
+    assert (buf.raw_count, buf.end) == (13, 25)
+    buf.push(frames[25:])
+    assert np.array_equal(buf.frames, frames[12:])
+    assert buf.flush() == [s for s in chunk_spans(15, 4, 1) if s[0] >= buf.next_start]
 
 
 def test_latency_values():

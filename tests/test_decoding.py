@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chunkrec import decoding
-from chunkrec.chunking import ChunkGeometry, encoded_len
-from chunkrec.decoding import (BeamConfig, Hypothesis, _advance_chunk, beam_decode, cer,
-                               edit_distance, greedy_decode, stream_decode)
-from chunkrec.errors import ChunkrecError, ConfigError, ContractError, UndefinedMetricError
+from chunkrec.chunking import ChunkGeometry, StreamBuffer
+from chunkrec.decoding import (BeamConfig, Hypothesis, StreamSession, _advance_chunk,
+                               beam_decode, cer, edit_distance, greedy_decode, stream_decode)
+from chunkrec.errors import (ChunkrecError, ConfigError, ContractError, EmptyInputError,
+                             ProtocolError, UndefinedMetricError)
 from chunkrec.model import Vocabulary
 
 from conftest import make_tiny_model
@@ -66,7 +67,7 @@ class ScriptedModel:
         self._dist_fn = dist_fn
         self._W, self._B, self._L = W, B, L
 
-    def encode_states(self, x):
+    def encode_states(self, x, cache=None):
         return np.arange(self._L)[:, None].astype(float)
 
     def geometry_for(self, T):
@@ -180,9 +181,9 @@ def test_beam_decode_encodes_once():
     calls = []
 
     class CountingModel(ScriptedModel):
-        def encode_states(self, x):
+        def encode_states(self, x, cache=None):
             calls.append(1)
-            return super().encode_states(x)
+            return super().encode_states(x, cache)
 
     m = CountingModel(lambda prefix, chunk: _logdist([0.3, 0.05, 0.35, 0.3]))
     x = np.zeros((32, 1))
@@ -192,31 +193,6 @@ def test_beam_decode_encodes_once():
         calls.clear()
         decode()
         assert len(calls) == 1
-
-
-def test_stream_flush_reencodes_only_after_new_frames():
-    # W=4, B=1: chunks (0,4), (3,7) and (6,8) of the 8 encoded frames of
-    # 31 or 32 raw frames; push releases the first at 19 frames, the second
-    # at 31, and flush the last
-    class EncodeLogModel(ScriptedModel):
-        def __init__(self):
-            super().__init__(lambda prefix, chunk: _logdist([0.6, 0.1, 0.2, 0.1]))
-            self.encoded = []
-
-        def encode_states(self, x):
-            self.encoded.append(len(x))
-            return np.arange(encoded_len(len(x)))[:, None].astype(float)
-
-    x = np.zeros((32, 1))
-    m = EncodeLogModel()
-    stream_decode(m, [x[:19], x[19:31]])
-    assert m.encoded == [19, 31]  # nothing new at flush: the states are reused
-    m = EncodeLogModel()
-    stream_decode(m, [x[:19], x[19:31], x[31:]])
-    assert m.encoded == [19, 31, 32]
-    m = EncodeLogModel()
-    stream_decode(m, [x[:10], x[10:19], x[19:25]])
-    assert m.encoded == [19, 25]  # a push that releases nothing encodes nothing
 
 
 def test_beam_config_rejects_bad_values():
@@ -399,6 +375,100 @@ def test_stream_frame_by_frame_matches_offline(tiny_model, rng):
     off = beam_decode(tiny_model, x)[0]
     ids, lp, _ = stream_decode(tiny_model, [x[i:i + 1] for i in range(len(x))])
     assert ids == off[0] and lp == pytest.approx(off[1], abs=1e-10)
+
+
+def _logging_encoder(model):
+    """Wrap model.encode_states; returns the list of each call's (cache start,
+    raw frames handed in, states)."""
+    calls = []
+    encode = model.encode_states
+
+    def logged(x, lengths=None, cache=None):
+        start = cache.start
+        states = encode(x, lengths, cache)
+        calls.append((start, len(x), states.data))
+        return states
+
+    model.encode_states = logged
+    return calls
+
+
+def test_long_stream_encodes_each_frame_once():
+    # 2,000 frames in 8-frame fragments: every push but the first releases a
+    # chunk of the tiny model (W=3, B=1, 4 raw frames per encoded frame), and
+    # flush reuses the last push's states
+    m = make_tiny_model(seed=2)
+    x = np.random.default_rng(3).normal(size=(2000, 4))
+    cfg = BeamConfig(width=2, max_symbols_per_chunk=1)
+    calls = _logging_encoder(m)
+    session, kept = StreamSession(m, cfg), []
+    for i in range(0, len(x), 8):
+        session.push(x[i:i + 8])
+        kept.append(session.buf.raw_count)
+    session.flush()
+    del m.encode_states
+    # the work per release and the raw frames kept do not grow along the stream
+    handed = [n for _start, n, _states in calls]
+    assert len(handed) == len(x) // 8 - 1
+    assert handed[1:21] == handed[-20:] and max(handed[1:]) <= 16
+    assert kept[1:21] == kept[-20:] and max(kept) <= 16
+    # the streamed states of each position, the last encode's for the provisional ones
+    starts = [start for start, _n, _states in calls]
+    streamed = np.concatenate([states[:nxt - start] for (start, _n, states), nxt
+                               in zip(calls, starts[1:] + [len(x)])])
+    assert np.abs(streamed - m.encode_states(x).data).max() <= 1e-12
+    ids, lp = beam_decode(m, x, cfg)[0]
+    assert list(session.hyps[0].prefix[1:]) == ids
+    assert abs(session.hyps[0].log_prob - lp) <= 1e-10
+
+
+def test_stream_minimum_frame_count_is_on_the_whole_stream(tiny_model, rng):
+    # W=3, B=1: the push of 39 frames releases chunks up to encoded frame 9
+    # and keeps raw frames from 36 on; a last fragment of r frames leaves a
+    # tail of 3 + r raw frames, r of them new, for flush to encode
+    x = rng.normal(size=(42, 4))
+    for r in (0, 1, 2, 3):
+        ids, lp = beam_decode(tiny_model, x[:39 + r])[0]
+        calls = _logging_encoder(tiny_model)
+        got = stream_decode(tiny_model, [x[:39], x[39:39 + r]])
+        del tiny_model.encode_states
+        assert [(start, n) for start, n, _states in calls] == [(0, 39)] + [(9, 3 + r)] * (r > 0)
+        assert got[0] == ids and abs(got[1] - lp) <= 1e-10, r
+    for n in (1, 2, 3):  # too short to encode, fed whole or frame by frame
+        for frags in ([x[:n]], [x[i:i + 1] for i in range(n)]):
+            with pytest.raises(EmptyInputError):
+                stream_decode(tiny_model, frags)
+
+
+def test_session_pushes_return_what_stream_decode_emits(rng):
+    cfg, early = BeamConfig(width=3), 0
+    for seed in range(6):
+        m = make_tiny_model(seed=seed)
+        x = rng.normal(size=(61, 4))
+        frags = np.split(x, [5, 19, 20, 33, 47, 52])
+        buf = StreamBuffer(m.cfg.W, m.cfg.B)
+        released = [len(buf.push(f)) for f in frags] + [len(buf.flush())]
+        session = StreamSession(m, cfg, clock=lambda: 0.0)
+        returned = [session.push(f) for f in frags] + [session.flush()]
+        # each emission comes back from the push that released its chunk
+        first = np.cumsum([0] + released)
+        for emissions, a, b in zip(returned, first, first[1:]):
+            assert all(a <= e.chunk_index < b for e in emissions), seed
+        assert sum(returned, []) == stream_decode(m, frags, cfg, clock=lambda: 0.0)[2]
+        early += sum(map(len, returned[:-1]))
+    assert early > 0  # some symbols are emitted before the flush
+
+
+def test_session_protocol_errors(tiny_model, rng):
+    with pytest.raises(EmptyInputError):
+        StreamSession(tiny_model, BeamConfig()).flush()
+    session = StreamSession(tiny_model, BeamConfig())
+    session.push(rng.normal(size=(20, 4)))
+    session.flush()
+    with pytest.raises(ProtocolError):
+        session.push(rng.normal(size=(4, 4)))
+    with pytest.raises(ProtocolError):
+        session.flush()
 
 
 def test_stream_rejects_misshapen_fragments(tiny_model, rng):
