@@ -15,7 +15,8 @@ import numpy as np
 from .errors import ContractError, EmptyInputError, GeometryError, NumericError, ProtocolError
 
 # The front end is two stride-2 time convolutions with right-only zero
-# padding; this module is the one place that knows its receptive field.
+# padding. This module holds its receptive field's arithmetic; model.py
+# also derives a padded batch's conv-1 lengths and a stream's raw offset.
 FRONT_END_KERNEL = 3
 FRONT_END_STRIDE = 2
 FRONT_END_DOWNSAMPLE = FRONT_END_STRIDE * FRONT_END_STRIDE
@@ -176,5 +177,11 @@ class StreamBuffer:
         return [s for s in spans if s[0] >= self.next_start]
 
     def keep_from(self, e):
-        """Drop the raw frames that encoded positions e and later do not read."""
-        self.frames = self.frames[FRONT_END_DOWNSAMPLE * e - (self.end - self.raw_count):]
+        """Drop the raw frames that encoded positions e and later do not read.
+        The kept position only moves forward, within the frames pushed:
+        ProtocolError for an e whose first raw frame is dropped or not pushed."""
+        first = self.end - self.raw_count  # the stream index of frames[0]
+        if not first <= FRONT_END_DOWNSAMPLE * e <= self.end:
+            raise ProtocolError(f"keep_from({e}) reads from raw frame {FRONT_END_DOWNSAMPLE * e}; "
+                                f"the buffer holds frames {first} to {self.end - 1}")
+        self.frames = self.frames[FRONT_END_DOWNSAMPLE * e - first:]

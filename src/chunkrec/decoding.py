@@ -17,9 +17,9 @@ extension with one stable argsort, keeping the first ``width``: at most
 ``max_symbols_per_chunk`` passes per chunk, whatever the width. Width 1
 is greedy decoding.
 
-Above width 1 the result takes the greedy path as a floor, carried in the
-same rounds as one protected row, not as a second search. ``decoder_steps``
-is batch-invariant, so that row scores bit for bit as greedy decoding does.
+Above width 1 the result takes the greedy path as a floor, a width-1 beam
+ranked by the same rule in the same passes; ``decoder_steps`` is
+batch-invariant, so its rows score bit for bit as greedy decoding does.
 """
 
 from __future__ import annotations
@@ -101,56 +101,52 @@ def _extend(h, sym, dist, blank, at_cap):
     return Hypothesis(h.prefix + (sym,), lp), at_cap
 
 
-def _advance_chunk(model, hyps, greedy, chunk, cfg):
-    """Push every hypothesis, and the greedy path, through one chunk.
+def _rank(finished, frontier, dists, width, blank, at_cap):
+    """One round of a beam (finished, frontier) of the given width; returns the next.
 
-    Round r scores the frontier, whose hypotheses have all emitted r symbols
-    in this chunk, with one decoder_steps call. One stable ranking of the
-    finished log-probs and every extension then keeps the first width: ties
-    go to a finished hypothesis, then the earlier row, then the lower symbol
-    id, so width 1 reproduces greedy (argmax) decoding exactly.
+    One stable ranking of the finished log-probs and every extension by dists
+    keeps the first width: ties go to a finished hypothesis, then the earlier
+    row, then the lower symbol id, so width 1 is greedy (argmax) decoding.
+    finished is in ranked order, so a beam with no frontier comes back unchanged.
+    """
+    # finished log-probs, then every (row, symbol) extension in row-major order
+    lps = np.array([h.log_prob for h in finished + frontier])
+    n_done = len(finished)
+    scores = np.concatenate([lps[:n_done], (lps[n_done:, None] + dists).ravel()])
+    kept = []
+    for k in np.argsort(-scores, kind="stable")[:width].tolist():
+        if k < n_done:
+            kept.append((finished[k], True))
+        else:
+            row, sym = divmod(k - n_done, dists.shape[1])
+            kept.append(_extend(frontier[row], sym, dists[row], blank, at_cap))
+    return [h for h, done in kept if done], [h for h, done in kept if not done]
 
-    greedy, unless None, is the width-1 path: it takes the lowest symbol id
-    of highest log_prob + last-row score, the sum a width-1 beam ranks by.
-    A frontier hypothesis with the same prefix shares its trie nodes, so
-    that row costs nothing extra. Returns (finished hypotheses, greedy).
+
+def _advance_chunk(model, hyps, floor, chunk, cfg):
+    """Push the hypotheses, and the greedy floor (a width-1 beam of at most one
+    hypothesis), through one chunk; returns both, finished. Round r scores both
+    frontiers, whose hypotheses have all emitted r symbols in this chunk, with
+    one decoder_steps call; a floor prefix that the search's frontier holds
+    shares its trie nodes, so it costs no extra row.
     """
     blank, cap = model.vocab.blank_id, cfg.max_symbols_per_chunk
-    frontier, finished = hyps, []
-    greedy_done = greedy is None
+    beam, floor = ([], hyps), ([], floor)
     for r in range(cap):
-        if not frontier and greedy_done:
+        n = len(beam[1])
+        if n + len(floor[1]) == 0:
             break
-        at_cap = r + 1 >= cap
-        prefixes = [h.prefix for h in frontier] + ([] if greedy_done else [greedy.prefix])
-        dists = model.decoder_steps(prefixes, chunk)
-        if not greedy_done:
-            sym = int(np.argmax(greedy.log_prob + dists[-1]))
-            greedy, greedy_done = _extend(greedy, sym, dists[-1], blank, at_cap)
-        if not frontier:
-            continue
-        # finished log-probs, then every (row, symbol) extension in row-major order
-        lps = np.array([h.log_prob for h in finished + frontier])
-        n_done, dists = len(finished), dists[:len(frontier)]
-        scores = np.concatenate([lps[:n_done], (lps[n_done:, None] + dists).ravel()])
-        kept = []
-        for k in np.argsort(-scores, kind="stable")[:cfg.width].tolist():
-            if k < n_done:
-                kept.append((finished[k], True))
-            else:
-                row, sym = divmod(k - n_done, dists.shape[1])
-                kept.append(_extend(frontier[row], sym, dists[row], blank, at_cap))
-        finished = [h for h, done in kept if done]
-        frontier = [h for h, done in kept if not done]
-    return finished, greedy
+        dists = model.decoder_steps([h.prefix for h in beam[1] + floor[1]], chunk)
+        beam = _rank(*beam, dists[:n], cfg.width, blank, r + 1 >= cap)
+        floor = _rank(*floor, dists[n:], 1, blank, r + 1 >= cap)
+    return beam[0], floor[0]
 
 
-def _with_greedy(hyps, greedy, width):
-    """The n-best list with the greedy path in place of the worst entry, unless there."""
-    if greedy is None or any(h.prefix == greedy.prefix and h.log_prob >= greedy.log_prob
-                             for h in hyps):
+def _with_floor(hyps, floor, width):
+    """The n-best list with the floor in place of the worst entry, unless there."""
+    if all(any(h.prefix == f.prefix and h.log_prob >= f.log_prob for h in hyps) for f in floor):
         return hyps
-    return sorted(hyps + [greedy], key=lambda h: -h.log_prob)[:width]
+    return sorted(hyps + floor, key=lambda h: -h.log_prob)[:width]
 
 
 def _shared_prefix(hyps):
@@ -170,9 +166,9 @@ class StreamSession:
     that releases one, or a flush after new frames, encodes the positions
     not yet final from the raw frames the buffer keeps for them and the
     EncoderCache, so one fragment is encoded once. Above width 1 the greedy
-    path is carried as a floor; at width 1 the search is the greedy path.
+    path is carried as floor; at width 1 the search is the greedy path.
 
-    A symbol is emitted once every surviving hypothesis and the greedy path
+    A symbol is emitted once every surviving hypothesis and the floor
     share it, and the rest of the transcript at flush, so the emitted
     symbols are always a prefix of the final ids. After flush, hyps is the
     n-best list.
@@ -187,7 +183,7 @@ class StreamSession:
         # the states of encoded positions _first onward, from _n_encoded raw frames
         self._states, self._first, self._n_encoded = None, 0, 0
         start = Hypothesis((model.vocab.start_id,), 0.0)
-        self.hyps, self.greedy = [start], start if cfg.width > 1 else None
+        self.hyps, self.floor = [start], [start] if cfg.width > 1 else []
         self._chunk, self._emitted = -1, 0  # the last chunk searched, symbols emitted
 
     def push(self, fragment):
@@ -197,7 +193,7 @@ class StreamSession:
     def flush(self):
         """End the stream; returns the last Emissions."""
         out = self._search(self.buf.flush())
-        self.hyps = _with_greedy(self.hyps, self.greedy, self.cfg.width)
+        self.hyps = _with_floor(self.hyps, self.floor, self.cfg.width)
         return out + self._emit(self.hyps[0].prefix)
 
     def _search(self, spans):
@@ -215,11 +211,10 @@ class StreamSession:
                 self.buf.keep_from(self.cache.start)
             for a, b in spans:
                 chunk = self._states[a - self._first:b - self._first]
-                self.hyps, self.greedy = _advance_chunk(self.model, self.hyps, self.greedy,
-                                                        chunk, self.cfg)
+                self.hyps, self.floor = _advance_chunk(self.model, self.hyps, self.floor,
+                                                       chunk, self.cfg)
                 self._chunk += 1
-                out += self._emit(_shared_prefix(self.hyps + [self.greedy] if self.greedy
-                                                 else self.hyps))
+                out += self._emit(_shared_prefix(self.hyps + self.floor))
         # the next chunk reads states from next_start, the next encode adds them at cache.start
         keep = min(self.buf.next_start, self.cache.start)
         self._states, self._first = self._states[keep - self._first:], keep

@@ -111,6 +111,11 @@ class Vocabulary:
         return [table.get(u, unk) for u in (text.split() if self.separator else text)]
 
     def decode(self, ids):
+        """The text of ids; VocabError for an id outside [0, len(self))."""
+        ids = list(ids)
+        bad = [i for i in ids if not 0 <= i < len(self)]
+        if bad:
+            raise VocabError(f"ids {bad} outside the vocabulary [0, {len(self)})")
         return self.separator.join(self.symbols[i] for i in ids)
 
 
@@ -206,24 +211,21 @@ def _prefix_trie(rows):
     There is one node per distinct prefix of a row, keyed by (parent node,
     id) and numbered in walk order, so every ancestor precedes its
     descendants; equal rows share their nodes. mask[j, i] is True iff node
-    i is node j or one of its ancestors.
+    i is node j or an ancestor of it, so row j is its parent's row plus j.
     """
-    nodes, paths = {}, []
+    nodes, ends = {}, []
     for row in rows:
-        node, path = -1, []
+        node = -1
         for tok in row.tolist():
             node = nodes.setdefault((node, tok), len(nodes))
-            path.append(node)
-        paths.append(path)
-    # Along each path the nodes are a chain. Node pairs on a common path get
-    # the chain mask's value, the same on every path they share; the rest stay
-    # False. Padding writes only to an extra node N, which is cut off.
-    N, P = len(nodes), max(map(len, paths))
-    chains = _right_pad([np.array(path) for path in paths], N)
-    mask = np.zeros((N + 1, N + 1), dtype=bool)
-    mask[chains[:, :, None], chains[:, None, :]] = left_context_mask(P, P)
+        ends.append(node)
+    # walk order sets a parent's row before any child copies it; a root's parent is -1
+    mask = np.eye(len(nodes), dtype=bool)
+    for (parent, _tok), node in nodes.items():
+        if parent >= 0:
+            mask[node] |= mask[parent]
     ids = np.array([tok for _parent, tok in nodes], dtype=np.intp)
-    return ids, mask[:N, :N], np.array([path[-1] for path in paths])
+    return ids, mask, np.array(ends)
 
 
 @dataclass

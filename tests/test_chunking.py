@@ -115,6 +115,19 @@ def test_stream_buffer_keeps_the_raw_frames_from_a_position_on():
     assert buf.flush() == [s for s in chunk_spans(15, 4, 1) if s[0] >= buf.next_start]
 
 
+def test_stream_buffer_keep_from_only_moves_forward():
+    frames = np.arange(25.0)[:, None]
+    buf = StreamBuffer(4, 1)
+    buf.push(frames)
+    buf.keep_from(3)
+    buf.keep_from(3)  # the same position keeps the same frames
+    with pytest.raises(ProtocolError):
+        buf.keep_from(1)  # raw frames 4-11 are gone
+    with pytest.raises(ProtocolError):
+        buf.keep_from(7)  # raw frame 28 has not arrived
+    assert np.array_equal(buf.frames, frames[12:])
+
+
 def test_latency_values():
     assert chunk_latency_ms(10, 4, 10.0) == 400.0
     assert effective_latency_ms(10, 2, 4, 10.0) == 320.0

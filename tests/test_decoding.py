@@ -140,7 +140,7 @@ def test_ties_go_to_finished_then_earlier_row_then_lower_symbol_id():
 
     m = ScriptedModel(dist_fn)
     cfg = BeamConfig(width=3, max_symbols_per_chunk=2)
-    finished, _ = _advance_chunk(m, [Hypothesis((0,), 0.0)], None, None, cfg)
+    finished, _ = _advance_chunk(m, [Hypothesis((0,), 0.0)], [], None, cfg)
     # row b's blank loses to row a's a, though its symbol id is lower
     assert finished == [Hypothesis((0,), -1.0), Hypothesis((0, 2), -1.0),
                         Hypothesis((0, 2, 2), -1.0)]
@@ -153,9 +153,9 @@ def test_greedy_floor_ranks_as_a_width_one_beam():
     m = ScriptedModel(lambda prefix, chunk: row)
     h = Hypothesis((0,), -3.0)
     cfg = BeamConfig(width=1, max_symbols_per_chunk=1)
-    beam, _ = _advance_chunk(m, [h], None, None, cfg)
-    _, floor = _advance_chunk(m, [], h, None, cfg)
-    assert beam == [floor] == [Hypothesis((0, 2), -3.5)]
+    beam, _ = _advance_chunk(m, [h], [], None, cfg)
+    _, floor = _advance_chunk(m, [], [h], None, cfg)
+    assert beam == floor == [Hypothesis((0, 2), -3.5)]
 
 
 def test_search_extends_at_most_width_plus_one_hypotheses_per_pass(monkeypatch):
@@ -231,7 +231,7 @@ def _beam_only(m, cfg):
     """The beam search over 32 frames without the greedy floor."""
     hyps = [Hypothesis((m.vocab.start_id,), 0.0)]
     for a, b in m.geometry_for(32).spans:
-        hyps, _ = _advance_chunk(m, hyps, None, m.encode_states(None)[a:b], cfg)
+        hyps, _ = _advance_chunk(m, hyps, [], m.encode_states(None)[a:b], cfg)
     return hyps
 
 

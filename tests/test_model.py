@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chunkrec import autodiff as ad
 from chunkrec.autodiff import Tensor
 from chunkrec.errors import AvailabilityError, ConfigError, ContractError, VocabError
-from chunkrec.model import ChunkTransducerModel, ModelConfig, Vocabulary, sinusoidal_positions
+from chunkrec.model import (ChunkTransducerModel, ModelConfig, Vocabulary, _prefix_trie,
+                            sinusoidal_positions)
 
 from conftest import make_tiny_model
 
@@ -42,6 +43,9 @@ def test_vocab_roundtrip():
     units = Vocabulary.from_units(["s0", "s1", "s12"])  # multi-character units
     assert units.encode("s1 s12  s0\tx") == [3, 4, 2, units.unk_id]
     assert units.decode([3, 4, 2]) == "s1 s12 s0"
+    for ids in ([-1, 2], [2, len(v)]):  # a negative id must not read from the end
+        with pytest.raises(VocabError):
+            v.decode(ids)
     for bad in (["s0", "s 1"], ["ab", ""], ["a", ""], [3, "a"]):
         with pytest.raises(VocabError):
             Vocabulary.from_units(bad)
@@ -157,6 +161,20 @@ def test_decoder_prefix_extension_causal(tiny_model, rng):
     short = tiny_model.decoder_forward([v.start_id, 2, 3], chunk).data
     long = tiny_model.decoder_forward([v.start_id, 2, 3, 4], chunk).data
     assert np.abs(long[:3] - short).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6), min_size=1, max_size=6))
+@example([[0]])  # a one-node trie
+@example([[0], [0, 2, 1], [0, 2, 1], [0, 2], [0]])  # start-only and repeated rows
+def test_prefix_trie_is_the_prefix_relation(rows):
+    # drawn rows need not share a first id, so a trie may have several roots
+    ids, mask, ends = _prefix_trie([np.array(row, dtype=np.intp) for row in rows])
+    # the distinct prefixes in the order a row-by-row walk first meets them
+    walk = list(dict.fromkeys(tuple(row[:k]) for row in rows for k in range(1, len(row) + 1)))
+    assert ids.tolist() == [p[-1] for p in walk]
+    assert mask.tolist() == [[p[:len(q)] == q for q in walk] for p in walk]
+    assert ends.tolist() == [walk.index(tuple(row)) for row in rows]
 
 
 def test_decoder_steps_match_single_prefix_passes(tiny_model, rng):
