@@ -12,6 +12,14 @@ Every tensor is float64. Broadcasting is limited to leading batch
 dimensions (a parameter of shape (d,) may be added to a (..., d)
 activation); a size-1 axis is never stretched, and anything fancier is a
 deliberate non-goal.
+
+Ops do not check their outputs for finiteness: on a small model a scan
+per op is a large share of each op's cost. The model checks whole tensors
+at its sub-layer boundaries instead, where a ``NumericError`` can name the
+sub-layer (``model.py``). The one scan left here is ``attention``'s, of
+its scores, because the masked softmax drops a masked score whatever its
+value, so a non-finite score there would vanish before any later check
+could see it. ``check_finite`` is the scan both use.
 """
 
 from __future__ import annotations
@@ -136,9 +144,13 @@ def _toposort(root):
     return order
 
 
-def _make(data, parents, backward):
+def check_finite(data, where):
+    """Raise NumericError naming where unless every entry of data is finite."""
     if not np.isfinite(data).all():
-        raise NumericError("non-finite value produced in forward op")
+        raise NumericError(f"non-finite value in {where}")
+
+
+def _make(data, parents, backward):
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
         out._parents = tuple(parents)
@@ -277,7 +289,8 @@ def attention(q, k, v, mask, n_heads):
     batch entry of q. Each head is a d // n_heads slice of the last axis.
     mask broadcasts against the (..., n_heads, t, s) scores, and key
     positions it marks False get exactly zero weight. Returns the
-    (..., t, d) context with the heads merged back.
+    (..., t, d) context with the heads merged back. A non-finite score,
+    masked or not, is a NumericError.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     d = q.data.shape[-1]
@@ -288,8 +301,7 @@ def attention(q, k, v, mask, n_heads):
     c = float(1.0 / np.sqrt(d // n_heads))
     qh, kh, vh = (_split_heads(t.data, n_heads) for t in (q, k, v))
     scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * c
-    if not np.isfinite(scores).all():
-        raise NumericError("non-finite value produced in forward op")
+    check_finite(scores, "attention scores")
     p = _softmax_forward(scores, mask)
 
     def bwd(g):

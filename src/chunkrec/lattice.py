@@ -174,6 +174,7 @@ def lattice_nll(blank_lp, label_lp):
     b, l = autodiff._as_tensor(blank_lp), autodiff._as_tensor(label_lp)
     log_prob, grad_blank, grad_label = lattice_grad(b.data, l.data)
     data = np.float64(-log_prob)
+    autodiff.check_finite(data, "lattice loss")  # _make checks nothing
 
     def bwd(g):
         return -g * grad_blank, -g * grad_label

@@ -10,6 +10,20 @@ right-padded and encoded together, and one decoder pass scores every
 label prefix against every chunk of its utterance.
 ``parameter_table`` is the one list of parameter names and shapes; the
 initializer walks it and the model checks given parameters against it.
+
+Finiteness is checked at sub-layer boundaries, not after every autodiff
+op, and a NumericError names the sub-layer, as in "non-finite value in
+dec.1.cross_attn". Each check scans a whole tensor before any of its rows
+are selected, so no row escapes it. The checks sit where a bad value
+could first be lost and where it leaves the model: each conv output
+before its relu (``fe.conv1``, ``fe.conv2``) and each FFN's first linear
+output before its glu, since relu maps NaN and -inf to 0 and glu maps a
+-inf gate to 0; the front-end output (``fe``) and the decoder input
+(``dec.embed``); every residual sub-layer output; and the encoder
+(``enc.final_ln``) and decoder (``dec.out``) outputs. Layer norms,
+attention and linear layers propagate a non-finite input to the next
+check, except that the masked softmax would drop a masked score, so
+attention scans its scores, reported under its sub-layer.
 """
 
 from __future__ import annotations
@@ -23,8 +37,8 @@ from .autodiff import Tensor
 from . import chunking
 from .chunking import (FRONT_END_DOWNSAMPLE, FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry,
                        as_frames, left_context_mask)
-from .errors import (AvailabilityError, ConfigError, ContractError, EmptyInputError, VocabError,
-                     check_fields)
+from .errors import (AvailabilityError, ConfigError, ContractError, EmptyInputError,
+                     NumericError, VocabError, check_fields)
 from .lattice import lattice_nll
 
 
@@ -196,6 +210,12 @@ def check_parameters(cfg, params):
             f"{n} {given.get(n, 'missing')} (config: {expected.get(n, 'none')})" for n in bad))
 
 
+def _checked(name, t):
+    """t, unless an entry of it is not finite: then a NumericError naming sub-layer name."""
+    ad.check_finite(t.data, name)
+    return t
+
+
 def _right_pad(rows, fill):
     """Arrays of differing lengths stacked as (n, longest, ...), filled after each."""
     out = np.full((len(rows), max(map(len, rows))) + rows[0].shape[1:], fill,
@@ -216,7 +236,7 @@ def _prefix_trie(rows):
     nodes, ends = {}, []
     for row in rows:
         node = -1
-        for tok in row.tolist():
+        for tok in row:
             node = nodes.setdefault((node, tok), len(nodes))
         ends.append(node)
     # walk order sets a parent's row before any child copies it; a root's parent is -1
@@ -254,6 +274,7 @@ class ChunkTransducerModel:
         self.cfg = cfg
         self.vocab = vocab
         self.params = params
+        self._depth_table = np.zeros((0, cfg.d_model))
 
     # -- front end ----------------------------------------------------------
 
@@ -281,7 +302,7 @@ class ChunkTransducerModel:
             x = self._frames(x, start)
         p = self.params
         h = ad.conv1d_time(Tensor(x), p["fe.conv1.w"], FRONT_END_STRIDE)
-        h = ad.relu(h + p["fe.conv1.b"])
+        h = ad.relu(_checked("fe.conv1", h + p["fe.conv1.b"]))
         if lengths is not None:
             # Conv 2 must read conv-1 frames past an utterance's end as the
             # zeros of the right padding, as the unbatched path does, not as
@@ -289,9 +310,10 @@ class ChunkTransducerModel:
             live = np.arange(h.shape[-2]) < -(-np.asarray(lengths)[:, None] // FRONT_END_STRIDE)
             h = h * Tensor(np.broadcast_to(live[..., None], h.shape))
         h = ad.conv1d_time(h, p["fe.conv2.w"], FRONT_END_STRIDE)
-        h = ad.relu(h + p["fe.conv2.b"])
+        h = ad.relu(_checked("fe.conv2", h + p["fe.conv2.b"]))
         L = h.shape[-2]
-        return h + Tensor(sinusoidal_positions(start + np.arange(L), self.cfg.d_model))
+        return _checked("fe", h + Tensor(sinusoidal_positions(start + np.arange(L),
+                                                               self.cfg.d_model)))
 
     encoded_len = staticmethod(chunking.encoded_len)
     frames_needed = staticmethod(chunking.frames_needed)
@@ -311,13 +333,17 @@ class ChunkTransducerModel:
         q = self._linear(prefix, q_in, "q")
         k = self._linear(prefix, kv_in, "k")
         v = self._linear(prefix, kv_in, "v")
-        return self._linear(prefix, ad.attention(q, k, v, mask, self.cfg.n_heads), "o")
+        try:
+            context = ad.attention(q, k, v, mask, self.cfg.n_heads)
+        except NumericError as e:
+            raise NumericError(f"{e} of {prefix}") from None
+        return self._linear(prefix, context, "o")
 
     def _ln(self, prefix, x):
         return ad.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
     def _ffn(self, prefix, x):
-        return self._linear(prefix, ad.glu(self._linear(prefix, x, "1")), "2")
+        return self._linear(prefix, ad.glu(_checked(prefix, self._linear(prefix, x, "1"))), "2")
 
     # -- encoder ------------------------------------------------------------
 
@@ -343,15 +369,16 @@ class ChunkTransducerModel:
         for i in range(self.cfg.n_enc_blocks):
             n = self._ln(f"enc.{i}.ln1", s)
             kv = Tensor(np.concatenate([past[i], n.data])) if P else n
-            s = s + self._mha(f"enc.{i}.attn", n, kv, mask)
-            s = s + self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", s))
+            s = _checked(f"enc.{i}.attn", s + self._mha(f"enc.{i}.attn", n, kv, mask))
+            s = _checked(f"enc.{i}.ffn",
+                         s + self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", s)))
             keys.append(kv.data)  # the rows of positions start - P onward
         if cache is not None:
             # positions from final_len on read raw frames still to come
             cache.start = chunking.final_len(FRONT_END_DOWNSAMPLE * start + len(x))
             end = P + cache.start - start  # the first such row in keys
             cache.rows = [k[max(0, end - left):end] for k in keys]
-        return self._ln("enc.final_ln", s)
+        return _checked("enc.final_ln", self._ln("enc.final_ln", s))
 
     def geometry_for(self, T):
         return ChunkGeometry(W=self.cfg.W, B=self.cfg.B, L=self.encoded_len(T))
@@ -390,8 +417,8 @@ class ChunkTransducerModel:
         """
         if self_mask is None:
             self_mask = left_context_mask(ids.shape[-1], ids.shape[-1])
-        h = ad.take(self.params["dec.embed"], ids) + Tensor(
-            sinusoidal_positions(np.count_nonzero(self_mask, axis=-1) - 1, self.cfg.d_model))
+        h = _checked("dec.embed", ad.take(self.params["dec.embed"], ids) + Tensor(
+            self._depth_positions(np.count_nonzero(self_mask, axis=-1) - 1)))
         last = self.cfg.n_dec_blocks - 1
         if read is not None and last < 0:
             h = Tensor(h.data[..., read, :])
@@ -400,11 +427,26 @@ class ChunkTransducerModel:
             if read is not None and i == last:
                 h, q_in = Tensor(h.data[..., read, :]), Tensor(n.data[..., read, :])
                 self_mask = self_mask[read]
-            h = h + self._mha(f"dec.{i}.self_attn", q_in, n, self_mask)
-            h = h + self._mha(f"dec.{i}.cross_attn",
-                              self._ln(f"dec.{i}.ln2", h), chunk_states, cross_mask)
-            h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
-        return ad.log_softmax(self._linear("dec.out", self._ln("dec.final_ln", h)))
+            h = _checked(f"dec.{i}.self_attn",
+                         h + self._mha(f"dec.{i}.self_attn", q_in, n, self_mask))
+            h = _checked(f"dec.{i}.cross_attn", h + self._mha(
+                f"dec.{i}.cross_attn", self._ln(f"dec.{i}.ln2", h), chunk_states, cross_mask))
+            h = _checked(f"dec.{i}.ffn", h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h)))
+        return _checked("dec.out", ad.log_softmax(
+            self._linear("dec.out", self._ln("dec.final_ln", h))))
+
+    def _depth_positions(self, depths):
+        """sinusoidal_positions(depths) read from a table of the model's, grown on demand.
+
+        sinusoidal_positions is elementwise in the positions, so each row is
+        bitwise the row a direct call gives. The encoder computes its own:
+        a stream's positions grow without bound.
+        """
+        n = int(depths.max()) + 1
+        if n > len(self._depth_table):
+            n = max(n, 2 * len(self._depth_table))
+            self._depth_table = sinusoidal_positions(np.arange(n), self.cfg.d_model)
+        return self._depth_table[depths]
 
     def decoder_forward(self, prefix_ids, chunk_states):
         """Log-distributions at every prefix position against one chunk.
@@ -421,7 +463,8 @@ class ChunkTransducerModel:
         its ancestor mask, so a symbol that several prefixes share, and a
         prefix repeated, is scored once. The last block carries on only the
         distinct last nodes, the rows read. Returns an (n, vocab_size) numpy
-        array.
+        array. Prefixes are checked as decoder_forward checks them, once per
+        pass: the start symbol per prefix, then the range over the trie's ids.
 
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
         chunk_states)[0]. Masked keys add exact zeros to the softmax's
@@ -432,10 +475,15 @@ class ChunkTransducerModel:
         """
         if len(prefixes) == 0:
             raise ContractError("decoder_steps needs at least one prefix")
-        rows = [self._check_prefix(pre) for pre in prefixes]
+        start = self.vocab.start_id
+        if not all(len(pre) and pre[0] == start for pre in prefixes):
+            raise ContractError("decoder prefix must start with the blank start symbol")
+        rows = list(prefixes)
         if max(map(len, rows)) == 1:  # a trie of the start node alone gets a second node
-            rows.append(np.repeat(rows[0], 2))
+            rows.append((start, start))
         ids, mask, ends = _prefix_trie(rows)
+        if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:  # every prefix id, once
+            raise VocabError("prefix id out of vocabulary")
         read, back = np.unique(ends[:len(prefixes)], return_inverse=True)
         if len(read) == 1:  # and one read row a second
             read = np.append(read, int(read[0] == 0))

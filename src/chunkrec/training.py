@@ -8,14 +8,16 @@ noise. That keeps end-to-end runs deterministic and desk-sized.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .chunking import FRONT_END_DOWNSAMPLE, as_frames
 from .decoding import cer, greedy_decode
-from .errors import ConfigError, ContractError, check_fields
+from .errors import ConfigError, ContractError, NumericError, check_fields
 
 
 # -- synthetic data ---------------------------------------------------------
@@ -107,14 +109,22 @@ class Adam:
 
 
 def clip_grad_norm(params, max_norm):
-    """Scale all grads so their global L2 norm is at most max_norm."""
+    """Scale all grads so their global L2 norm is at most max_norm; returns the norm.
+
+    A norm that is not finite scales nothing: it is a NumericError naming
+    the first parameter, in sorted order, whose gradient is not finite, or
+    saying that finite gradients overflowed the norm.
+    """
     # fixed (sorted) reduction order so resumed runs are bit-identical
+    names = sorted(name for name in params if params[name].grad is not None)
     total = 0.0
-    for name in sorted(params):
-        p = params[name]
-        if p.grad is not None:
-            total += float((p.grad ** 2).sum())
+    for name in names:
+        total += float((params[name].grad ** 2).sum())
     norm = np.sqrt(total)
+    if not math.isfinite(norm):
+        for name in names:
+            ad.check_finite(params[name].grad, f"the gradient of {name}")
+        raise NumericError("finite gradients overflow the gradient norm")
     if norm > max_norm:
         s = max_norm / norm
         for p in params.values():
@@ -150,7 +160,12 @@ def batch_loss(model, batch):
 
 
 def train_step(model, batch, optimizer, step, cfg):
-    """One optimization step; returns the batch loss (finite: ops raise NumericError)."""
+    """One optimization step; returns the batch loss.
+
+    The loss is finite: the model's checks raise NumericError at the first
+    non-finite sub-layer. A non-finite gradient norm raises NumericError in
+    clip_grad_norm, before the optimizer step, so no parameter changes.
+    """
     optimizer.zero_grad()
     loss = batch_loss(model, batch)
     loss.backward()

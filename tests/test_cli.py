@@ -124,6 +124,17 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert record["error"] == "corrupt-header"
 
 
+def test_decode_with_a_nan_parameter_is_a_numeric_error_naming_its_sub_layer(tmp_path, capsys):
+    m = make_tiny_model()
+    m.params["dec.0.cross_attn.wv"].data[0, 0] = np.nan
+    ckpt = str(tmp_path / "nan.ckpt")
+    save_checkpoint(ckpt, m)
+    assert main(["--config", tiny_config(tmp_path), "--checkpoint", ckpt, "decode"]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numeric"
+    assert record["message"].endswith("dec.0.cross_attn")
+
+
 def test_checkpoint_missing_a_parameter_is_contract_error(tmp_path):
     # the checkpoint stores no parameter names, so the mismatch fails at save
     m = make_tiny_model()

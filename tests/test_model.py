@@ -1,12 +1,16 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chunkrec import autodiff as ad
 from chunkrec.autodiff import Tensor
-from chunkrec.errors import AvailabilityError, ConfigError, ContractError, VocabError
-from chunkrec.model import (ChunkTransducerModel, ModelConfig, Vocabulary, _prefix_trie,
-                            sinusoidal_positions)
+from chunkrec.errors import (AvailabilityError, ConfigError, ContractError, NumericError,
+                             VocabError)
+from chunkrec.model import (ChunkTransducerModel, EncoderCache, ModelConfig, Vocabulary,
+                            _prefix_trie, sinusoidal_positions)
 
 from conftest import make_tiny_model
 
@@ -360,20 +364,117 @@ def test_single_chunk_loss_is_teacher_forced_product(rng):
 
 def test_op_budget_of_a_decoder_pass_and_an_encode(rng, monkeypatch):
     # attention and linear layers are single autodiff ops: a 2+2-block model
-    # makes at most 44 ops per decoder_steps pass and 32 per encode
+    # makes at most 44 ops per decoder_steps pass and 32 per encode; finiteness
+    # is checked at sub-layer boundaries, not after every op: at most 14 and 12 scans
     m = make_tiny_model(n_enc_blocks=2, n_dec_blocks=2)
     x = rng.normal(size=(24, 4))
     start = m.vocab.start_id
-    ops = []
-    make = ad._make
+    ops, scans = [], []
+    make, check = ad._make, ad.check_finite
 
     def counted(*args):
         ops.append(1)
         return make(*args)
 
+    def counted_scan(data, where):
+        scans.append(where)
+        check(data, where)
+
     monkeypatch.setattr(ad, "_make", counted)
+    monkeypatch.setattr(ad, "check_finite", counted_scan)
     states = m.encode_states(x)
-    assert len(ops) <= 32
+    assert len(ops) <= 32 and len(scans) <= 12
     ops.clear()
+    scans.clear()
     m.decoder_steps([[start, 2, 3], [start]], states[0:3])
-    assert len(ops) <= 44
+    assert len(ops) <= 44 and len(scans) <= 14
+
+
+# every autodiff op but take, which only copies values that were checked
+INJECTED_OPS = ("add", "mul", "linear", "tsum", "relu", "glu", "attention", "log_softmax",
+                "layer_norm", "conv1d_time")
+
+
+def _inject(monkeypatch, target, value, rng):
+    """Patch the ops so that op call number target gets value in one entry of its
+    output; returns the list of op calls made."""
+    calls = []
+    for name in INJECTED_OPS:
+        def injected(*args, _op=getattr(ad, name), **kwargs):
+            out = _op(*args, **kwargs)
+            if len(calls) == target:
+                out.data.flat[rng.integers(out.data.size)] = value
+            calls.append(_op.__name__)
+            return out
+
+        monkeypatch.setattr(ad, name, injected)
+    return calls
+
+
+def test_a_non_finite_op_output_anywhere_is_a_numeric_error(monkeypatch):
+    # relu, glu and the final layer norms would hide or pass on such a value
+    # if the checks sat after every op instead of at sub-layer boundaries
+    m = make_tiny_model(n_enc_blocks=2, n_dec_blocks=2)
+    rng = np.random.default_rng(3)
+    x, x2 = rng.normal(size=(26, 4)), rng.normal(size=(13, 4))
+    start = m.vocab.start_id
+    warm = EncoderCache()
+    m.encode_states(x[:14], cache=warm)
+    chunk = rng.normal(size=(m.cfg.W, m.cfg.d_model))
+    padded = np.zeros((2, 26, 4))
+    padded[0], padded[1, :13] = x, x2
+    runs = {
+        "offline encode": lambda: m.encode_states(x),
+        "padded encode": lambda: m.encode_states(padded, [26, 13]),
+        "cached encode": lambda: m.encode_states(x[4 * warm.start:],
+                                                 cache=dataclasses.replace(warm)),
+        "decoder_steps": lambda: m.decoder_steps([[start, 2, 3], [start, 2], [start, 4]],
+                                                 chunk),
+        "sequence_nlls": lambda: m.sequence_nlls([(x, [2, 3, 4]), (x2, [5])]),
+    }
+    for what, run in runs.items():
+        with monkeypatch.context() as mp:
+            calls = _inject(mp, -1, 0.0, rng)
+            run()
+        assert len(calls) > 20, what
+        for target, op in enumerate(calls):
+            for value in (np.nan, np.inf, -np.inf):
+                # inf - inf on the way to a check is numpy's invalid-value warning
+                with (monkeypatch.context() as mp, np.errstate(invalid="ignore"),
+                      pytest.raises(NumericError)):
+                    _inject(mp, target, value, rng)
+                    run()
+                    pytest.fail(f"{what}: {value} in the output of op call {target} ({op}) "
+                                "passed unchecked")
+
+
+@pytest.mark.parametrize("param, sublayer", [
+    ("fe.conv1.w", "fe.conv1"), ("fe.conv1.b", "fe.conv1"),
+    ("enc.1.attn.wq", "enc.1.attn"), ("enc.1.attn.wv", "enc.1.attn"),
+    ("enc.0.ffn.w1", "enc.0.ffn"), ("enc.0.ffn.b2", "enc.0.ffn"),
+    ("dec.0.cross_attn.wk", "dec.0.cross_attn"), ("dec.0.cross_attn.bo", "dec.0.cross_attn"),
+    ("dec.1.ffn.b1", "dec.1.ffn"), ("dec.1.ffn.w2", "dec.1.ffn"),
+    ("dec.out.w", "dec.out"), ("dec.out.b", "dec.out"),
+])
+def test_a_nan_parameter_is_reported_under_its_sub_layer(param, sublayer, rng):
+    m = make_tiny_model(n_enc_blocks=2, n_dec_blocks=2)
+    m.params[param].data.flat[1] = np.nan
+    x = rng.normal(size=(24, 4))
+    named = rf"non-finite value in (attention scores of )?{re.escape(sublayer)}$"
+    with pytest.raises(NumericError, match=named):
+        m.sequence_nlls([(x, [2, 3])])
+    if param.startswith("dec."):
+        chunk = rng.normal(size=(m.cfg.W, m.cfg.d_model))
+        with pytest.raises(NumericError, match=named):
+            m.decoder_steps([[m.vocab.start_id, 2]], chunk)
+
+
+def test_decoder_position_table_rows_equal_sinusoidal_positions():
+    m = make_tiny_model()
+    d = m.cfg.d_model
+    for depths in (np.array([0, 1, 1, 2]), np.array([3, 0, 2]), np.arange(40)[::-1]):
+        size = len(m._depth_table)
+        assert (m._depth_positions(depths) == sinusoidal_positions(depths, d)).all()
+        table = m._depth_table
+        assert (table == sinusoidal_positions(np.arange(len(table)), d)).all()
+    assert size < 40 <= len(table)  # the last read grew the table

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunkrec import autodiff as ad
-from chunkrec.errors import ConfigError, ContractError, UndefinedMetricError
+from chunkrec.errors import ConfigError, ContractError, NumericError, UndefinedMetricError
 from chunkrec.training import (Adam, SyntheticTaskSpec, TrainConfig, batch_loss,
                                clip_grad_norm, gen_synthetic, load_features,
                                load_manifest, noam_lr, save_features, train, train_step)
@@ -157,6 +157,39 @@ def test_clip_grad_norm_scales_to_threshold():
     clip_grad_norm(m.params, 1.0)
     total = sum(float((p.grad ** 2).sum()) for p in m.params.values())
     assert np.sqrt(total) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_gradient_stops_the_step_before_the_optimizer(value, monkeypatch):
+    # a non-finite entry would put NaN into its parameter and Adam moment, and an
+    # infinite one would also scale every other gradient to 0
+    m = make_tiny_model(seed=2)
+    batch = gen_synthetic(spec_for_tiny(), 2)
+    before = {n: p.data.copy() for n, p in m.params.items()}
+    opt = Adam(m.params)
+    backward = ad.Tensor.backward
+
+    def poisoned_backward(loss):
+        backward(loss)
+        m.params["fe.conv1.b"].grad[0] = value
+        m.params["dec.out.b"].grad[1] = value
+
+    monkeypatch.setattr(ad.Tensor, "backward", poisoned_backward)
+    cfg = TrainConfig(batch_size=2, warmup_steps=10, eval_interval=0)
+    with pytest.raises(NumericError, match=r"gradient of dec\.out\.b$"):  # first in sorted order
+        train_step(m, batch, opt, 1, cfg)
+    assert opt.step_count == 0
+    assert all(np.array_equal(before[n], m.params[n].data) for n in before)
+    assert all(not s["m"].any() and not s["v"].any() for s in opt.state.values())
+
+
+def test_finite_gradients_that_overflow_the_norm_are_a_numeric_error():
+    m = make_tiny_model(seed=2)
+    for p in m.params.values():
+        p.grad = np.full_like(p.data, 1e200)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="overflow"):
+        clip_grad_norm(m.params, 1.0)
+    assert all((p.grad == 1e200).all() for p in m.params.values())  # nothing scaled
 
 
 def test_training_deterministic_across_runs():
