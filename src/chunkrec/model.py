@@ -23,7 +23,10 @@ output before its glu, since relu maps NaN and -inf to 0 and glu maps a
 (``enc.final_ln``) and decoder (``dec.out``) outputs. Layer norms,
 attention and linear layers propagate a non-finite input to the next
 check, except that the masked softmax would drop a masked score, so
-attention scans its scores, reported under its sub-layer.
+attention scans its scores, reported under its sub-layer. The forward
+entry points run with numpy's overflow and invalid-value warnings off
+(``_quiet``), so a non-finite parameter reaches those checks as a value,
+not as a RuntimeWarning from the op that first makes it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from . import chunking
 from .chunking import (FRONT_END_DOWNSAMPLE, FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry,
                        as_frames, left_context_mask)
 from .errors import (AvailabilityError, ConfigError, ContractError, EmptyInputError,
-                     NumericError, VocabError, check_fields)
+                     NumericError, ShapeError, VocabError, check_fields)
 from .lattice import lattice_nll
 
 
@@ -216,6 +219,11 @@ def _checked(name, t):
     return t
 
 
+def _quiet(method):
+    """method under numpy's errstate with overflow and invalid-value warnings off."""
+    return np.errstate(invalid="ignore", over="ignore")(method)
+
+
 def _right_pad(rows, fill):
     """Arrays of differing lengths stacked as (n, longest, ...), filled after each."""
     out = np.full((len(rows), max(map(len, rows))) + rows[0].shape[1:], fill,
@@ -322,8 +330,8 @@ class ChunkTransducerModel:
     #
     # Activations are (..., t, d): the encoder passes one (L, d) sequence or
     # an (N, L, d) padded batch, search passes one (nodes, d) prefix trie
-    # against one (W, d) chunk, and teacher forcing passes (sum of M, U+1, d)
-    # prefixes against (sum of M, W, d) chunks.
+    # against one (W, d) chunk or a (C, W, d) stack, and teacher forcing
+    # passes (sum of M, U+1, d) prefixes against (sum of M, W, d) chunks.
 
     def _linear(self, prefix, x, suffix=""):
         p = self.params
@@ -347,6 +355,7 @@ class ChunkTransducerModel:
 
     # -- encoder ------------------------------------------------------------
 
+    @_quiet
     def encode_states(self, x, lengths=None, cache=None):
         """Full causal encoding of a raw (prefix of a) feature sequence.
 
@@ -448,6 +457,7 @@ class ChunkTransducerModel:
             self._depth_table = sinusoidal_positions(np.arange(n), self.cfg.d_model)
         return self._depth_table[depths]
 
+    @_quiet
     def decoder_forward(self, prefix_ids, chunk_states):
         """Log-distributions at every prefix position against one chunk.
 
@@ -456,23 +466,35 @@ class ChunkTransducerModel:
         """
         return self._decode(self._check_prefix(prefix_ids), chunk_states)
 
+    @_quiet
     def decoder_steps(self, prefixes, chunk_states):
         """Next-symbol log-distributions for n prefixes in one decoder pass.
 
         The pass runs the prefixes' trie (_prefix_trie) as one sequence under
         its ancestor mask, so a symbol that several prefixes share, and a
         prefix repeated, is scored once. The last block carries on only the
-        distinct last nodes, the rows read. Returns an (n, vocab_size) numpy
-        array. Prefixes are checked as decoder_forward checks them, once per
-        pass: the start symbol per prefix, then the range over the trie's ids.
+        distinct last nodes, the rows read. chunk_states is one (W', d_model)
+        chunk, and the result an (n, vocab_size) numpy array; or a (C, W',
+        d_model) stack of C chunks, and the result (C, n, vocab_size), the
+        rows against each chunk. The trie stays one sequence, so block 0's
+        self-attention runs once and the chunk axis starts at its
+        cross-attention. Anything else is a ShapeError. Prefixes are checked
+        as decoder_forward checks them, once per pass: the start symbol per
+        prefix, then the range over the trie's ids.
 
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
-        chunk_states)[0]. Masked keys add exact zeros to the softmax's
-        sequential sum, and a node's ancestors keep their depth order. At
-        least two nodes and two read rows keep every row a row of a matrix
-        product, off BLAS's matrix-vector path, which sums in another order.
-        Rows equal decoder_forward(...)[-1] up to summation order.
+        chunk_states)[0], and row [c, i] of a stack to decoder_steps(prefixes,
+        chunk_states[c])[i]. Masked keys add exact zeros to the softmax's
+        sequential sum, a node's ancestors keep their depth order, and a
+        stack's products run one chunk's matrix at a time. At least two nodes
+        and two read rows keep every row a row of a matrix product, off
+        BLAS's matrix-vector path, which sums in another order. Rows equal
+        decoder_forward(...)[-1] up to summation order.
         """
+        chunk = ad._as_tensor(chunk_states)
+        d = self.cfg.d_model
+        if chunk.data.ndim not in (2, 3) or chunk.shape[-1] != d or not chunk.data.size:
+            raise ShapeError(f"chunk states must be (W', {d}) or (C, W', {d}), got {chunk.shape}")
         if len(prefixes) == 0:
             raise ContractError("decoder_steps needs at least one prefix")
         start = self.vocab.start_id
@@ -488,7 +510,10 @@ class ChunkTransducerModel:
         if len(read) == 1:  # and one read row a second
             read = np.append(read, int(read[0] == 0))
         with ad.no_grad():
-            return self._decode(ids, chunk_states, self_mask=mask, read=read).data[back]
+            out = self._decode(ids, chunk, self_mask=mask, read=read).data[..., back, :]
+        if out.ndim < chunk.data.ndim:  # no decoder block reads the chunks
+            out = np.stack([out] * len(chunk.data))
+        return out
 
     def decoder_step(self, prefix_ids, chunk_states):
         """Log-distribution (numpy vector) for the next symbol."""
@@ -496,6 +521,7 @@ class ChunkTransducerModel:
 
     # -- training surface ---------------------------------------------------
 
+    @_quiet
     def lattice_probs(self, batch):
         """Teacher-forced lattice tables for (features, labels) pairs, in one padded pass.
 

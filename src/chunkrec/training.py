@@ -118,8 +118,9 @@ def clip_grad_norm(params, max_norm):
     # fixed (sorted) reduction order so resumed runs are bit-identical
     names = sorted(name for name in params if params[name].grad is not None)
     total = 0.0
-    for name in names:
-        total += float((params[name].grad ** 2).sum())
+    with np.errstate(invalid="ignore", over="ignore"):  # the check below reports it
+        for name in names:
+            total += float((params[name].grad ** 2).sum())
     norm = np.sqrt(total)
     if not math.isfinite(norm):
         for name in names:

@@ -10,7 +10,7 @@ from chunkrec.chunking import ChunkGeometry, StreamBuffer
 from chunkrec.decoding import (BeamConfig, Hypothesis, StreamSession, _advance_chunk,
                                beam_decode, cer, edit_distance, greedy_decode, stream_decode)
 from chunkrec.errors import (ChunkrecError, ConfigError, ContractError, EmptyInputError,
-                             ProtocolError, UndefinedMetricError)
+                             NumericError, ProtocolError, UndefinedMetricError)
 from chunkrec.model import Vocabulary
 
 from conftest import make_tiny_model
@@ -74,7 +74,10 @@ class ScriptedModel:
         return ChunkGeometry(W=self._W, B=self._B, L=self._L)
 
     def decoder_steps(self, prefixes, chunk):
-        return np.stack([self._dist_fn(prefix, chunk) for prefix in prefixes])
+        """(n, vocab) rows against one chunk; (C, n, vocab) against a (C, W, d) stack."""
+        chunks = chunk if np.ndim(chunk) == 3 else [chunk]
+        out = np.array([[self._dist_fn(prefix, c) for prefix in prefixes] for c in chunks])
+        return out if np.ndim(chunk) == 3 else out[0]
 
 
 def _logdist(probs):
@@ -163,13 +166,18 @@ def test_search_extends_at_most_width_plus_one_hypotheses_per_pass(monkeypatch):
     # the width survivors of each round's ranking and the greedy path extend
     m = ScriptedModel(lambda prefix, chunk: _logdist([0.3, 0.05, 0.35, 0.3]))
     rows, extends = _counting(m), []
-    steps, extend = m.decoder_steps, decoding._extend
-    m.decoder_steps = lambda prefixes, chunk: extends.append(0) or steps(prefixes, chunk)
+    rank, extend = decoding._rank, decoding._extend
+
+    def ranked(finished, frontier, dists, width, *args):
+        if width > 1:  # a round ranks the beam, then the floor, with or without a pass
+            extends.append(0)
+        return rank(finished, frontier, dists, width, *args)
 
     def counted(*args):
         extends[-1] += 1
         return extend(*args)
 
+    monkeypatch.setattr(decoding, "_rank", ranked)
     monkeypatch.setattr(decoding, "_extend", counted)
     cfg = BeamConfig(width=5, max_symbols_per_chunk=4)
     beam_decode(m, np.zeros((32, 1)), cfg)
@@ -268,7 +276,8 @@ def test_greedy_path_adds_no_row_while_the_beam_holds_its_prefix():
     _beam_only(m, cfg)
     without = list(rows)
     rows.clear()
-    beam_decode(m, np.zeros((32, 1)), cfg)
+    # fed one frame at a time, no push releases two chunks, so no pass looks ahead
+    stream_decode(m, [np.zeros((1, 1))] * 32, cfg)
     assert rows == without
 
 
@@ -341,10 +350,72 @@ def test_decode_terminates_within_step_budget():
         return dist
 
     m = ScriptedModel(dist_fn)
+    passes = _counting(m)
     cfg = BeamConfig(width=1, max_symbols_per_chunk=10)
     greedy_decode(m, np.zeros((32, 1)), cfg)
-    M = m.geometry_for(32).M
-    assert len(calls) <= M * (cfg.max_symbols_per_chunk + 1)
+    budget = m.geometry_for(32).M * (cfg.max_symbols_per_chunk + 1)
+    assert len(passes) <= budget
+    assert len(calls) <= 2 * budget  # a pass scores at most two chunks
+
+
+def _one_frame_at_a_time(x):
+    return [x[i:i + 1] for i in range(len(x))]
+
+
+def test_offline_decoding_looks_ahead_in_fewer_passes():
+    # a blank bias makes the tiny models stop within a chunk, as a trained
+    # model does; 40 frames make 4 full chunks and a truncated one, all
+    # released by one push but the last. Fed one frame at a time, each push
+    # releases at most one chunk, so no pass looks ahead
+    x = np.random.default_rng(9).normal(size=(40, 4))
+    for seed in range(4):
+        m = make_tiny_model(seed=seed)
+        m.params["dec.out.b"].data[m.vocab.blank_id] = 1.0
+        assert [b - a for a, b in m.geometry_for(len(x)).spans] == [3, 3, 3, 3, 2]
+        passes = _counting(m)
+        for cfg, decode in ((BeamConfig(width=5), beam_decode),
+                            (BeamConfig(width=1), greedy_decode)):
+            passes.clear()
+            best = decode(m, x, cfg)
+            offline = len(passes)
+            passes.clear()
+            ids, lp, emissions = stream_decode(m, _one_frame_at_a_time(x), cfg, clock=lambda: 0.0)
+            assert offline < len(passes), (seed, cfg)
+            assert (ids, lp) == tuple(best[0] if cfg.width > 1 else best)
+            assert stream_decode(m, [x], cfg, clock=lambda: 0.0)[2] == emissions
+
+
+def test_a_forced_advance_falls_back_to_a_pass_of_its_own():
+    # label a is likeliest, so the last round always keeps a forced advance,
+    # a prefix no pass has scored: each next chunk's round 0 makes its pass
+    m = ScriptedModel(lambda prefix, chunk: _logdist([0.3, 0.05, 0.45, 0.2]), L=20)
+    x, cfg = np.zeros((80, 1)), BeamConfig(width=3, max_symbols_per_chunk=2)
+    stacked = []
+    steps = m.decoder_steps
+    m.decoder_steps = lambda prefixes, chunk: stacked.append(np.ndim(chunk) == 3) or steps(
+        prefixes, chunk)
+    offline = decoding._session(m, [x], cfg)[0].hyps
+    looked = list(stacked)
+    stacked.clear()
+    assert decoding._session(m, _one_frame_at_a_time(x), cfg)[0].hyps == offline
+    # only the offline passes looked ahead, yet no round 0 read its rows
+    assert any(looked) and not any(stacked)
+    assert len(looked) == len(stacked)
+
+
+def test_an_infinite_parameter_is_a_numeric_error_not_a_warning(rng):
+    # pytest turns RuntimeWarnings into errors (pyproject.toml), so a numpy
+    # warning from the op that meets the inf would fail this before any check
+    x = rng.normal(size=(24, 4))
+    for param, sublayer in (("enc.0.ln1.g", "enc.0.attn"),
+                            ("dec.0.self_attn.wv", "dec.0.self_attn")):
+        m = make_tiny_model()
+        m.params[param].data.flat[0] = np.inf
+        named = rf"non-finite value in (attention scores of )?{sublayer}$"
+        with pytest.raises(NumericError, match=named):
+            greedy_decode(m, x)
+        with pytest.raises(NumericError, match=named):
+            m.sequence_nlls([(x, [2, 3])])
 
 
 # -- streaming --------------------------------------------------------------
