@@ -21,14 +21,22 @@ Above width 1 the result takes the greedy path as a floor, a width-1 beam
 ranked by the same rule in the same passes; ``decoder_steps`` is
 batch-invariant, so its rows score bit for bit as greedy decoding does.
 
+A session keeps a DecoderCache, so a pass computes only the rows of the
+prefix nodes it has not met: block 0's self-attention once per node for
+the whole session, and the rest once per node and chunk (decoder_steps).
+After each chunk the cache drops that chunk's rows and every node off the
+paths of the live hypotheses and the floor. A row depends only on
+(prefix, chunk), so results stay bitwise.
+
 A chunk looks one chunk ahead when its push or flush also releases the
-next at full length: offline, or a push releasing two full chunks, but
-never into a truncated last chunk, nor in a stream whose pushes release
-one chunk each. Its rounds after the first score both chunks in one pass,
-and the next chunk's round 0 reads its rows there, unless a forced
-advance brought in a prefix no pass scored. A row depends only on
-(prefix, chunk), so results stay bitwise. On the benchmark's decode seed
-5 sets 0-1, beam(5) makes 797 passes, not 1,105, and greedy 688, not 996.
+next at full length: offline, where the one fragment is the flush, or a
+push releasing two full chunks, but never into a truncated last chunk,
+nor in a stream whose pushes release one chunk each. Its rounds after
+the first score both chunks in one pass, whose rows of the next chunk go
+into the cache, and the next chunk's round 0 reads them there, unless a
+forced advance brought in a prefix no pass scored. On the benchmark's
+decode seed 5 sets 0-1, beam(5) makes 783 passes, not 1,105, and greedy
+674, not 996.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import numpy as np
 from . import autodiff as ad
 from .chunking import StreamBuffer, as_frames
 from .errors import UndefinedMetricError, check_fields
-from .model import EncoderCache
+from .model import DecoderCache, EncoderCache
 
 
 @dataclass(frozen=True)
@@ -132,35 +140,34 @@ def _rank(finished, frontier, dists, width, blank, at_cap):
     return [h for h, done in kept if done], [h for h, done in kept if not done]
 
 
-def _advance_chunk(model, hyps, floor, chunk, cfg, known=None, ahead=None):
+def _advance_chunk(model, hyps, floor, chunk, cfg, cache=None, nxt=None):
     """Push the hypotheses, and the greedy floor (a width-1 beam of at most one
     hypothesis), through one chunk; returns both, finished. Round r scores both
     frontiers, whose hypotheses have all emitted r symbols in this chunk, with
     one decoder_steps call; a floor prefix that the search's frontier holds
     shares its trie nodes, so it costs no extra row.
 
-    known maps prefixes to their rows of this chunk, scored in the previous
-    chunk's passes; round 0 reads them if they cover its frontiers, else it
-    makes its pass. ahead, a (next chunk, dict) pair, has every later round
-    score the next chunk in the same pass, for both frontiers and the finished
-    prefixes the dict lacks, and adds their rows of it to the dict.
+    cache is the decode's DecoderCache, its first chunk tier this chunk's.
+    Round 0 reads its rows there if a previous chunk's passes scored them
+    all, else it makes its pass. With nxt, the next chunk, every later round
+    scores both chunks in one pass, for both frontiers and, in round 1, the
+    prefixes round 0 finished, so that the next chunk's round 0 finds its
+    rows in the cache.
     """
     blank, cap = model.vocab.blank_id, cfg.max_symbols_per_chunk
+    cache = cache or DecoderCache()
     beam, floor = ([], hyps), ([], floor)
     for r in range(cap):
         prefixes = [h.prefix for h in beam[1] + floor[1]]
         if not prefixes:
             break
-        if r == 0 and known and all(p in known for p in prefixes):
-            dists = np.stack([known[p] for p in prefixes])
-        elif r == 0 or ahead is None:
-            dists = model.decoder_steps(prefixes, chunk)
-        else:
-            nxt, rows = ahead
-            scored = prefixes + [h.prefix for h in beam[0] + floor[0] if h.prefix not in rows]
-            both = model.decoder_steps(scored, np.stack([chunk, nxt]))
-            rows.update(zip(scored, both[1]))
-            dists = both[0]
+        dists = cache.outputs(prefixes) if r == 0 else None  # rows a look-ahead scored
+        if dists is None and r > 0 and nxt is not None:
+            # a prefix that finished after round 0 was scored here as a frontier prefix
+            scored = prefixes + [h.prefix for h in beam[0] + floor[0]] * (r == 1)
+            dists = model.decoder_steps(scored, np.stack([chunk, nxt]), cache)[0]
+        elif dists is None:
+            dists = model.decoder_steps(prefixes, chunk, cache)
         n = len(beam[1])
         beam = _rank(*beam, dists[:n], cfg.width, blank, r + 1 >= cap)
         floor = _rank(*floor, dists[n:len(prefixes)], 1, blank, r + 1 >= cap)
@@ -190,8 +197,9 @@ class StreamSession:
     Each chunk the StreamBuffer releases goes through _advance_chunk. A push
     that releases one, or a flush after new frames, encodes the positions
     not yet final from the raw frames the buffer keeps for them and the
-    EncoderCache, so one fragment is encoded once. Above width 1 the greedy
-    path is carried as floor; at width 1 the search is the greedy path.
+    EncoderCache, so one fragment is encoded once; the DecoderCache keeps
+    the search's decoder rows. Above width 1 the greedy path is carried as
+    floor; at width 1 the search is the greedy path.
 
     A symbol is emitted once every surviving hypothesis and the floor
     share it, and the rest of the transcript at flush, so the emitted
@@ -204,7 +212,7 @@ class StreamSession:
         self.clock = clock or time.monotonic
         self.t0 = self.clock()
         self.buf = StreamBuffer(model.cfg.W, model.cfg.B)
-        self.cache = EncoderCache()
+        self.cache, self.decoder_cache = EncoderCache(), DecoderCache()
         # the states of encoded positions _first onward, from _n_encoded raw frames
         self._states, self._first, self._n_encoded = None, 0, 0
         start = Hypothesis((model.vocab.start_id,), 0.0)
@@ -215,9 +223,12 @@ class StreamSession:
         """Take the next fragment; returns the Emissions of the chunks it released."""
         return self._search(self.buf.push(as_frames(fragment, self.model.cfg.d_in)))
 
-    def flush(self):
-        """End the stream; returns the last Emissions."""
-        out = self._search(self.buf.flush())
+    def flush(self, fragment=None):
+        """End the stream, after a last fragment if given; returns the last
+        Emissions. The fragment's chunks and the rest are searched as one
+        release, so each full chunk is looked ahead into."""
+        spans = [] if fragment is None else self.buf.push(as_frames(fragment, self.model.cfg.d_in))
+        out = self._search(spans + self.buf.flush())
         self.hyps = _with_floor(self.hyps, self.floor, self.cfg.width)
         return out + self._emit(self.hyps[0].prefix)
 
@@ -235,13 +246,13 @@ class StreamSession:
                 self._states, self._n_encoded = new, self.buf.end
                 self.buf.keep_from(self.cache.start)
             chunks = [self._states[a - self._first:b - self._first] for a, b in spans]
-            known = None
             for chunk, nxt in zip(chunks, chunks[1:] + [None]):
                 # look one chunk ahead when the next is released too and not truncated
-                ahead = (nxt, {}) if nxt is not None and len(nxt) == self.model.cfg.W else None
-                self.hyps, self.floor = _advance_chunk(self.model, self.hyps, self.floor,
-                                                       chunk, self.cfg, known, ahead)
-                known = ahead and ahead[1]
+                if nxt is not None and len(nxt) < self.model.cfg.W:
+                    nxt = None
+                self.hyps, self.floor = _advance_chunk(self.model, self.hyps, self.floor, chunk,
+                                                       self.cfg, self.decoder_cache, nxt)
+                self.decoder_cache.next_chunk([h.prefix for h in self.hyps + self.floor])
                 self._chunk += 1
                 out += self._emit(_shared_prefix(self.hyps + self.floor))
         # the next chunk reads states from next_start, the next encode adds them at cache.start
@@ -263,9 +274,16 @@ def _session(model, fragments, cfg, clock=None):
     return session, emissions + session.flush()
 
 
+def _offline(model, x, cfg):
+    """The n-best list of a session whose one fragment x is its flush."""
+    session = StreamSession(model, cfg)
+    session.flush(x)
+    return session.hyps
+
+
 def greedy_decode(model, x, cfg=None):
     """Argmax decoding, the width-1 search; returns (label ids, log_prob)."""
-    best = _session(model, [x], replace(cfg or BeamConfig(), width=1))[0].hyps[0]
+    best = _offline(model, x, replace(cfg or BeamConfig(), width=1))[0]
     return list(best.prefix[1:]), best.log_prob
 
 
@@ -275,7 +293,7 @@ def beam_decode(model, x, cfg=None):
     The greedy path is always included in the candidate pool, so the best
     beam score never falls below the greedy score.
     """
-    hyps = _session(model, [x], cfg or BeamConfig())[0].hyps
+    hyps = _offline(model, x, cfg or BeamConfig())
     return [(list(h.prefix[1:]), h.log_prob) for h in hyps]
 
 

@@ -11,6 +11,14 @@ label prefix against every chunk of its utterance.
 ``parameter_table`` is the one list of parameter names and shapes; the
 initializer walks it and the model checks given parameters against it.
 
+Search passes score prefix tries (``decoder_steps``) against a
+``DecoderCache``. Block 0's self-attention depends on the prefix alone and
+everything after it on the prefix and the chunk, so a node's block-0 keys,
+values and output serve the whole decode and its later keys, values and
+output row serve one chunk. A pass computes only the rows its cache lacks,
+in the same one block loop (``_decode``) that teacher forcing runs on
+every row.
+
 Finiteness is checked at sub-layer boundaries, not after every autodiff
 op, and a NumericError names the sub-layer, as in "non-finite value in
 dec.1.cross_attn". Each check scans a whole tensor before any of its rows
@@ -31,6 +39,7 @@ not as a RuntimeWarning from the op that first makes it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,13 +242,20 @@ def _right_pad(rows, fill):
     return out
 
 
-def _prefix_trie(rows):
-    """Id sequences as one trie: (node ids, ancestor mask, each row's last node).
+_Trie = namedtuple("_Trie", "ids mask ends parents numbers")
+
+
+def _prefix_trie(rows, numbers=None):
+    """Id sequences as one trie: its node ids, ancestor mask, each row's last
+    node, each node's parent (-1 for a root) and each node's number.
 
     There is one node per distinct prefix of a row, keyed by (parent node,
     id) and numbered in walk order, so every ancestor precedes its
     descendants; equal rows share their nodes. mask[j, i] is True iff node
     i is node j or an ancestor of it, so row j is its parent's row plus j.
+    numbers, a dict from (parent's number, id) to number, numbers prefixes
+    across calls (a DecoderCache's) and gains the new ones; by default a
+    node's number is its index.
     """
     nodes, ends = {}, []
     for row in rows:
@@ -247,13 +263,20 @@ def _prefix_trie(rows):
         for tok in row:
             node = nodes.setdefault((node, tok), len(nodes))
         ends.append(node)
-    # walk order sets a parent's row before any child copies it; a root's parent is -1
-    mask = np.eye(len(nodes), dtype=bool)
-    for (parent, _tok), node in nodes.items():
-        if parent >= 0:
-            mask[node] |= mask[parent]
-    ids = np.array([tok for _parent, tok in nodes], dtype=np.intp)
-    return ids, mask, np.array(ends)
+    numbers = {} if numbers is None else numbers
+    # walk order sets a parent's row, as a bitset, and number before any child reads them
+    rows, number = [], []
+    for (parent, tok), node in nodes.items():
+        rows.append((rows[parent] if parent >= 0 else 0) | 1 << node)
+        number.append(numbers.setdefault((number[parent] if parent >= 0 else -1, tok),
+                                         len(numbers)))
+    width = (len(nodes) + 7) // 8
+    bits = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
+    mask = np.unpackbits(bits.reshape(len(nodes), width), axis=1, count=len(nodes),
+                         bitorder="little").view(bool)
+    parents, ids = zip(*nodes) if nodes else ((), ())
+    return _Trie(np.array(ids, dtype=np.intp), mask, ends, list(parents),
+                 np.array(number, dtype=np.intp))
 
 
 @dataclass
@@ -262,6 +285,220 @@ class EncoderCache:
     final, and per encoder block the ln1 rows of the last left_context before it."""
     start: int = 0
     rows: list = field(default_factory=list)
+
+
+class _Tier:
+    """Rows by node number: a (size, width) array per name, grown on demand;
+    have holds the numbers that have rows under every name but "out", and
+    read those that have an "out" row."""
+
+    def __init__(self, widths, size):
+        self.size, self.have, self.read = size, set(), set()
+        self.rows = {name: np.zeros((size, width)) for name, width in widths.items()}
+
+    def reserve(self, n):
+        """Room for the numbers below n."""
+        if n > self.size:
+            self.size = max(n, 2 * self.size)
+            for name, a in self.rows.items():
+                self.rows[name] = np.concatenate([a, np.zeros((self.size - len(a), a.shape[1]))])
+
+    def keep(self, old):
+        """Keep the rows of numbers old, renumbered 0, 1, ... in their order."""
+        for a in self.rows.values():
+            a[:len(old)] = a[old]
+        self.have = {new for new, number in enumerate(old.tolist()) if number in self.have}
+        self.read = {new for new, number in enumerate(old.tolist()) if number in self.read}
+
+
+@dataclass
+class DecoderCache:
+    """A decode's decoder rows by prefix node, so that a search pass computes
+    only the rows it lacks (decoder_steps).
+
+    numbers numbers each prefix node it has met, as _prefix_trie does. The
+    session tier holds each node's block-0 self-attention keys, values and
+    residual output, which depend on the prefix alone. chunks holds a tier
+    for the chunk being searched, then one for the next (the look-ahead's):
+    each node's self-attention keys and values of every later block against
+    that chunk, and the output row of each node a pass read. Each tier holds
+    the paths to the nodes it holds; a pass makes the tiers it lacks. cross
+    holds each block's cross-attention keys and values of the chunk being
+    searched, alone and stacked with the next, by (chunk states' shape, block).
+    """
+    numbers: dict = field(default_factory=dict)
+    session: _Tier = None
+    chunks: list = field(default_factory=list)
+    cross: dict = field(default_factory=dict)
+
+    def outputs(self, prefixes):
+        """The output rows of prefixes against the chunk being searched, if the
+        cache holds them all; else None."""
+        read = self.chunks[0].read if self.chunks else ()
+        nodes = []
+        for row in prefixes:
+            number = -1
+            for tok in row:
+                number = self.numbers.get((number, tok), -2)
+            if number not in read:
+                return None
+            nodes.append(number)
+        return self.chunks[0].rows["out"][nodes]
+
+    def next_chunk(self, prefixes):
+        """Drop the searched chunk's tier and cross-attention rows, and every
+        node off the paths of prefixes; the rest are renumbered in walk order."""
+        kept, old = {}, []  # the new numbers by (new parent, id), and each one's old number
+        for row in prefixes:
+            number = was = -1
+            for tok in row:
+                was = self.numbers.setdefault((was, tok), len(self.numbers))
+                number = kept.setdefault((number, tok), len(kept))
+                if number == len(old):
+                    old.append(was)
+        if old != list(range(len(self.numbers))):  # else every node is kept as numbered
+            for tier in self.chunks[1:] + [self.session] * (self.session is not None):
+                tier.reserve(len(self.numbers))
+                tier.keep(np.array(old, dtype=np.intp))
+        self.numbers, self.chunks, self.cross = kept, self.chunks[1:], {}
+
+
+def _lacking(nodes, parents, numbers, have):
+    """Those of nodes whose numbers have lacks, and their ancestors up to the
+    first it holds, sorted. A tier holds the paths to the nodes it holds."""
+    out = set()
+    for node in nodes:
+        while node >= 0 and node not in out and numbers[node] not in have:
+            out.add(node)
+            node = parents[node]
+    return sorted(out)
+
+
+def _two(nodes):
+    """Sorted trie nodes as an array, with a second if there is one: the root,
+    or its first child if nodes is the root. Neither has an ancestor outside
+    the other."""
+    return np.array([0, max(1, nodes[0])] if len(nodes) == 1 else nodes, dtype=np.intp)
+
+
+class _EveryRow:
+    """The rows a decoder pass without a cache computes: all of them."""
+
+    def __init__(self, self_mask):
+        self.fresh, self.mask = np.arange(len(self_mask)), self_mask
+
+    def keys(self, i, k, v):
+        return k, v
+
+    def cross(self, i, kv):
+        return kv()
+
+    def queries(self, i, h, n):
+        return h, n, self.mask
+
+    def residual(self, h):
+        return h
+
+
+class _TriePass:
+    """The rows a decoder_steps pass over a prefix trie computes against a
+    DecoderCache, which it adds there.
+
+    ask: the read nodes that lack an output row in a chunk tier of the pass;
+    they run the last block's queries and the output. todo: ask and its
+    ancestors that lack a chunk tier's rows; they run everything from block
+    0's cross-attention on. fresh: todo and its ancestors that the session
+    tier lacks; they run block 0's self-attention. Each is empty or at least
+    two nodes (_two), so that every row is a row of a matrix product. The
+    cache's rows and the computed ones give every node's keys.
+
+    A computed row goes into the cache as it is made, and its node is
+    marked as having rows once the pass has succeeded. A node that had
+    rows and is computed again gets the same bits.
+    """
+
+    def __init__(self, cache, cfg, shape, trie, read):
+        d = self.d = cfg.d_model
+        self.last, self.cache, self.shape = cfg.n_dec_blocks - 1, cache, shape
+        n_chunks = shape[0] if len(shape) == 3 else 1
+        size = max(64, 2 * len(cache.numbers))  # room to grow without reallocating
+        if cache.session is None:
+            cache.session = _Tier({"k0": d, "v0": d, "a0": d} if self.last >= 0 else {}, size)
+        widths = {f"{kv}{i}": d for i in range(1, self.last + 1) for kv in "kv"}
+        cache.chunks += [_Tier({**widths, "out": cfg.vocab_size}, size)
+                         for _ in range(n_chunks - len(cache.chunks))]
+        self.session, self.tiers = cache.session, cache.chunks[:n_chunks]
+        for tier in [self.session] + self.tiers:
+            tier.reserve(len(cache.numbers))
+        self.numbers, self.mask, self.read = trie.numbers, trie.mask, read
+        number = trie.numbers.tolist()
+        read_by_all = set.intersection(*(tier.read for tier in self.tiers))
+        self.ask = self.todo = self.fresh = _two(sorted(
+            node for node in read if number[node] not in read_by_all))
+        if len(self.ask) and self.last > 0:
+            held = set.intersection(*(tier.have for tier in self.tiers))
+            above = [trie.parents[node] for node in self.ask]
+            self.todo = _two(sorted(set(self.ask.tolist()).union(
+                _lacking(above, trie.parents, number, held))))
+        if len(self.ask) and self.last >= 0:
+            self.fresh = _two(_lacking(self.todo.tolist(), trie.parents, number,
+                                       self.session.have))
+
+    def keys(self, i, k, v):
+        """Every node's keys and values of block i: k and v in the rows the
+        pass computes, the cache's in the others."""
+        tiers, at = ([self.session], self.fresh) if i == 0 else (self.tiers, self.todo)
+        every, at = len(at) == len(self.numbers), self.numbers[at]
+        out = []
+        for name, t in ((f"k{i}", k), (f"v{i}", v)):
+            for tier, rows in zip(tiers, t.data.reshape(len(tiers), len(at), -1)):
+                tier.rows[name][at] = rows
+            if not every:
+                full = [tier.rows[name][self.numbers] for tier in tiers]
+                t = Tensor(full[0] if len(full) == 1 else np.stack(full))
+            out.append(t)
+        return out
+
+    def cross(self, i, kv):
+        """Block i's cross-attention keys and values of the pass's chunks: kv()'s,
+        kept until the chunk is done."""
+        key = (self.shape, i)
+        if key not in self.cache.cross:
+            self.cache.cross[key] = kv()
+        return self.cache.cross[key]
+
+    def queries(self, i, h, n):
+        """The residual, normed input and mask rows of block i's self-attention queries."""
+        if i == 0:
+            return h, n, self.mask[self.fresh]
+        mask = self.mask[self.todo]
+        if i < self.last:
+            return h, n, mask
+        at = np.searchsorted(self.todo, self.ask)
+        return Tensor(h.data[..., at, :]), Tensor(n.data[..., at, :]), mask[at]
+
+    def residual(self, h):
+        """Block 0's self-attention output of todo: h in fresh, the cache's elsewhere."""
+        rows = self.session.rows["a0"]
+        if h is not None:
+            rows[self.numbers[self.fresh]] = h.data
+        return Tensor(rows[self.numbers[self.todo]])
+
+    def outputs(self, out=None):
+        """Add out, the output rows of ask, to the cache and mark the pass's
+        nodes; then return the read nodes' output rows, (chunks, read, vocab)."""
+        ask, read = self.numbers[self.ask], self.numbers[self.read]
+        if out is not None:
+            rows = out.data if out.data.ndim == 3 else [out.data] * len(self.tiers)
+            todo = self.numbers[self.todo].tolist()
+            for tier, r in zip(self.tiers, rows):
+                tier.rows["out"][ask] = r
+                tier.have.update(todo)
+                tier.read.update(ask.tolist())
+            self.session.have.update(self.numbers[self.fresh].tolist())
+        if len(self.tiers) == 1:
+            return self.tiers[0].rows["out"][read][None]
+        return np.stack([tier.rows["out"][read] for tier in self.tiers])
 
 
 @dataclass
@@ -338,11 +575,12 @@ class ChunkTransducerModel:
         return ad.linear(x, p[f"{prefix}.w{suffix}"], p[f"{prefix}.b{suffix}"])
 
     def _mha(self, prefix, q_in, kv_in, mask):
-        q = self._linear(prefix, q_in, "q")
-        k = self._linear(prefix, kv_in, "k")
-        v = self._linear(prefix, kv_in, "v")
+        return self._attend(prefix, q_in, self._linear(prefix, kv_in, "k"),
+                            self._linear(prefix, kv_in, "v"), mask)
+
+    def _attend(self, prefix, q_in, k, v, mask):
         try:
-            context = ad.attention(q, k, v, mask, self.cfg.n_heads)
+            context = ad.attention(self._linear(prefix, q_in, "q"), k, v, mask, self.cfg.n_heads)
         except NumericError as e:
             raise NumericError(f"{e} of {prefix}") from None
         return self._linear(prefix, context, "o")
@@ -411,7 +649,7 @@ class ChunkTransducerModel:
             raise VocabError("prefix id out of vocabulary")
         return ids
 
-    def _decode(self, ids, chunk_states, cross_mask=True, self_mask=None, read=None):
+    def _decode(self, ids, chunk_states, cross_mask=True, self_mask=None, rows=None):
         """Decoder blocks over ids of shape (..., P) -> (..., P, vocab) log-softmax.
 
         self_mask is a (P, P) ancestor mask, by default the chain
@@ -419,27 +657,32 @@ class ChunkTransducerModel:
         Row j depends on its ancestors' ids and the chunk alone, so right
         padding reaches no real row. cross_mask broadcasts against the (...,
         heads, P, W) cross-attention scores; chunk positions it marks False
-        get exactly zero attention. With read, row indices, the last block
-        carries only the read rows past its keys and values, outside the
-        autodiff graph (decoder_steps runs it under no_grad), and the output
-        is (..., len(read), vocab).
+        get exactly zero attention. rows, a _TriePass of a decoder_steps
+        pass (under no_grad), has the blocks compute only the rows that its
+        DecoderCache lacks, the others' keys and values coming from the
+        cache, and the output is ask's rows, (..., len(ask), vocab).
+        Without it every row is computed.
         """
         if self_mask is None:
             self_mask = left_context_mask(ids.shape[-1], ids.shape[-1])
-        h = _checked("dec.embed", ad.take(self.params["dec.embed"], ids) + Tensor(
-            self._depth_positions(np.count_nonzero(self_mask, axis=-1) - 1)))
-        last = self.cfg.n_dec_blocks - 1
-        if read is not None and last < 0:
-            h = Tensor(h.data[..., read, :])
+        rows = rows or _EveryRow(self_mask)
+        h, at = None, rows.fresh
+        if len(at):
+            h = _checked("dec.embed", ad.take(self.params["dec.embed"], ids[..., at]) + Tensor(
+                self._depth_positions(np.count_nonzero(self_mask[at], axis=-1) - 1)))
         for i in range(self.cfg.n_dec_blocks):
-            n = q_in = self._ln(f"dec.{i}.ln1", h)
-            if read is not None and i == last:
-                h, q_in = Tensor(h.data[..., read, :]), Tensor(n.data[..., read, :])
-                self_mask = self_mask[read]
-            h = _checked(f"dec.{i}.self_attn",
-                         h + self._mha(f"dec.{i}.self_attn", q_in, n, self_mask))
-            h = _checked(f"dec.{i}.cross_attn", h + self._mha(
-                f"dec.{i}.cross_attn", self._ln(f"dec.{i}.ln2", h), chunk_states, cross_mask))
+            sa = f"dec.{i}.self_attn"
+            if h is not None:  # none when block 0 has no fresh row
+                n = self._ln(f"dec.{i}.ln1", h)
+                k, v = rows.keys(i, self._linear(sa, n, "k"), self._linear(sa, n, "v"))
+                h, n, mask = rows.queries(i, h, n)
+                h = _checked(sa, h + self._attend(sa, n, k, v, mask))
+            if i == 0:
+                h = rows.residual(h)
+            ca = f"dec.{i}.cross_attn"
+            k, v = rows.cross(i, lambda: (self._linear(ca, chunk_states, "k"),
+                                          self._linear(ca, chunk_states, "v")))
+            h = _checked(ca, h + self._attend(ca, self._ln(f"dec.{i}.ln2", h), k, v, cross_mask))
             h = _checked(f"dec.{i}.ffn", h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h)))
         return _checked("dec.out", ad.log_softmax(
             self._linear("dec.out", self._ln("dec.final_ln", h))))
@@ -467,7 +710,7 @@ class ChunkTransducerModel:
         return self._decode(self._check_prefix(prefix_ids), chunk_states)
 
     @_quiet
-    def decoder_steps(self, prefixes, chunk_states):
+    def decoder_steps(self, prefixes, chunk_states, cache=None):
         """Next-symbol log-distributions for n prefixes in one decoder pass.
 
         The pass runs the prefixes' trie (_prefix_trie) as one sequence under
@@ -482,14 +725,22 @@ class ChunkTransducerModel:
         as decoder_forward checks them, once per pass: the start symbol per
         prefix, then the range over the trie's ids.
 
+        With a DecoderCache, whose chunk tiers' first C are the C chunks',
+        the pass computes only the rows the cache lacks (_TriePass): block
+        0's self-attention on the nodes new to the session, the rest on the
+        nodes new to a chunk, the output on the read nodes new to a chunk;
+        it adds them to the cache. A pass that finds every row computes
+        nothing.
+
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
         chunk_states)[0], and row [c, i] of a stack to decoder_steps(prefixes,
-        chunk_states[c])[i]. Masked keys add exact zeros to the softmax's
-        sequential sum, a node's ancestors keep their depth order, and a
-        stack's products run one chunk's matrix at a time. At least two nodes
-        and two read rows keep every row a row of a matrix product, off
-        BLAS's matrix-vector path, which sums in another order. Rows equal
-        decoder_forward(...)[-1] up to summation order.
+        chunk_states[c])[i], cache or none. Masked keys add exact zeros to the
+        softmax's sequential sum, a node's ancestors keep their depth order,
+        a stack's products run one chunk's matrix at a time, and every
+        computed row set has at least two rows, which keeps each row a row of
+        a matrix product, off BLAS's matrix-vector path, which sums in another
+        order. So a row the cache holds is the row the pass would compute.
+        Rows equal decoder_forward(...)[-1] up to summation order.
         """
         chunk = ad._as_tensor(chunk_states)
         d = self.cfg.d_model
@@ -503,17 +754,19 @@ class ChunkTransducerModel:
         rows = list(prefixes)
         if max(map(len, rows)) == 1:  # a trie of the start node alone gets a second node
             rows.append((start, start))
-        ids, mask, ends = _prefix_trie(rows)
-        if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:  # every prefix id, once
+        cache = cache or DecoderCache()
+        trie = _prefix_trie(rows, cache.numbers)
+        if trie.ids.min() < 0 or trie.ids.max() >= self.cfg.vocab_size:  # every id, once
             raise VocabError("prefix id out of vocabulary")
-        read, back = np.unique(ends[:len(prefixes)], return_inverse=True)
-        if len(read) == 1:  # and one read row a second
-            read = np.append(read, int(read[0] == 0))
-        with ad.no_grad():
-            out = self._decode(ids, chunk, self_mask=mask, read=read).data[..., back, :]
-        if out.ndim < chunk.data.ndim:  # no decoder block reads the chunks
-            out = np.stack([out] * len(chunk.data))
-        return out
+        read = {}  # the distinct last nodes, and each prefix's place among them
+        back = [read.setdefault(end, len(read)) for end in trie.ends[:len(prefixes)]]
+        rows = _TriePass(cache, self.cfg, chunk.shape, trie, list(read))
+        out = None
+        if len(rows.ask):
+            with ad.no_grad():
+                out = self._decode(trie.ids, chunk, self_mask=trie.mask, rows=rows)
+        out = rows.outputs(out)[:, back]
+        return out if chunk.data.ndim == 3 else out[0]
 
     def decoder_step(self, prefix_ids, chunk_states):
         """Log-distribution (numpy vector) for the next symbol."""

@@ -73,8 +73,9 @@ class ScriptedModel:
     def geometry_for(self, T):
         return ChunkGeometry(W=self._W, B=self._B, L=self._L)
 
-    def decoder_steps(self, prefixes, chunk):
-        """(n, vocab) rows against one chunk; (C, n, vocab) against a (C, W, d) stack."""
+    def decoder_steps(self, prefixes, chunk, cache=None):
+        """(n, vocab) rows against one chunk; (C, n, vocab) against a (C, W, d) stack.
+        It keeps no rows in the cache, so every round makes its pass."""
         chunks = chunk if np.ndim(chunk) == 3 else [chunk]
         out = np.array([[self._dist_fn(prefix, c) for prefix in prefixes] for c in chunks])
         return out if np.ndim(chunk) == 3 else out[0]
@@ -216,9 +217,9 @@ def _counting(model):
     rows = []
     steps = model.decoder_steps
 
-    def counted(prefixes, chunk):
+    def counted(prefixes, chunk, cache=None):
         rows.append(len(set(map(tuple, prefixes))))
-        return steps(prefixes, chunk)
+        return steps(prefixes, chunk, cache)
 
     model.decoder_steps = counted
     return rows
@@ -289,14 +290,16 @@ def test_beam_keeps_the_greedy_path_it_pruned():
     beam_only = _beam_only(m, cfg)
     without = list(rows)
     rows.clear()
-    nbest = beam_decode(m, x, cfg)
+    # fed one frame at a time, no push releases two chunks, so no pass looks ahead
+    nbest = stream_decode(m, _one_frame_at_a_time(x), cfg)[:2]
     # the same passes, and one more row, in chunk 1's first round, where the
     # beam no longer holds the greedy prefix
     assert [n - w for n, w in zip(rows, without)] == [0, 0, 0, 1, 0]
     assert len(rows) == len(without)
+    assert beam_decode(m, x, cfg)[0] == nbest
     g_ids, g_lp = greedy_decode(m, x)
     assert g_ids == [2] and all(h.prefix != (0, 2) for h in beam_only)
-    assert nbest[0] == (g_ids, g_lp) and nbest[0][1] > beam_only[0].log_prob
+    assert nbest == (g_ids, g_lp) and g_lp > beam_only[0].log_prob
 
 
 # -- real-model decoding ----------------------------------------------------
@@ -366,23 +369,32 @@ def test_offline_decoding_looks_ahead_in_fewer_passes():
     # a blank bias makes the tiny models stop within a chunk, as a trained
     # model does; 40 frames make 4 full chunks and a truncated one, all
     # released by one push but the last. Fed one frame at a time, each push
-    # releases at most one chunk, so no pass looks ahead
-    x = np.random.default_rng(9).normal(size=(40, 4))
-    for seed in range(4):
-        m = make_tiny_model(seed=seed)
-        m.params["dec.out.b"].data[m.vocab.blank_id] = 1.0
-        assert [b - a for a, b in m.geometry_for(len(x)).spans] == [3, 3, 3, 3, 2]
-        passes = _counting(m)
-        for cfg, decode in ((BeamConfig(width=5), beam_decode),
-                            (BeamConfig(width=1), greedy_decode)):
-            passes.clear()
-            best = decode(m, x, cfg)
-            offline = len(passes)
-            passes.clear()
-            ids, lp, emissions = stream_decode(m, _one_frame_at_a_time(x), cfg, clock=lambda: 0.0)
-            assert offline < len(passes), (seed, cfg)
-            assert (ids, lp) == tuple(best[0] if cfg.width > 1 else best)
-            assert stream_decode(m, [x], cfg, clock=lambda: 0.0)[2] == emissions
+    # releases at most one chunk, so no pass looks ahead. 36 frames make 4
+    # full chunks, and the flush after one push releases the last alone:
+    # offline decoding, whose one fragment is its flush, looks ahead into it
+    fewer, x40 = [], np.random.default_rng(9).normal(size=(40, 4))
+    for x in (x40, x40[:36]):
+        for seed in range(4):
+            m = make_tiny_model(seed=seed)
+            m.params["dec.out.b"].data[m.vocab.blank_id] = 1.0
+            assert [b - a for a, b in m.geometry_for(len(x)).spans] == [3] * 4 + [2] * (
+                len(x) == 40)
+            passes = _counting(m)
+            for cfg, decode in ((BeamConfig(width=5), beam_decode),
+                                (BeamConfig(width=1), greedy_decode)):
+                passes.clear()
+                best = decode(m, x, cfg)
+                offline = len(passes)
+                passes.clear()
+                ids, lp, emissions = stream_decode(m, _one_frame_at_a_time(x), cfg,
+                                                   clock=lambda: 0.0)
+                assert offline < len(passes), (seed, cfg)
+                assert (ids, lp) == tuple(best[0] if cfg.width > 1 else best)
+                passes.clear()
+                assert stream_decode(m, [x], cfg, clock=lambda: 0.0)[2] == emissions
+                assert offline <= len(passes)
+                fewer.append(offline < len(passes))
+    assert fewer[:8] == [False] * 8 and fewer[8::2] == [True] * 4  # beam(5) on 36 frames
 
 
 def test_a_forced_advance_falls_back_to_a_pass_of_its_own():
@@ -392,8 +404,8 @@ def test_a_forced_advance_falls_back_to_a_pass_of_its_own():
     x, cfg = np.zeros((80, 1)), BeamConfig(width=3, max_symbols_per_chunk=2)
     stacked = []
     steps = m.decoder_steps
-    m.decoder_steps = lambda prefixes, chunk: stacked.append(np.ndim(chunk) == 3) or steps(
-        prefixes, chunk)
+    m.decoder_steps = lambda prefixes, chunk, cache=None: stacked.append(
+        np.ndim(chunk) == 3) or steps(prefixes, chunk, cache)
     offline = decoding._session(m, [x], cfg)[0].hyps
     looked = list(stacked)
     stacked.clear()
@@ -464,6 +476,14 @@ def _logging_encoder(model):
     return calls
 
 
+def _cached_prefixes(cache):
+    """The prefix of each node a DecoderCache numbers, by number."""
+    prefixes = {-1: ()}
+    for (parent, tok), number in sorted(cache.numbers.items(), key=lambda item: item[1]):
+        prefixes[number] = prefixes[parent] + (tok,)
+    return [prefixes[number] for number in range(len(cache.numbers))]
+
+
 def test_long_stream_encodes_each_frame_once():
     # 2,000 frames in 8-frame fragments: every push but the first releases a
     # chunk of the tiny model (W=3, B=1, 4 raw frames per encoded frame), and
@@ -476,6 +496,12 @@ def test_long_stream_encodes_each_frame_once():
     for i in range(0, len(x), 8):
         session.push(x[i:i + 8])
         kept.append(session.buf.raw_count)
+        # the decoder cache holds the paths of the live hypotheses and no more
+        cache = session.decoder_cache
+        live = {h.prefix[:k] for h in session.hyps + session.floor
+                for k in range(1, len(h.prefix) + 1)}
+        assert set(_cached_prefixes(cache)) <= live and len(cache.chunks) <= 2
+        assert cache.session is None or cache.session.have <= set(range(len(cache.numbers)))
     session.flush()
     del m.encode_states
     # the work per release and the raw frames kept do not grow along the stream
@@ -540,6 +566,27 @@ def test_session_protocol_errors(tiny_model, rng):
         session.push(rng.normal(size=(4, 4)))
     with pytest.raises(ProtocolError):
         session.flush()
+    # flush takes a last fragment, checked as push checks it
+    with pytest.raises(EmptyInputError):
+        StreamSession(tiny_model, BeamConfig()).flush(rng.normal(size=(3, 4)))
+    with pytest.raises(ContractError):
+        StreamSession(tiny_model, BeamConfig()).flush(rng.normal(size=(20, 5)))
+    session = StreamSession(tiny_model, BeamConfig())
+    session.flush(rng.normal(size=(20, 4)))
+    with pytest.raises(ProtocolError):
+        session.flush(rng.normal(size=(4, 4)))
+
+
+def test_a_flush_with_a_fragment_ends_as_a_push_and_a_flush(rng):
+    cfg = BeamConfig(width=3)
+    for seed in range(4):
+        m = make_tiny_model(seed=seed, n_dec_blocks=2)
+        x = rng.normal(size=(int(rng.integers(8, 60)), 4))
+        pushed = StreamSession(m, cfg, clock=lambda: 0.0)
+        emissions = pushed.push(x[:5]) + pushed.push(x[5:]) + pushed.flush()
+        flushed = StreamSession(m, cfg, clock=lambda: 0.0)
+        assert flushed.push(x[:5]) + flushed.flush(x[5:]) == emissions
+        assert flushed.hyps == pushed.hyps
 
 
 def test_stream_rejects_misshapen_fragments(tiny_model, rng):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 
@@ -9,8 +10,8 @@ from chunkrec import autodiff as ad
 from chunkrec.autodiff import Tensor
 from chunkrec.errors import (AvailabilityError, ConfigError, ContractError, NumericError,
                              ShapeError, VocabError)
-from chunkrec.model import (ChunkTransducerModel, EncoderCache, ModelConfig, Vocabulary,
-                            _prefix_trie, sinusoidal_positions)
+from chunkrec.model import (ChunkTransducerModel, DecoderCache, EncoderCache, ModelConfig,
+                            Vocabulary, _prefix_trie, sinusoidal_positions)
 
 from conftest import make_tiny_model
 
@@ -173,12 +174,23 @@ def test_decoder_prefix_extension_causal(tiny_model, rng):
 @example([[0], [0, 2, 1], [0, 2, 1], [0, 2], [0]])  # start-only and repeated rows
 def test_prefix_trie_is_the_prefix_relation(rows):
     # drawn rows need not share a first id, so a trie may have several roots
-    ids, mask, ends = _prefix_trie([np.array(row, dtype=np.intp) for row in rows])
+    trie = _prefix_trie([np.array(row, dtype=np.intp) for row in rows])
     # the distinct prefixes in the order a row-by-row walk first meets them
     walk = list(dict.fromkeys(tuple(row[:k]) for row in rows for k in range(1, len(row) + 1)))
-    assert ids.tolist() == [p[-1] for p in walk]
-    assert mask.tolist() == [[p[:len(q)] == q for q in walk] for p in walk]
-    assert ends.tolist() == [walk.index(tuple(row)) for row in rows]
+    assert trie.ids.tolist() == [p[-1] for p in walk]
+    assert trie.mask.tolist() == [[p[:len(q)] == q for q in walk] for p in walk]
+    assert trie.ends == [walk.index(tuple(row)) for row in rows]
+    assert trie.parents == [walk.index(p[:-1]) if len(p) > 1 else -1 for p in walk]
+    assert trie.numbers.tolist() == list(range(len(walk)))
+    # numbers shared across calls keep each prefix's number, whatever the walk
+    shared = {}
+    first = dict(zip(walk, _prefix_trie(rows, shared).numbers.tolist()))
+    later = rows[::-1] + [[5, 5]]
+    again = list(dict.fromkeys(tuple(row[:k]) for row in later for k in range(1, len(row) + 1)))
+    numbers = _prefix_trie(later, shared).numbers.tolist()
+    assert [first.get(p, -1) for p in again] == [
+        n if p in first else -1 for p, n in zip(again, numbers)]
+    assert len(shared) == len(set(first) | set(again))
 
 
 def test_decoder_steps_match_single_prefix_passes(tiny_model, rng):
@@ -295,9 +307,9 @@ def test_decoder_steps_scores_each_distinct_prefix_once(monkeypatch):
     seen = []
     decode, ffn = m._decode, m._ffn
 
-    def recorded_decode(ids, chunk_states, cross_mask=True, self_mask=None, read=None):
+    def recorded_decode(ids, chunk_states, cross_mask=True, self_mask=None, rows=None):
         seen.append(ids.shape)
-        return decode(ids, chunk_states, cross_mask, self_mask, read)
+        return decode(ids, chunk_states, cross_mask, self_mask, rows)
 
     def recorded_ffn(prefix, x):
         seen.append((prefix, x.shape[0]))
@@ -316,6 +328,109 @@ def test_decoder_steps_scores_each_distinct_prefix_once(monkeypatch):
         nodes = {tuple(p[:k]) for p in prefixes for k in range(1, len(p) + 1)}
         rows, read = max(2, len(nodes)), max(2, len({tuple(p) for p in prefixes}))
         assert seen == [(rows,), ("dec.0.ffn", rows), ("dec.1.ffn", read)]
+
+
+_BENCHMARK_SHAPED = dict(d_model=64, n_heads=4, n_enc_blocks=2, n_dec_blocks=2, left_context=8,
+                         W=4, vocab_size=16, ffn_inner=128)
+
+# a search's passes: per chunk, passes of beam-shaped prefixes over one shared
+# history, each against the chunk alone or stacked with the next
+_SEARCH = st.tuples(
+    st.lists(st.integers(1, 7), max_size=12),
+    st.lists(st.lists(st.tuples(st.booleans(), _BEAM_TRIES.map(lambda trie: trie[1])),
+                      min_size=1, max_size=4), min_size=1, max_size=3))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_dec_blocks=0), {}, dict(n_dec_blocks=2), _BENCHMARK_SHAPED,
+], ids=["no-block", "one-block", "two-blocks", "benchmark-shaped"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(search=_SEARCH, seed=st.integers(0, 2**16))
+def test_cached_passes_equal_uncached_passes(overrides, search, seed):
+    # a pass that reads rows from a DecoderCache, and computes the rest, gives
+    # the bits of the pass that computes every row, alone or stacked
+    m = make_tiny_model(seed=2, **overrides)
+    history, chunks = search
+    states = np.random.default_rng(seed).normal(size=(len(chunks) + 1, m.cfg.W, m.cfg.d_model))
+    cache = DecoderCache()
+    for c, passes in enumerate(chunks):
+        for stacked, cuts in passes:
+            prefixes = [(m.vocab.start_id, *history[:cut], *tail) for cut, tail in cuts]
+            chunk = states[c:c + 2] if stacked else states[c]
+            assert np.array_equal(m.decoder_steps(prefixes, chunk, cache),
+                                  m.decoder_steps(prefixes, chunk))
+            assert 1 + stacked <= len(cache.chunks) <= 2
+        cache.next_chunk(prefixes)
+
+
+def _rows_run(monkeypatch, m):
+    """Record the rows of each pass's sub-layers: (name, rows) per
+    self-attention (its query rows) and FFN call."""
+    seen, attend, ffn = [], m._attend, m._ffn
+
+    def recorded_attend(prefix, q_in, k, v, mask):
+        if prefix.endswith("self_attn"):
+            seen.append((prefix, q_in.shape[-2]))
+        return attend(prefix, q_in, k, v, mask)
+
+    def recorded_ffn(prefix, x):
+        seen.append((prefix, x.shape[-2]))
+        return ffn(prefix, x)
+
+    monkeypatch.setattr(m, "_attend", recorded_attend)
+    monkeypatch.setattr(m, "_ffn", recorded_ffn)
+    return seen
+
+
+def test_a_cached_pass_computes_only_what_the_cache_lacks(monkeypatch):
+    m = make_tiny_model(n_dec_blocks=2)
+    rng = np.random.default_rng(4)
+    chunks = rng.normal(size=(2, m.cfg.W, m.cfg.d_model))
+    start = m.vocab.start_id
+    beam = [(start, 2, 3, 4), (start, 2, 3, 5), (start, 2, 6)]  # 6 nodes
+    cache = DecoderCache()
+    seen = _rows_run(monkeypatch, m)
+    m.decoder_steps(beam, chunks[0], cache)
+    assert seen == [("dec.0.self_attn", 6), ("dec.0.ffn", 6), ("dec.1.self_attn", 3),
+                    ("dec.1.ffn", 3)]
+    # the next chunk's first round: every node is in the session tier, so no
+    # block-0 self-attention row; every node is new to the chunk
+    cache.next_chunk(beam)
+    seen.clear()
+    got = m.decoder_steps(beam, chunks[1], cache)
+    assert seen == [("dec.0.ffn", 6), ("dec.1.self_attn", 3), ("dec.1.ffn", 3)]
+    assert np.array_equal(got, m.decoder_steps(beam, chunks[1]))
+    # a later round runs block 0 and the rest only on the nodes new to the chunk
+    later = [p + (s,) for p in beam for s in (2, 7)]
+    seen.clear()
+    got = m.decoder_steps(later, chunks[1], cache)
+    assert seen == [("dec.0.self_attn", 6), ("dec.0.ffn", 6), ("dec.1.self_attn", 6),
+                    ("dec.1.ffn", 6)]
+    assert np.array_equal(got, m.decoder_steps(later, chunks[1]))
+    # rows read before cost nothing
+    seen.clear()
+    got = m.decoder_steps(later[::-1], chunks[1], cache)
+    assert seen == []
+    assert np.array_equal(got, m.decoder_steps(later[::-1], chunks[1]))
+
+
+@pytest.mark.parametrize("n_dec_blocks", [1, 2])
+def test_a_pass_with_one_missing_node_computes_two_rows(monkeypatch, n_dec_blocks):
+    # one row alone would take BLAS's matrix-vector path, which sums in
+    # another order: the pass adds a second node it could read instead
+    m = make_tiny_model(n_dec_blocks=n_dec_blocks)
+    chunk = np.random.default_rng(6).normal(size=(m.cfg.W, m.cfg.d_model))
+    start = m.vocab.start_id
+    for held, asked in [([(start, 3, 4)], [(start, 3, 4, 5)]),  # a new leaf
+                        ([(start, 3, 4, 5), (start, 6)], [(start, 3, 4)]),  # a held node, read
+                        ([(start,)], [(start, 3)])]:  # the root held, as a pass's pad
+        cache = DecoderCache()
+        m.decoder_steps(held, chunk, cache)
+        seen = _rows_run(monkeypatch, m)
+        got = m.decoder_steps(asked, chunk, cache)
+        monkeypatch.undo()
+        assert np.array_equal(got, m.decoder_steps(asked, chunk))
+        assert seen and all(rows == 2 for _name, rows in seen), (held, asked, seen)
 
 
 def test_decoder_contract_errors(tiny_model, rng):
@@ -459,15 +574,19 @@ def test_a_non_finite_op_output_anywhere_is_a_numeric_error(monkeypatch):
     chunk = rng.normal(size=(m.cfg.W, m.cfg.d_model))
     padded = np.zeros((2, 26, 4))
     padded[0], padded[1, :13] = x, x2
+    prefixes = [[start, 2, 3], [start, 2], [start, 4]]
+    filled = DecoderCache()  # holds the start, 2 and 5 and their outputs, not 2 3 or 4
+    m.decoder_steps([[start, 2], [start, 5]], chunk, filled)
     runs = {
         "offline encode": lambda: m.encode_states(x),
         "padded encode": lambda: m.encode_states(padded, [26, 13]),
         "cached encode": lambda: m.encode_states(x[4 * warm.start:],
                                                  cache=dataclasses.replace(warm)),
-        "decoder_steps": lambda: m.decoder_steps([[start, 2, 3], [start, 2], [start, 4]],
-                                                 chunk),
+        "decoder_steps": lambda: m.decoder_steps(prefixes, chunk),
+        "cached decoder_steps": lambda: m.decoder_steps(prefixes, chunk, copy.deepcopy(filled)),
         "sequence_nlls": lambda: m.sequence_nlls([(x, [2, 3, 4]), (x2, [5])]),
     }
+    named = {what: set() for what in runs}
     for what, run in runs.items():
         with monkeypatch.context() as mp:
             calls = _inject(mp, -1, 0.0, rng)
@@ -477,11 +596,14 @@ def test_a_non_finite_op_output_anywhere_is_a_numeric_error(monkeypatch):
             for value in (np.nan, np.inf, -np.inf):
                 # inf - inf on the way to a check raises no RuntimeWarning, which
                 # pytest makes an error: the model's entry points turn it off
-                with monkeypatch.context() as mp, pytest.raises(NumericError):
+                with monkeypatch.context() as mp, pytest.raises(NumericError) as caught:
                     _inject(mp, target, value, rng)
                     run()
                     pytest.fail(f"{what}: {value} in the output of op call {target} ({op}) "
                                 "passed unchecked")
+                named[what].add(str(caught.value))
+    # a pass that reads part of its rows from the cache reports the same sub-layers
+    assert named["cached decoder_steps"] == named["decoder_steps"]
 
 
 @pytest.mark.parametrize("param, sublayer", [
