@@ -264,16 +264,13 @@ def _prefix_trie(rows, numbers=None):
             node = nodes.setdefault((node, tok), len(nodes))
         ends.append(node)
     numbers = {} if numbers is None else numbers
-    # walk order sets a parent's row, as a bitset, and number before any child reads them
-    rows, number = [], []
+    # walk order sets a parent's row and number before any child reads them; a root's parent is -1
+    mask, number = np.eye(len(nodes), dtype=bool), []
     for (parent, tok), node in nodes.items():
-        rows.append((rows[parent] if parent >= 0 else 0) | 1 << node)
+        if parent >= 0:
+            mask[node] |= mask[parent]
         number.append(numbers.setdefault((number[parent] if parent >= 0 else -1, tok),
                                          len(numbers)))
-    width = (len(nodes) + 7) // 8
-    bits = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
-    mask = np.unpackbits(bits.reshape(len(nodes), width), axis=1, count=len(nodes),
-                         bitorder="little").view(bool)
     parents, ids = zip(*nodes) if nodes else ((), ())
     return _Trie(np.array(ids, dtype=np.intp), mask, ends, list(parents),
                  np.array(number, dtype=np.intp))
@@ -322,14 +319,11 @@ class DecoderCache:
     for the chunk being searched, then one for the next (the look-ahead's):
     each node's self-attention keys and values of every later block against
     that chunk, and the output row of each node a pass read. Each tier holds
-    the paths to the nodes it holds; a pass makes the tiers it lacks. cross
-    holds each block's cross-attention keys and values of the chunk being
-    searched, alone and stacked with the next, by (chunk states' shape, block).
+    the paths to the nodes it holds; a pass makes the tiers it lacks.
     """
     numbers: dict = field(default_factory=dict)
     session: _Tier = None
     chunks: list = field(default_factory=list)
-    cross: dict = field(default_factory=dict)
 
     def outputs(self, prefixes):
         """The output rows of prefixes against the chunk being searched, if the
@@ -346,8 +340,8 @@ class DecoderCache:
         return self.chunks[0].rows["out"][nodes]
 
     def next_chunk(self, prefixes):
-        """Drop the searched chunk's tier and cross-attention rows, and every
-        node off the paths of prefixes; the rest are renumbered in walk order."""
+        """Drop the searched chunk's tier, and every node off the paths of
+        prefixes; the rest are renumbered in walk order."""
         kept, old = {}, []  # the new numbers by (new parent, id), and each one's old number
         for row in prefixes:
             number = was = -1
@@ -360,7 +354,7 @@ class DecoderCache:
             for tier in self.chunks[1:] + [self.session] * (self.session is not None):
                 tier.reserve(len(self.numbers))
                 tier.keep(np.array(old, dtype=np.intp))
-        self.numbers, self.chunks, self.cross = kept, self.chunks[1:], {}
+        self.numbers, self.chunks = kept, self.chunks[1:]
 
 
 def _lacking(nodes, parents, numbers, have):
@@ -390,9 +384,6 @@ class _EveryRow:
     def keys(self, i, k, v):
         return k, v
 
-    def cross(self, i, kv):
-        return kv()
-
     def queries(self, i, h, n):
         return h, n, self.mask
 
@@ -418,8 +409,7 @@ class _TriePass:
     """
 
     def __init__(self, cache, cfg, shape, trie, read):
-        d = self.d = cfg.d_model
-        self.last, self.cache, self.shape = cfg.n_dec_blocks - 1, cache, shape
+        d, self.last = cfg.d_model, cfg.n_dec_blocks - 1
         n_chunks = shape[0] if len(shape) == 3 else 1
         size = max(64, 2 * len(cache.numbers))  # room to grow without reallocating
         if cache.session is None:
@@ -458,14 +448,6 @@ class _TriePass:
                 t = Tensor(full[0] if len(full) == 1 else np.stack(full))
             out.append(t)
         return out
-
-    def cross(self, i, kv):
-        """Block i's cross-attention keys and values of the pass's chunks: kv()'s,
-        kept until the chunk is done."""
-        key = (self.shape, i)
-        if key not in self.cache.cross:
-            self.cache.cross[key] = kv()
-        return self.cache.cross[key]
 
     def queries(self, i, h, n):
         """The residual, normed input and mask rows of block i's self-attention queries."""
@@ -679,10 +661,8 @@ class ChunkTransducerModel:
                 h = _checked(sa, h + self._attend(sa, n, k, v, mask))
             if i == 0:
                 h = rows.residual(h)
-            ca = f"dec.{i}.cross_attn"
-            k, v = rows.cross(i, lambda: (self._linear(ca, chunk_states, "k"),
-                                          self._linear(ca, chunk_states, "v")))
-            h = _checked(ca, h + self._attend(ca, self._ln(f"dec.{i}.ln2", h), k, v, cross_mask))
+            h = _checked(f"dec.{i}.cross_attn", h + self._mha(
+                f"dec.{i}.cross_attn", self._ln(f"dec.{i}.ln2", h), chunk_states, cross_mask))
             h = _checked(f"dec.{i}.ffn", h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h)))
         return _checked("dec.out", ad.log_softmax(
             self._linear("dec.out", self._ln("dec.final_ln", h))))

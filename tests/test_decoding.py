@@ -11,7 +11,7 @@ from chunkrec.decoding import (BeamConfig, Hypothesis, StreamSession, _advance_c
                                beam_decode, cer, edit_distance, greedy_decode, stream_decode)
 from chunkrec.errors import (ChunkrecError, ConfigError, ContractError, EmptyInputError,
                              NumericError, ProtocolError, UndefinedMetricError)
-from chunkrec.model import Vocabulary
+from chunkrec.model import DecoderCache, Vocabulary
 
 from conftest import make_tiny_model
 
@@ -397,22 +397,42 @@ def test_offline_decoding_looks_ahead_in_fewer_passes():
     assert fewer[:8] == [False] * 8 and fewer[8::2] == [True] * 4  # beam(5) on 36 frames
 
 
-def test_a_forced_advance_falls_back_to_a_pass_of_its_own():
-    # label a is likeliest, so the last round always keeps a forced advance,
-    # a prefix no pass has scored: each next chunk's round 0 makes its pass
-    m = ScriptedModel(lambda prefix, chunk: _logdist([0.3, 0.05, 0.45, 0.2]), L=20)
-    x, cfg = np.zeros((80, 1)), BeamConfig(width=3, max_symbols_per_chunk=2)
-    stacked = []
-    steps = m.decoder_steps
-    m.decoder_steps = lambda prefixes, chunk, cache=None: stacked.append(
-        np.ndim(chunk) == 3) or steps(prefixes, chunk, cache)
-    offline = decoding._session(m, [x], cfg)[0].hyps
-    looked = list(stacked)
-    stacked.clear()
-    assert decoding._session(m, _one_frame_at_a_time(x), cfg)[0].hyps == offline
-    # only the offline passes looked ahead, yet no round 0 read its rows
-    assert any(looked) and not any(stacked)
-    assert len(looked) == len(stacked)
+def test_a_forced_advance_falls_back_to_a_pass_of_its_own(monkeypatch):
+    # 36 frames make 4 full chunks, and offline decoding looks ahead from each
+    # into the next. With a blank bias the hypotheses stop within a chunk, and
+    # on this model each next chunk's round 0 finds its prefixes' rows in the
+    # cache. A label bias makes every round emit, so the last round keeps a
+    # forced advance, a prefix no pass has scored: each next chunk's round 0
+    # makes its pass. Fed one frame at a time, no pass looks ahead
+    reads = []
+    outputs = DecoderCache.outputs
+
+    def read(cache, prefixes):
+        rows = outputs(cache, prefixes)
+        reads.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(DecoderCache, "outputs", read)
+    x, cfg = np.random.default_rng(9).normal(size=(36, 4)), BeamConfig(
+        width=3, max_symbols_per_chunk=2)
+    for token, forced in ((0, False), (3, True)):
+        m = make_tiny_model(seed=3, n_dec_blocks=2)
+        m.params["dec.out.b"].data[token] = 5.0
+        assert [b - a for a, b in m.geometry_for(len(x)).spans] == [3] * 4
+        stacked = []
+        steps = m.decoder_steps
+        m.decoder_steps = lambda prefixes, chunk, cache=None: stacked.append(
+            np.ndim(chunk) == 3) or steps(prefixes, chunk, cache)
+        reads.clear()
+        offline = beam_decode(m, x, cfg)
+        looked, offline_reads = list(stacked), list(reads)
+        stacked.clear()
+        ids, lp, _ = stream_decode(m, _one_frame_at_a_time(x), cfg)
+        assert (ids, lp) == offline[0]
+        # round 0 of chunks 1-3 read a look-ahead's rows, or made their passes
+        assert offline_reads == [False] + [not forced] * 3
+        assert any(looked) and not any(stacked)
+        assert len(looked) == len(stacked) - 3 * (not forced)
 
 
 def test_an_infinite_parameter_is_a_numeric_error_not_a_warning(rng):
