@@ -24,9 +24,9 @@ batch-invariant, so its rows score bit for bit as greedy decoding does.
 A session keeps a DecoderCache, so a pass computes only the rows of the
 prefix nodes it has not met: block 0's self-attention once per node for
 the whole session, and the rest once per node and chunk (decoder_steps).
-After each chunk the cache drops that chunk's rows and every node off the
-paths of the live hypotheses and the floor. A row depends only on
-(prefix, chunk), so results stay bitwise.
+After each chunk, next_chunk drops that chunk's tier, and keeps the nodes
+on the paths of the live hypotheses and the floor in their order. A row
+depends only on (prefix, chunk), so results stay bitwise.
 
 A chunk looks one chunk ahead when its push or flush also releases the
 next at full length: offline, where the one fragment is the flush, or a

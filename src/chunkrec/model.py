@@ -11,13 +11,17 @@ label prefix against every chunk of its utterance.
 ``parameter_table`` is the one list of parameter names and shapes; the
 initializer walks it and the model checks given parameters against it.
 
-Search passes score prefix tries (``decoder_steps``) against a
-``DecoderCache``. Block 0's self-attention depends on the prefix alone and
-everything after it on the prefix and the chunk, so a node's block-0 keys,
-values and output serve the whole decode and its later keys, values and
-output row serve one chunk. A pass computes only the rows its cache lacks,
-in the same one block loop (``_decode``) that teacher forcing runs on
-every row.
+Search passes score prefixes (``decoder_steps``) against a
+``DecoderCache``, which keeps the decode's prefix trie as a node table: a
+dict from prefix to node number, and each node's id and ancestor row. A
+pass finds its nodes with one dict lookup per prefix, and its rows and
+masks with a fixed number of array operations. Block 0's self-attention
+depends on the prefix alone and everything after it on the prefix and the
+chunk, so a node's block-0 keys, values and output serve the whole decode
+and its later keys, values and output row serve one chunk tier, which
+serves only the chunk it was made for. A pass computes only the rows its
+cache lacks, in the same one block loop (``_decode``) that teacher forcing
+runs on every row.
 
 Finiteness is checked at sub-layer boundaries, not after every autodiff
 op, and a NumericError names the sub-layer, as in "non-finite value in
@@ -39,8 +43,8 @@ not as a RuntimeWarning from the op that first makes it.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -50,7 +54,7 @@ from . import chunking
 from .chunking import (FRONT_END_DOWNSAMPLE, FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry,
                        as_frames, left_context_mask)
 from .errors import (AvailabilityError, ConfigError, ContractError, EmptyInputError,
-                     NumericError, ShapeError, VocabError, check_fields)
+                     NumericError, ProtocolError, ShapeError, VocabError, check_fields)
 from .lattice import lattice_nll
 
 
@@ -242,40 +246,6 @@ def _right_pad(rows, fill):
     return out
 
 
-_Trie = namedtuple("_Trie", "ids mask ends parents numbers")
-
-
-def _prefix_trie(rows, numbers=None):
-    """Id sequences as one trie: its node ids, ancestor mask, each row's last
-    node, each node's parent (-1 for a root) and each node's number.
-
-    There is one node per distinct prefix of a row, keyed by (parent node,
-    id) and numbered in walk order, so every ancestor precedes its
-    descendants; equal rows share their nodes. mask[j, i] is True iff node
-    i is node j or an ancestor of it, so row j is its parent's row plus j.
-    numbers, a dict from (parent's number, id) to number, numbers prefixes
-    across calls (a DecoderCache's) and gains the new ones; by default a
-    node's number is its index.
-    """
-    nodes, ends = {}, []
-    for row in rows:
-        node = -1
-        for tok in row:
-            node = nodes.setdefault((node, tok), len(nodes))
-        ends.append(node)
-    numbers = {} if numbers is None else numbers
-    # walk order sets a parent's row and number before any child reads them; a root's parent is -1
-    mask, number = np.eye(len(nodes), dtype=bool), []
-    for (parent, tok), node in nodes.items():
-        if parent >= 0:
-            mask[node] |= mask[parent]
-        number.append(numbers.setdefault((number[parent] if parent >= 0 else -1, tok),
-                                         len(numbers)))
-    parents, ids = zip(*nodes) if nodes else ((), ())
-    return _Trie(np.array(ids, dtype=np.intp), mask, ends, list(parents),
-                 np.array(number, dtype=np.intp))
-
-
 @dataclass
 class EncoderCache:
     """A stream's encoder state: start, the first encoded position not yet
@@ -284,95 +254,132 @@ class EncoderCache:
     rows: list = field(default_factory=list)
 
 
-class _Tier:
-    """Rows by node number: a (size, width) array per name, grown on demand;
-    have holds the numbers that have rows under every name but "out", and
-    read those that have an "out" row."""
-
-    def __init__(self, widths, size):
-        self.size, self.have, self.read = size, set(), set()
-        self.rows = {name: np.zeros((size, width)) for name, width in widths.items()}
-
-    def reserve(self, n):
-        """Room for the numbers below n."""
-        if n > self.size:
-            self.size = max(n, 2 * self.size)
-            for name, a in self.rows.items():
-                self.rows[name] = np.concatenate([a, np.zeros((self.size - len(a), a.shape[1]))])
-
-    def keep(self, old):
-        """Keep the rows of numbers old, renumbered 0, 1, ... in their order."""
-        for a in self.rows.values():
-            a[:len(old)] = a[old]
-        self.have = {new for new, number in enumerate(old.tolist()) if number in self.have}
-        self.read = {new for new, number in enumerate(old.tolist()) if number in self.read}
+def _grown(a, axis, size):
+    """a with zeros appended along axis up to size."""
+    out = np.zeros(a.shape[:axis] + (size,) + a.shape[axis + 1:], dtype=a.dtype)
+    out[tuple(map(slice, a.shape))] = a
+    return out
 
 
-@dataclass
+def _compact(a, old, n):
+    """Move a's rows old (ascending) to the front in their order, and zero its
+    other rows below n."""
+    a[:len(old)] = a.take(old, 0)
+    a[len(old):n] = 0
+
+
 class DecoderCache:
-    """A decode's decoder rows by prefix node, so that a search pass computes
-    only the rows it lacks (decoder_steps).
+    """A decode's prefix trie and its decoder rows by trie node, so that a
+    search pass computes only the rows it lacks (decoder_steps).
 
-    numbers numbers each prefix node it has met, as _prefix_trie does. The
-    session tier holds each node's block-0 self-attention keys, values and
-    residual output, which depend on the prefix alone. chunks holds a tier
-    for the chunk being searched, then one for the next (the look-ahead's):
-    each node's self-attention keys and values of every later block against
-    that chunk, and the output row of each node a pass read. Each tier holds
-    the paths to the nodes it holds; a pass makes the tiers it lacks.
+    nodes maps each prefix the trie holds, a tuple of ids, to its node
+    number; ids[j] is node j's last id, and anc[j, i] is True iff node i is
+    node j or an ancestor of it. A node is added from its parent's entry,
+    after its parent, so ancestors are numbered before descendants, and its
+    id is checked once, as it is added. The root, the start symbol, is node
+    0. Every array is indexed by node number, and is zero past the nodes.
+
+    session holds each node's block-0 self-attention keys, values and
+    residual output ("k0", "v0", "a0"), which depend on the prefix alone;
+    held marks the nodes that have them. tiers holds, per chunk tier, each
+    node's self-attention keys and values of every later block against
+    that tier's chunk, and the output row of each node a pass read; have
+    and read mark the nodes that have the former and the latter. chunks
+    holds the bytes of each tier's chunk states: the chunk being searched,
+    then the next (the look-ahead's). Each tier, and the session, holds the
+    paths to the nodes it holds; a pass makes the tiers it lacks.
     """
-    numbers: dict = field(default_factory=dict)
-    session: _Tier = None
-    chunks: list = field(default_factory=list)
+
+    def __init__(self):
+        self.nodes, self.size = {}, 64
+        self.ids, self.anc = np.zeros(64, dtype=np.intp), np.zeros((64, 64), dtype=bool)
+        self.session, self.tiers, self.chunks = {}, {}, []
+
+    def _deepest(self, prefix):
+        """(k, node): the longest start prefix[:k] of prefix, a tuple, that the
+        trie holds, and its node (-1 for k = 0)."""
+        for k in range(len(prefix), 0, -1):
+            number = self.nodes.get(prefix[:k])
+            if number is not None:
+                return k, number
+        return 0, -1
+
+    def number(self, prefix, vocab_size):
+        """The node number of prefix, a tuple, after adding the nodes it lacks;
+        VocabError, with none of them added, for an id to add that is not an
+        integer in [0, vocab_size)."""
+        known, number = self._deepest(prefix)
+        if known == len(prefix):
+            return number
+        if not all((type(t) is int or isinstance(t, np.integer)) and 0 <= t < vocab_size
+                   for t in prefix[known:]):
+            raise VocabError(f"prefix ids {prefix[known:]!r} are not integers in the "
+                             f"vocabulary [0, {vocab_size})")
+        n = len(self.nodes)
+        if n + len(prefix) - known > self.size:
+            self._grow(max(n + len(prefix) - known, 2 * self.size))
+        for j in range(known, len(prefix)):
+            parent, number = number, len(self.nodes)
+            if parent >= 0:
+                self.anc[number] = self.anc[parent]
+            self.anc[number, number] = True
+            self.ids[number] = prefix[j]
+            self.nodes[prefix[:j + 1]] = number
+        return number
+
+    def _grow(self, size):
+        self.ids, self.anc = _grown(self.ids, 0, size), _grown(_grown(self.anc, 0, size), 1, size)
+        self.session = {name: _grown(a, 0, size) for name, a in self.session.items()}
+        self.tiers = {name: _grown(a, 1, size) for name, a in self.tiers.items()}
+        self.size = size
+
+    def _make(self, cfg, n_tiers):
+        """Room for cfg's rows in at least n_tiers chunk tiers."""
+        d = cfg.d_model
+        if not self.session:
+            names = ("k0", "v0", "a0") if cfg.n_dec_blocks else ()
+            self.session = {name: np.zeros((self.size, d)) for name in names}
+            self.session["held"] = np.zeros(self.size, dtype=bool)
+            widths = {f"{kv}{i}": d for i in range(1, cfg.n_dec_blocks) for kv in "kv"}
+            self.tiers = {name: np.zeros((0, self.size, width))
+                          for name, width in {**widths, "out": cfg.vocab_size}.items()}
+            self.tiers.update(have=np.zeros((0, self.size), dtype=bool),
+                              read=np.zeros((0, self.size), dtype=bool))
+        if n_tiers > len(self.tiers["out"]):
+            self.tiers = {name: _grown(a, 0, n_tiers) for name, a in self.tiers.items()}
 
     def outputs(self, prefixes):
         """The output rows of prefixes against the chunk being searched, if the
         cache holds them all; else None."""
-        read = self.chunks[0].read if self.chunks else ()
-        nodes = []
-        for row in prefixes:
-            number = -1
-            for tok in row:
-                number = self.numbers.get((number, tok), -2)
-            if number not in read:
-                return None
-            nodes.append(number)
-        return self.chunks[0].rows["out"][nodes]
+        nodes = [self.nodes.get(tuple(row)) for row in prefixes]
+        if not self.chunks or None in nodes or not self.tiers["read"][0].take(nodes).all():
+            return None
+        return self.tiers["out"][0].take(nodes, 0)
 
     def next_chunk(self, prefixes):
         """Drop the searched chunk's tier, and every node off the paths of
-        prefixes; the rest are renumbered in walk order."""
-        kept, old = {}, []  # the new numbers by (new parent, id), and each one's old number
-        for row in prefixes:
-            number = was = -1
-            for tok in row:
-                was = self.numbers.setdefault((was, tok), len(self.numbers))
-                number = kept.setdefault((number, tok), len(kept))
-                if number == len(old):
-                    old.append(was)
-        if old != list(range(len(self.numbers))):  # else every node is kept as numbered
-            for tier in self.chunks[1:] + [self.session] * (self.session is not None):
-                tier.reserve(len(self.numbers))
-                tier.keep(np.array(old, dtype=np.intp))
-        self.numbers, self.chunks = kept, self.chunks[1:]
-
-
-def _lacking(nodes, parents, numbers, have):
-    """Those of nodes whose numbers have lacks, and their ancestors up to the
-    first it holds, sorted. A tier holds the paths to the nodes it holds."""
-    out = set()
-    for node in nodes:
-        while node >= 0 and node not in out and numbers[node] not in have:
-            out.add(node)
-            node = parents[node]
-    return sorted(out)
+        prefixes; the rest keep their order, renumbered 0, 1, ..."""
+        n = len(self.nodes)
+        ends = [node for known, node in map(self._deepest, map(tuple, prefixes)) if known]
+        keep = np.logical_or.reduce(self.anc.take(ends, 0)[:, :n], axis=0)
+        old = keep.nonzero()[0]
+        m = len(old)
+        if m < n:
+            self.nodes = dict(zip(compress(self.nodes, keep), range(m)))
+            square = self.anc[:n, :n]
+            for a in [self.ids, square, square.T, *self.session.values()]:
+                _compact(a, old, n)
+        for a in self.tiers.values():  # tier t + 1 becomes tier t
+            a[:-1, :m] = a[1:, :m] if m == n else a[1:].take(old, 1)
+            a[:-1, m:n] = a[-1, :n] = 0
+        self.chunks = self.chunks[1:]
 
 
 def _two(nodes):
-    """Sorted trie nodes as an array, with a second if there is one: the root,
-    or its first child if nodes is the root. Neither has an ancestor outside
-    the other."""
-    return np.array([0, max(1, nodes[0])] if len(nodes) == 1 else nodes, dtype=np.intp)
+    """Sorted trie nodes, with a second if there is one: the root, or its first
+    child (node 1) if nodes is the root. Neither has an ancestor outside the
+    other."""
+    return np.array([0, max(1, nodes[0])], dtype=np.intp) if len(nodes) == 1 else nodes
 
 
 class _EveryRow:
@@ -392,95 +399,87 @@ class _EveryRow:
 
 
 class _TriePass:
-    """The rows a decoder_steps pass over a prefix trie computes against a
-    DecoderCache, which it adds there.
+    """The rows a decoder_steps pass over a DecoderCache's trie computes,
+    which it adds there. Its keys are every node of the trie, and a row's
+    mask is its node's ancestor row.
 
-    ask: the read nodes that lack an output row in a chunk tier of the pass;
-    they run the last block's queries and the output. todo: ask and its
-    ancestors that lack a chunk tier's rows; they run everything from block
-    0's cross-attention on. fresh: todo and its ancestors that the session
-    tier lacks; they run block 0's self-attention. Each is empty or at least
-    two nodes (_two), so that every row is a row of a matrix product. The
-    cache's rows and the computed ones give every node's keys.
+    ask: the read nodes (ends) that lack an output row in a chunk tier of the
+    pass; they run the last block's queries and the output. todo: ask and
+    its ancestors that lack a chunk tier's rows; they run everything from
+    block 0's cross-attention on. fresh: todo and its ancestors that the
+    session lacks; they run block 0's self-attention. Each is empty or at
+    least two nodes (_two), so that every row is a row of a matrix product.
+    The cache's rows and the computed ones give every node's keys.
 
     A computed row goes into the cache as it is made, and its node is
     marked as having rows once the pass has succeeded. A node that had
     rows and is computed again gets the same bits.
     """
 
-    def __init__(self, cache, cfg, shape, trie, read):
-        d, self.last = cfg.d_model, cfg.n_dec_blocks - 1
-        n_chunks = shape[0] if len(shape) == 3 else 1
-        size = max(64, 2 * len(cache.numbers))  # room to grow without reallocating
-        if cache.session is None:
-            cache.session = _Tier({"k0": d, "v0": d, "a0": d} if self.last >= 0 else {}, size)
-        widths = {f"{kv}{i}": d for i in range(1, self.last + 1) for kv in "kv"}
-        cache.chunks += [_Tier({**widths, "out": cfg.vocab_size}, size)
-                         for _ in range(n_chunks - len(cache.chunks))]
-        self.session, self.tiers = cache.session, cache.chunks[:n_chunks]
-        for tier in [self.session] + self.tiers:
-            tier.reserve(len(cache.numbers))
-        self.numbers, self.mask, self.read = trie.numbers, trie.mask, read
-        number = trie.numbers.tolist()
-        read_by_all = set.intersection(*(tier.read for tier in self.tiers))
-        self.ask = self.todo = self.fresh = _two(sorted(
-            node for node in read if number[node] not in read_by_all))
-        if len(self.ask) and self.last > 0:
-            held = set.intersection(*(tier.have for tier in self.tiers))
-            above = [trie.parents[node] for node in self.ask]
-            self.todo = _two(sorted(set(self.ask.tolist()).union(
-                _lacking(above, trie.parents, number, held))))
+    def __init__(self, cache, cfg, chunk, ends):
+        states = [c.tobytes() for c in (chunk if chunk.ndim == 3 else [chunk])]
+        if any(made != s for made, s in zip(cache.chunks, states)):
+            raise ProtocolError("the DecoderCache's chunk tiers hold other chunks' rows: "
+                                "call next_chunk before a pass on the next chunk")
+        cache.chunks += states[len(cache.chunks):]
+        cache._make(cfg, len(states))
+        self.cache, self.last, self.stack = cache, cfg.n_dec_blocks - 1, chunk.ndim == 3
+        n, c = len(cache.nodes), len(states)
+        self.n, self.c, self.ends = n, c, ends
+        anc, tiers = cache.anc, cache.tiers
+        nodes = np.array(sorted(set(ends)), dtype=np.intp)
+        read = np.logical_and.reduce(tiers["read"][:c].take(nodes, 1), axis=0)
+        self.ask = self.todo = self.fresh = _two(nodes[~read])
         if len(self.ask) and self.last >= 0:
-            self.fresh = _two(_lacking(self.todo.tolist(), trie.parents, number,
-                                       self.session.have))
+            # ask and its ancestors: every ancestor of todo, which holds ask
+            up = np.logical_or.reduce(anc.take(self.ask, 0)[:, :n], axis=0)
+            if self.last > 0:
+                todo = up & ~np.logical_and.reduce(tiers["have"][:c, :n], axis=0)
+                todo[self.ask] = True
+                self.todo = todo.nonzero()[0]
+            self.fresh = _two((up & ~cache.session["held"][:n]).nonzero()[0])
 
     def keys(self, i, k, v):
         """Every node's keys and values of block i: k and v in the rows the
         pass computes, the cache's in the others."""
-        tiers, at = ([self.session], self.fresh) if i == 0 else (self.tiers, self.todo)
-        every, at = len(at) == len(self.numbers), self.numbers[at]
-        out = []
+        n, out = self.n, []
         for name, t in ((f"k{i}", k), (f"v{i}", v)):
-            for tier, rows in zip(tiers, t.data.reshape(len(tiers), len(at), -1)):
-                tier.rows[name][at] = rows
-            if not every:
-                full = [tier.rows[name][self.numbers] for tier in tiers]
-                t = Tensor(full[0] if len(full) == 1 else np.stack(full))
-            out.append(t)
+            if i == 0:
+                rows = self.cache.session[name]
+                rows[self.fresh] = t.data
+            else:
+                rows = self.cache.tiers[name][:self.c]
+                rows[:, self.todo] = t.data
+                rows = rows if self.stack else rows[0]
+            out.append(Tensor(rows[..., :n, :]))
         return out
 
     def queries(self, i, h, n):
         """The residual, normed input and mask rows of block i's self-attention queries."""
         if i == 0:
-            return h, n, self.mask[self.fresh]
-        mask = self.mask[self.todo]
-        if i < self.last:
+            return h, n, self.cache.anc.take(self.fresh, 0)[:, :self.n]
+        mask = self.cache.anc.take(self.todo, 0)[:, :self.n]
+        if i < self.last or len(self.todo) == len(self.ask):  # todo holds ask
             return h, n, mask
         at = np.searchsorted(self.todo, self.ask)
         return Tensor(h.data[..., at, :]), Tensor(n.data[..., at, :]), mask[at]
 
     def residual(self, h):
         """Block 0's self-attention output of todo: h in fresh, the cache's elsewhere."""
-        rows = self.session.rows["a0"]
+        rows = self.cache.session["a0"]
         if h is not None:
-            rows[self.numbers[self.fresh]] = h.data
-        return Tensor(rows[self.numbers[self.todo]])
+            rows[self.fresh] = h.data
+        return Tensor(rows.take(self.todo, 0))
 
     def outputs(self, out=None):
         """Add out, the output rows of ask, to the cache and mark the pass's
-        nodes; then return the read nodes' output rows, (chunks, read, vocab)."""
-        ask, read = self.numbers[self.ask], self.numbers[self.read]
+        nodes; then return the output rows of ends, (chunks, len(ends), vocab)."""
+        tiers, c = self.cache.tiers, self.c
         if out is not None:
-            rows = out.data if out.data.ndim == 3 else [out.data] * len(self.tiers)
-            todo = self.numbers[self.todo].tolist()
-            for tier, r in zip(self.tiers, rows):
-                tier.rows["out"][ask] = r
-                tier.have.update(todo)
-                tier.read.update(ask.tolist())
-            self.session.have.update(self.numbers[self.fresh].tolist())
-        if len(self.tiers) == 1:
-            return self.tiers[0].rows["out"][read][None]
-        return np.stack([tier.rows["out"][read] for tier in self.tiers])
+            tiers["out"][:c, self.ask] = out.data
+            tiers["have"][:c, self.todo] = tiers["read"][:c, self.ask] = True
+            self.cache.session["held"][self.fresh] = True
+        return tiers["out"][:c].take(self.ends, 1)
 
 
 @dataclass
@@ -626,10 +625,10 @@ class ChunkTransducerModel:
     def _check_prefix(self, prefix_ids):
         if len(prefix_ids) == 0 or prefix_ids[0] != self.vocab.start_id:
             raise ContractError("decoder prefix must start with the blank start symbol")
-        ids = np.asarray(prefix_ids, dtype=np.intp)
-        if (ids < 0).any() or (ids >= self.cfg.vocab_size).any():
-            raise VocabError("prefix id out of vocabulary")
-        return ids
+        ids = np.asarray(prefix_ids)
+        if ids.dtype.kind not in "iu" or (ids < 0).any() or (ids >= self.cfg.vocab_size).any():
+            raise VocabError(f"prefix ids must be integers in the vocabulary, got {ids!r}")
+        return ids.astype(np.intp, copy=False)
 
     def _decode(self, ids, chunk_states, cross_mask=True, self_mask=None, rows=None):
         """Decoder blocks over ids of shape (..., P) -> (..., P, vocab) log-softmax.
@@ -693,24 +692,26 @@ class ChunkTransducerModel:
     def decoder_steps(self, prefixes, chunk_states, cache=None):
         """Next-symbol log-distributions for n prefixes in one decoder pass.
 
-        The pass runs the prefixes' trie (_prefix_trie) as one sequence under
-        its ancestor mask, so a symbol that several prefixes share, and a
-        prefix repeated, is scored once. The last block carries on only the
-        distinct last nodes, the rows read. chunk_states is one (W', d_model)
-        chunk, and the result an (n, vocab_size) numpy array; or a (C, W',
-        d_model) stack of C chunks, and the result (C, n, vocab_size), the
-        rows against each chunk. The trie stays one sequence, so block 0's
-        self-attention runs once and the chunk axis starts at its
-        cross-attention. Anything else is a ShapeError. Prefixes are checked
-        as decoder_forward checks them, once per pass: the start symbol per
-        prefix, then the range over the trie's ids.
+        The pass runs a DecoderCache's prefix trie, without one a trie of the
+        prefixes alone, as one sequence under its ancestor mask, so a symbol
+        that several prefixes share, and a prefix repeated, is scored once.
+        The last block carries on only the distinct last nodes, the rows
+        read. chunk_states is one (W', d_model) chunk, and the result an (n,
+        vocab_size) numpy array; or a (C, W', d_model) stack of C chunks, and
+        the result (C, n, vocab_size), the rows against each chunk. The trie
+        stays one sequence, so block 0's self-attention runs once and the
+        chunk axis starts at its cross-attention. Anything else is a
+        ShapeError. Each prefix must start with the start symbol
+        (ContractError), and each id the trie adds must be an integer in the
+        vocabulary (VocabError), checked as its node is added.
 
-        With a DecoderCache, whose chunk tiers' first C are the C chunks',
-        the pass computes only the rows the cache lacks (_TriePass): block
-        0's self-attention on the nodes new to the session, the rest on the
-        nodes new to a chunk, the output on the read nodes new to a chunk;
-        it adds them to the cache. A pass that finds every row computes
-        nothing.
+        With a cache, the pass computes only the rows it lacks (_TriePass):
+        block 0's self-attention on the nodes new to the session, the rest on
+        the nodes new to a chunk, the output on the read nodes new to a
+        chunk; it adds them to the cache. A pass that finds every row
+        computes nothing. The cache's first C chunk tiers must be the C
+        chunks', so a pass on other chunk states than the tiers were made
+        for is a ProtocolError: call cache.next_chunk between chunks.
 
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
         chunk_states)[0], and row [c, i] of a stack to decoder_steps(prefixes,
@@ -728,24 +729,21 @@ class ChunkTransducerModel:
             raise ShapeError(f"chunk states must be (W', {d}) or (C, W', {d}), got {chunk.shape}")
         if len(prefixes) == 0:
             raise ContractError("decoder_steps needs at least one prefix")
-        start = self.vocab.start_id
+        start, V = self.vocab.start_id, self.cfg.vocab_size
+        prefixes = [tuple(pre) for pre in prefixes]
         if not all(len(pre) and pre[0] == start for pre in prefixes):
             raise ContractError("decoder prefix must start with the blank start symbol")
-        rows = list(prefixes)
-        if max(map(len, rows)) == 1:  # a trie of the start node alone gets a second node
-            rows.append((start, start))
         cache = cache or DecoderCache()
-        trie = _prefix_trie(rows, cache.numbers)
-        if trie.ids.min() < 0 or trie.ids.max() >= self.cfg.vocab_size:  # every id, once
-            raise VocabError("prefix id out of vocabulary")
-        read = {}  # the distinct last nodes, and each prefix's place among them
-        back = [read.setdefault(end, len(read)) for end in trie.ends[:len(prefixes)]]
-        rows = _TriePass(cache, self.cfg, chunk.shape, trie, list(read))
+        ends = [cache.number(pre, V) for pre in prefixes]
+        if len(cache.nodes) == 1:  # a trie of the start node alone gets a second node
+            cache.number((start, start), V)
+        rows = _TriePass(cache, self.cfg, chunk.data, ends)
         out = None
         if len(rows.ask):
+            n = len(cache.nodes)
             with ad.no_grad():
-                out = self._decode(trie.ids, chunk, self_mask=trie.mask, rows=rows)
-        out = rows.outputs(out)[:, back]
+                out = self._decode(cache.ids[:n], chunk, self_mask=cache.anc[:n, :n], rows=rows)
+        out = rows.outputs(out)
         return out if chunk.data.ndim == 3 else out[0]
 
     def decoder_step(self, prefix_ids, chunk_states):

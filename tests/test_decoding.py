@@ -497,11 +497,8 @@ def _logging_encoder(model):
 
 
 def _cached_prefixes(cache):
-    """The prefix of each node a DecoderCache numbers, by number."""
-    prefixes = {-1: ()}
-    for (parent, tok), number in sorted(cache.numbers.items(), key=lambda item: item[1]):
-        prefixes[number] = prefixes[parent] + (tok,)
-    return [prefixes[number] for number in range(len(cache.numbers))]
+    """The prefix of each node in a DecoderCache's trie, by number."""
+    return sorted(cache.nodes, key=cache.nodes.get)
 
 
 def test_long_stream_encodes_each_frame_once():
@@ -521,7 +518,7 @@ def test_long_stream_encodes_each_frame_once():
         live = {h.prefix[:k] for h in session.hyps + session.floor
                 for k in range(1, len(h.prefix) + 1)}
         assert set(_cached_prefixes(cache)) <= live and len(cache.chunks) <= 2
-        assert cache.session is None or cache.session.have <= set(range(len(cache.numbers)))
+        assert not cache.session or not cache.session["held"][len(cache.nodes):].any()
     session.flush()
     del m.encode_states
     # the work per release and the raw frames kept do not grow along the stream

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from chunkrec import autodiff as ad
 from chunkrec.autodiff import Tensor
 from chunkrec.errors import (AvailabilityError, ConfigError, ContractError, NumericError,
-                             ShapeError, VocabError)
+                             ProtocolError, ShapeError, VocabError)
 from chunkrec.model import (ChunkTransducerModel, DecoderCache, EncoderCache, ModelConfig,
-                            Vocabulary, _prefix_trie, sinusoidal_positions)
+                            Vocabulary, sinusoidal_positions)
 
 from conftest import make_tiny_model
 
@@ -166,31 +166,6 @@ def test_decoder_prefix_extension_causal(tiny_model, rng):
     short = tiny_model.decoder_forward([v.start_id, 2, 3], chunk).data
     long = tiny_model.decoder_forward([v.start_id, 2, 3, 4], chunk).data
     assert np.abs(long[:3] - short).max() <= 1e-12
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6), min_size=1, max_size=6))
-@example([[0]])  # a one-node trie
-@example([[0], [0, 2, 1], [0, 2, 1], [0, 2], [0]])  # start-only and repeated rows
-def test_prefix_trie_is_the_prefix_relation(rows):
-    # drawn rows need not share a first id, so a trie may have several roots
-    trie = _prefix_trie([np.array(row, dtype=np.intp) for row in rows])
-    # the distinct prefixes in the order a row-by-row walk first meets them
-    walk = list(dict.fromkeys(tuple(row[:k]) for row in rows for k in range(1, len(row) + 1)))
-    assert trie.ids.tolist() == [p[-1] for p in walk]
-    assert trie.mask.tolist() == [[p[:len(q)] == q for q in walk] for p in walk]
-    assert trie.ends == [walk.index(tuple(row)) for row in rows]
-    assert trie.parents == [walk.index(p[:-1]) if len(p) > 1 else -1 for p in walk]
-    assert trie.numbers.tolist() == list(range(len(walk)))
-    # numbers shared across calls keep each prefix's number, whatever the walk
-    shared = {}
-    first = dict(zip(walk, _prefix_trie(rows, shared).numbers.tolist()))
-    later = rows[::-1] + [[5, 5]]
-    again = list(dict.fromkeys(tuple(row[:k]) for row in later for k in range(1, len(row) + 1)))
-    numbers = _prefix_trie(later, shared).numbers.tolist()
-    assert [first.get(p, -1) for p in again] == [
-        n if p in first else -1 for p, n in zip(again, numbers)]
-    assert len(shared) == len(set(first) | set(again))
 
 
 def test_decoder_steps_match_single_prefix_passes(tiny_model, rng):
@@ -361,6 +336,98 @@ def test_cached_passes_equal_uncached_passes(overrides, search, seed):
                                   m.decoder_steps(prefixes, chunk))
             assert 1 + stacked <= len(cache.chunks) <= 2
         cache.next_chunk(prefixes)
+
+
+def _node_table(cache):
+    """Check a DecoderCache's trie against the prefix relation; returns its
+    prefixes by node number."""
+    prefixes = list(cache.nodes)
+    n = len(prefixes)
+    assert list(cache.nodes.values()) == list(range(n))
+    assert cache.ids[:n].tolist() == [p[-1] for p in prefixes]
+    # ancestor rows are the prefix relation, and ancestors come first
+    assert cache.anc[:n, :n].tolist() == [[p[:len(q)] == q for q in prefixes] for p in prefixes]
+    assert all(cache.nodes[p[:k]] < j for j, p in enumerate(prefixes) for k in range(1, len(p)))
+    # nothing past the nodes
+    assert not cache.anc[n:].any() and not cache.anc[:, n:].any() and not cache.ids[n:].any()
+    assert not any(a[n:].any() for a in cache.session.values())
+    assert not any(a[:, n:].any() for a in cache.tiers.values())
+    return prefixes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(search=_SEARCH, live=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), max_size=4),
+       seed=st.integers(0, 2**16))
+@example(search=([], [[(False, [(0, [])])]]), live=[], seed=0)  # the start node alone
+def test_decoder_cache_node_table_is_the_prefix_relation(search, live, seed):
+    # the trie a DecoderCache keeps over a search's passes and next_chunk calls
+    m = make_tiny_model(seed=2, n_dec_blocks=2)
+    history, chunks = search
+    states = np.random.default_rng(seed).normal(size=(len(chunks) + 1, m.cfg.W, m.cfg.d_model))
+    cache = DecoderCache()
+    for c, passes in enumerate(chunks):
+        for stacked, cuts in passes:
+            prefixes = [(m.vocab.start_id, *history[:cut], *tail) for cut, tail in cuts]
+            m.decoder_steps(prefixes, states[c:c + 2] if stacked else states[c], cache)
+            table = _node_table(cache)
+            assert set(prefixes) <= set(table)
+        # the live hypotheses: some of the last pass's prefixes, one maybe
+        # extended by a symbol no pass scored (a forced advance)
+        ends = [prefixes[i % len(prefixes)] + (sym,) * (sym < m.cfg.vocab_size)
+                for i, sym in live]
+        before = {p: (cache.session["held"][j], cache.session["a0"][j].copy(),
+                      cache.tiers["have"][1:, j].tolist(), cache.tiers["out"][1:, j].copy())
+                  for j, p in enumerate(table)}
+        cache.next_chunk(ends)
+        # the kept nodes are exactly those on the live paths, in their order,
+        # with their rows; the next chunk's tier is now the first
+        kept = _node_table(cache)
+        assert kept == [q for q in table if any(e[:len(q)] == q for e in ends)]
+        for j, p in enumerate(kept):
+            held, a0, have, out = before[p]
+            assert cache.session["held"][j] == held and np.array_equal(cache.session["a0"][j], a0)
+            assert cache.tiers["have"][:-1, j].tolist() == have
+            assert np.array_equal(cache.tiers["out"][:-1, j], out)
+        assert not cache.tiers["have"][-1].any() and len(cache.chunks) <= 1
+
+
+def test_a_cache_searched_on_another_chunk_is_a_protocol_error():
+    # a chunk tier records the chunk states it was made for: a pass on other
+    # states must not read its rows
+    m = make_tiny_model(n_dec_blocks=2)
+    a, b = np.random.default_rng(8).normal(size=(2, m.cfg.W, m.cfg.d_model))
+    start = m.vocab.start_id
+    prefixes = [(start, 2, 3), (start, 4)]
+    for first in (a, np.stack([a, b])):
+        cache = DecoderCache()
+        m.decoder_steps(prefixes, first, cache)
+        with pytest.raises(ProtocolError, match="next_chunk"):
+            m.decoder_steps(prefixes, b, cache)
+    cache.next_chunk(prefixes)  # the stacked pass's tier of b is now the first
+    assert np.array_equal(m.decoder_steps(prefixes, b, cache), m.decoder_steps(prefixes, b))
+    assert np.array_equal(m.decoder_steps(prefixes, np.stack([b, a]), cache),
+                          m.decoder_steps(prefixes, np.stack([b, a])))
+
+
+def test_a_non_integer_id_is_a_vocab_error(tiny_model, rng):
+    # numpy would truncate 2.9 to 2 and parse "2" as 2
+    chunk = tiny_model.encode_chunk(rng.normal(size=(16, 4)), 0).states
+    start = tiny_model.vocab.start_id
+    for bad in ([start, 2.9], [start, "2"], [start, 2.0], [start, None]):
+        with pytest.raises(VocabError):
+            tiny_model.decoder_steps([bad], chunk)
+        with pytest.raises(VocabError):
+            tiny_model.decoder_step(bad, chunk)
+        with pytest.raises(VocabError):
+            tiny_model.decoder_forward(bad, chunk)
+    x = rng.normal(size=(16, 4))
+    for y in ([2.5, 3], np.array([2.0, 3.0]), ["2", "3"]):
+        with pytest.raises(VocabError):
+            tiny_model.sequence_nll(x, y)
+    # integer ids of any integer type are accepted
+    assert np.array_equal(tiny_model.decoder_steps([(start, np.int32(2))], chunk),
+                          tiny_model.decoder_steps([(start, 2)], chunk))
+    tiny_model.sequence_nll(x, np.array([2, 3], dtype=np.uint8))
 
 
 def _rows_run(monkeypatch, m):
