@@ -33,10 +33,11 @@ next at full length: offline, where the one fragment is the flush, or a
 push releasing two full chunks, but never into a truncated last chunk,
 nor in a stream whose pushes release one chunk each. Its rounds after
 the first score both chunks in one pass, whose rows of the next chunk go
-into the cache, and the next chunk's round 0 reads them there, unless a
-forced advance brought in a prefix no pass scored. On the benchmark's
-decode seed 5 sets 0-1, beam(5) makes 783 passes, not 1,105, and greedy
-674, not 996.
+into the cache, and the next chunk's round 0, whose decoder_steps call
+finds them there, computes nothing, unless a forced advance brought in
+a prefix no pass scored. On the benchmark's decode seed 5 sets 0-1,
+beam(5) makes 1,105 passes of which 782 compute (1,104 without the
+look-ahead), and greedy 996 of which 674 compute (996 without).
 """
 
 from __future__ import annotations
@@ -147,26 +148,23 @@ def _advance_chunk(model, hyps, floor, chunk, cfg, cache=None, nxt=None):
     one decoder_steps call; a floor prefix that the search's frontier holds
     shares its trie nodes, so it costs no extra row.
 
-    cache is the decode's DecoderCache, its first chunk tier this chunk's.
-    Round 0 reads its rows there if a previous chunk's passes scored them
-    all, else it makes its pass. With nxt, the next chunk, every later round
-    scores both chunks in one pass, for both frontiers and, in round 1, the
-    prefixes round 0 finished, so that the next chunk's round 0 finds its
-    rows in the cache.
+    cache is the decode's DecoderCache, its first chunk tier this chunk's
+    (without one, each pass makes its own). With nxt, the next chunk, every
+    round after round 0 scores both chunks in one pass, for both frontiers
+    and, in round 1, the prefixes round 0 finished, so that the next
+    chunk's round 0 finds its rows in the cache and computes nothing.
     """
     blank, cap = model.vocab.blank_id, cfg.max_symbols_per_chunk
-    cache = cache or DecoderCache()
     beam, floor = ([], hyps), ([], floor)
     for r in range(cap):
         prefixes = [h.prefix for h in beam[1] + floor[1]]
         if not prefixes:
             break
-        dists = cache.outputs(prefixes) if r == 0 else None  # rows a look-ahead scored
-        if dists is None and r > 0 and nxt is not None:
+        if r > 0 and nxt is not None:
             # a prefix that finished after round 0 was scored here as a frontier prefix
             scored = prefixes + [h.prefix for h in beam[0] + floor[0]] * (r == 1)
             dists = model.decoder_steps(scored, np.stack([chunk, nxt]), cache)[0]
-        elif dists is None:
+        else:
             dists = model.decoder_steps(prefixes, chunk, cache)
         n = len(beam[1])
         beam = _rank(*beam, dists[:n], cfg.width, blank, r + 1 >= cap)

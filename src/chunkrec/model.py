@@ -13,15 +13,16 @@ initializer walks it and the model checks given parameters against it.
 
 Search passes score prefixes (``decoder_steps``) against a
 ``DecoderCache``, which keeps the decode's prefix trie as a node table: a
-dict from prefix to node number, and each node's id and ancestor row. A
-pass finds its nodes with one dict lookup per prefix, and its rows and
-masks with a fixed number of array operations. Block 0's self-attention
-depends on the prefix alone and everything after it on the prefix and the
-chunk, so a node's block-0 keys, values and output serve the whole decode
-and its later keys, values and output row serve one chunk tier, which
-serves only the chunk it was made for. A pass computes only the rows its
-cache lacks, in the same one block loop (``_decode``) that teacher forcing
-runs on every row.
+dict from prefix to node number, and each node's id, depth and ancestor
+row. A pass finds its nodes with one dict lookup per prefix, and its rows,
+masks and positions with a fixed number of array operations. Block 0's
+self-attention depends on the prefix alone and everything after it on the
+prefix and the chunk, so a node's block-0 keys, values and output serve
+the whole decode and its later keys, values and output row serve one chunk
+tier, which serves only the chunk it was made for. Rows leave the cache
+only through ``decoder_steps``, which checks the chunk. A pass computes
+only the rows its cache lacks, in the same one block loop (``_decode``)
+that teacher forcing runs on every row.
 
 Finiteness is checked at sub-layer boundaries, not after every autodiff
 op, and a NumericError names the sub-layer, as in "non-finite value in
@@ -273,10 +274,11 @@ class DecoderCache:
     search pass computes only the rows it lacks (decoder_steps).
 
     nodes maps each prefix the trie holds, a tuple of ids, to its node
-    number; ids[j] is node j's last id, and anc[j, i] is True iff node i is
-    node j or an ancestor of it. A node is added from its parent's entry,
-    after its parent, so ancestors are numbered before descendants, and its
-    id is checked once, as it is added. The root, the start symbol, is node
+    number; ids[j] is node j's last id, depth[j] its length less one (its
+    position), and anc[j, i] is True iff node i is node j or an ancestor of
+    it. A node is added from its parent's entry, after its parent, so
+    ancestors are numbered before descendants, and its id is checked once,
+    as it is added. The root, the start symbol, is node
     0. Every array is indexed by node number, and is zero past the nodes.
 
     session holds each node's block-0 self-attention keys, values and
@@ -287,12 +289,14 @@ class DecoderCache:
     and read mark the nodes that have the former and the latter. chunks
     holds the bytes of each tier's chunk states: the chunk being searched,
     then the next (the look-ahead's). Each tier, and the session, holds the
-    paths to the nodes it holds; a pass makes the tiers it lacks.
+    paths to the nodes it holds; a pass makes the tiers it lacks. Rows
+    leave the cache only through decoder_steps, which checks chunks.
     """
 
     def __init__(self):
         self.nodes, self.size = {}, 64
-        self.ids, self.anc = np.zeros(64, dtype=np.intp), np.zeros((64, 64), dtype=bool)
+        self.ids, self.depth = np.zeros(64, dtype=np.intp), np.zeros(64, dtype=np.intp)
+        self.anc = np.zeros((64, 64), dtype=bool)
         self.session, self.tiers, self.chunks = {}, {}, []
 
     def _deepest(self, prefix):
@@ -323,12 +327,13 @@ class DecoderCache:
             if parent >= 0:
                 self.anc[number] = self.anc[parent]
             self.anc[number, number] = True
-            self.ids[number] = prefix[j]
+            self.ids[number], self.depth[number] = prefix[j], j
             self.nodes[prefix[:j + 1]] = number
         return number
 
     def _grow(self, size):
-        self.ids, self.anc = _grown(self.ids, 0, size), _grown(_grown(self.anc, 0, size), 1, size)
+        self.ids, self.depth = _grown(self.ids, 0, size), _grown(self.depth, 0, size)
+        self.anc = _grown(_grown(self.anc, 0, size), 1, size)
         self.session = {name: _grown(a, 0, size) for name, a in self.session.items()}
         self.tiers = {name: _grown(a, 1, size) for name, a in self.tiers.items()}
         self.size = size
@@ -348,14 +353,6 @@ class DecoderCache:
         if n_tiers > len(self.tiers["out"]):
             self.tiers = {name: _grown(a, 0, n_tiers) for name, a in self.tiers.items()}
 
-    def outputs(self, prefixes):
-        """The output rows of prefixes against the chunk being searched, if the
-        cache holds them all; else None."""
-        nodes = [self.nodes.get(tuple(row)) for row in prefixes]
-        if not self.chunks or None in nodes or not self.tiers["read"][0].take(nodes).all():
-            return None
-        return self.tiers["out"][0].take(nodes, 0)
-
     def next_chunk(self, prefixes):
         """Drop the searched chunk's tier, and every node off the paths of
         prefixes; the rest keep their order, renumbered 0, 1, ..."""
@@ -367,7 +364,7 @@ class DecoderCache:
         if m < n:
             self.nodes = dict(zip(compress(self.nodes, keep), range(m)))
             square = self.anc[:n, :n]
-            for a in [self.ids, square, square.T, *self.session.values()]:
+            for a in [self.ids, self.depth, square, square.T, *self.session.values()]:
                 _compact(a, old, n)
         for a in self.tiers.values():  # tier t + 1 becomes tier t
             a[:-1, :m] = a[1:, :m] if m == n else a[1:].take(old, 1)
@@ -383,10 +380,12 @@ def _two(nodes):
 
 
 class _EveryRow:
-    """The rows a decoder pass without a cache computes: all of them."""
+    """The rows a decoder pass without a cache computes: all P of them, row j
+    under the chain mask at position j."""
 
-    def __init__(self, self_mask):
-        self.fresh, self.mask = np.arange(len(self_mask)), self_mask
+    def __init__(self, P):
+        self.fresh = self.depth = np.arange(P)
+        self.mask = left_context_mask(P, P)
 
     def keys(self, i, k, v):
         return k, v
@@ -400,8 +399,8 @@ class _EveryRow:
 
 class _TriePass:
     """The rows a decoder_steps pass over a DecoderCache's trie computes,
-    which it adds there. Its keys are every node of the trie, and a row's
-    mask is its node's ancestor row.
+    which it adds there. Its keys are every node of the trie, a row's mask
+    is its node's ancestor row, and its position its node's depth.
 
     ask: the read nodes (ends) that lack an output row in a chunk tier of the
     pass; they run the last block's queries and the output. todo: ask and
@@ -438,6 +437,7 @@ class _TriePass:
                 todo[self.ask] = True
                 self.todo = todo.nonzero()[0]
             self.fresh = _two((up & ~cache.session["held"][:n]).nonzero()[0])
+        self.depth = cache.depth
 
     def keys(self, i, k, v):
         """Every node's keys and values of block i: k and v in the rows the
@@ -630,27 +630,24 @@ class ChunkTransducerModel:
             raise VocabError(f"prefix ids must be integers in the vocabulary, got {ids!r}")
         return ids.astype(np.intp, copy=False)
 
-    def _decode(self, ids, chunk_states, cross_mask=True, self_mask=None, rows=None):
+    def _decode(self, ids, chunk_states, cross_mask=True, rows=None):
         """Decoder blocks over ids of shape (..., P) -> (..., P, vocab) log-softmax.
 
-        self_mask is a (P, P) ancestor mask, by default the chain
-        left_context_mask(P, P); a row sits at position (rows it sees) - 1.
-        Row j depends on its ancestors' ids and the chunk alone, so right
-        padding reaches no real row. cross_mask broadcasts against the (...,
+        Row j attends to rows 0..j and sits at position j (_EveryRow), so it
+        depends on its ancestors' ids and the chunk alone, and right padding
+        reaches no real row. cross_mask broadcasts against the (...,
         heads, P, W) cross-attention scores; chunk positions it marks False
         get exactly zero attention. rows, a _TriePass of a decoder_steps
         pass (under no_grad), has the blocks compute only the rows that its
-        DecoderCache lacks, the others' keys and values coming from the
-        cache, and the output is ask's rows, (..., len(ask), vocab).
-        Without it every row is computed.
+        DecoderCache lacks, each node under its ancestor row and at its
+        depth, the others' keys and values coming from the cache, and the
+        output is ask's rows, (..., len(ask), vocab).
         """
-        if self_mask is None:
-            self_mask = left_context_mask(ids.shape[-1], ids.shape[-1])
-        rows = rows or _EveryRow(self_mask)
+        rows = rows or _EveryRow(ids.shape[-1])
         h, at = None, rows.fresh
         if len(at):
             h = _checked("dec.embed", ad.take(self.params["dec.embed"], ids[..., at]) + Tensor(
-                self._depth_positions(np.count_nonzero(self_mask[at], axis=-1) - 1)))
+                self._depth_positions(rows.depth[at])))
         for i in range(self.cfg.n_dec_blocks):
             sa = f"dec.{i}.self_attn"
             if h is not None:  # none when block 0 has no fresh row
@@ -740,9 +737,8 @@ class ChunkTransducerModel:
         rows = _TriePass(cache, self.cfg, chunk.data, ends)
         out = None
         if len(rows.ask):
-            n = len(cache.nodes)
             with ad.no_grad():
-                out = self._decode(cache.ids[:n], chunk, self_mask=cache.anc[:n, :n], rows=rows)
+                out = self._decode(cache.ids[:rows.n], chunk, rows=rows)
         out = rows.outputs(out)
         return out if chunk.data.ndim == 3 else out[0]
 

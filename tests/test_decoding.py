@@ -365,74 +365,124 @@ def _one_frame_at_a_time(x):
     return [x[i:i + 1] for i in range(len(x))]
 
 
+def _computing(model):
+    """Wrap model._decode; returns a list with one entry per pass that
+    computes rows, True if it ran on a stack of chunks (a look-ahead). A pass
+    whose rows the cache holds computes nothing."""
+    passes = []
+    decode = model._decode
+
+    def counted(ids, chunk_states, *args, **kwargs):
+        passes.append(chunk_states.data.ndim == 3)
+        return decode(ids, chunk_states, *args, **kwargs)
+
+    model._decode = counted
+    return passes
+
+
 def test_offline_decoding_looks_ahead_in_fewer_passes():
     # a blank bias makes the tiny models stop within a chunk, as a trained
     # model does; 40 frames make 4 full chunks and a truncated one, all
     # released by one push but the last. Fed one frame at a time, each push
     # releases at most one chunk, so no pass looks ahead. 36 frames make 4
     # full chunks, and the flush after one push releases the last alone:
-    # offline decoding, whose one fragment is its flush, looks ahead into it
-    fewer, x40 = [], np.random.default_rng(9).normal(size=(40, 4))
+    # offline decoding, whose one fragment is its flush, looks ahead into it.
+    # A pass counts if it computes rows
+    looked, x40 = [], np.random.default_rng(9).normal(size=(40, 4))
     for x in (x40, x40[:36]):
         for seed in range(4):
             m = make_tiny_model(seed=seed)
             m.params["dec.out.b"].data[m.vocab.blank_id] = 1.0
             assert [b - a for a, b in m.geometry_for(len(x)).spans] == [3] * 4 + [2] * (
                 len(x) == 40)
-            passes = _counting(m)
+            passes = _computing(m)
             for cfg, decode in ((BeamConfig(width=5), beam_decode),
                                 (BeamConfig(width=1), greedy_decode)):
                 passes.clear()
                 best = decode(m, x, cfg)
-                offline = len(passes)
+                offline = list(passes)
                 passes.clear()
                 ids, lp, emissions = stream_decode(m, _one_frame_at_a_time(x), cfg,
                                                    clock=lambda: 0.0)
-                assert offline < len(passes), (seed, cfg)
+                assert len(offline) < len(passes) and not any(passes), (seed, cfg)
                 assert (ids, lp) == tuple(best[0] if cfg.width > 1 else best)
                 passes.clear()
                 assert stream_decode(m, [x], cfg, clock=lambda: 0.0)[2] == emissions
-                assert offline <= len(passes)
-                fewer.append(offline < len(passes))
-    assert fewer[:8] == [False] * 8 and fewer[8::2] == [True] * 4  # beam(5) on 36 frames
+                assert len(offline) <= len(passes)
+                if len(x) == 40:  # the same releases, so the same passes
+                    assert offline == passes
+                else:
+                    looked.append(sum(offline) > sum(passes))
+    assert looked[::2] == [True] * 4  # beam(5) on 36 frames looks ahead into the last chunk
 
 
 def test_a_forced_advance_falls_back_to_a_pass_of_its_own(monkeypatch):
     # 36 frames make 4 full chunks, and offline decoding looks ahead from each
     # into the next. With a blank bias the hypotheses stop within a chunk, and
     # on this model each next chunk's round 0 finds its prefixes' rows in the
-    # cache. A label bias makes every round emit, so the last round keeps a
-    # forced advance, a prefix no pass has scored: each next chunk's round 0
-    # makes its pass. Fed one frame at a time, no pass looks ahead
-    reads = []
-    outputs = DecoderCache.outputs
+    # cache, so its pass computes nothing. A label bias makes every round
+    # emit, so the last round keeps a forced advance, a prefix no pass has
+    # scored: each next chunk's round 0 computes its own rows. Fed one frame
+    # at a time, no pass looks ahead
+    chunks = []  # per chunk searched, per round: [on a stack of chunks, computed]
+    advance = decoding._advance_chunk
 
-    def read(cache, prefixes):
-        rows = outputs(cache, prefixes)
-        reads.append(rows is not None)
-        return rows
+    def new_chunk(*args):
+        chunks.append([])
+        return advance(*args)
 
-    monkeypatch.setattr(DecoderCache, "outputs", read)
+    monkeypatch.setattr(decoding, "_advance_chunk", new_chunk)
     x, cfg = np.random.default_rng(9).normal(size=(36, 4)), BeamConfig(
         width=3, max_symbols_per_chunk=2)
     for token, forced in ((0, False), (3, True)):
         m = make_tiny_model(seed=3, n_dec_blocks=2)
         m.params["dec.out.b"].data[token] = 5.0
         assert [b - a for a, b in m.geometry_for(len(x)).spans] == [3] * 4
-        stacked = []
-        steps = m.decoder_steps
-        m.decoder_steps = lambda prefixes, chunk, cache=None: stacked.append(
-            np.ndim(chunk) == 3) or steps(prefixes, chunk, cache)
-        reads.clear()
+        steps, decode = m.decoder_steps, m._decode
+
+        def step(prefixes, chunk, cache=None):
+            chunks[-1].append([np.ndim(chunk) == 3, False])
+            return steps(prefixes, chunk, cache)
+
+        def computed(*args, **kwargs):
+            chunks[-1][-1][1] = True
+            return decode(*args, **kwargs)
+
+        m.decoder_steps, m._decode = step, computed
+        chunks.clear()
         offline = beam_decode(m, x, cfg)
-        looked, offline_reads = list(stacked), list(reads)
-        stacked.clear()
+        looked = list(chunks)
+        chunks.clear()
         ids, lp, _ = stream_decode(m, _one_frame_at_a_time(x), cfg)
         assert (ids, lp) == offline[0]
-        # round 0 of chunks 1-3 read a look-ahead's rows, or made their passes
-        assert offline_reads == [False] + [not forced] * 3
-        assert any(looked) and not any(stacked)
-        assert len(looked) == len(stacked) - 3 * (not forced)
+        # every round makes one decoder_steps call, offline as in the stream
+        assert [len(rounds) for rounds in looked] == [len(rounds) for rounds in chunks]
+        # round 0 of chunks 1-3 computed nothing after a look-ahead, or made its own pass
+        assert [rounds[0][1] for rounds in looked] == [True] + [forced] * 3
+        assert any(s for rounds in looked for s, _ in rounds)
+        assert not any(s for rounds in chunks for s, _ in rounds)
+        # the look-ahead saves computing passes only where round 0 reads its rows
+        offline_passes, stream_passes = (sum(c for rounds in run for _, c in rounds)
+                                         for run in (looked, chunks))
+        assert offline_passes == stream_passes if forced else offline_passes < stream_passes
+
+
+def test_a_chunk_searched_without_next_chunk_is_a_protocol_error():
+    # with a blank bias, round 0 of the first chunk finishes the start
+    # hypothesis; the second chunk's round 0 then asks the cache for the same
+    # prefix, whose rows the cache holds for the first chunk only
+    m = make_tiny_model(seed=3, n_dec_blocks=2)
+    m.params["dec.out.b"].data[m.vocab.blank_id] = 5.0
+    x = np.random.default_rng(9).normal(size=(36, 4))
+    states = m.encode_states(x).data
+    a, b = (states[s:e] for s, e in m.geometry_for(len(x)).spans[:2])
+    cfg, cache = BeamConfig(width=1), DecoderCache()
+    hyps, _ = _advance_chunk(m, [Hypothesis((m.vocab.start_id,), 0.0)], [], a, cfg, cache)
+    assert hyps[0].prefix == (m.vocab.start_id,)
+    with pytest.raises(ProtocolError, match="next_chunk"):
+        _advance_chunk(m, hyps, [], b, cfg, cache)
+    cache.next_chunk([h.prefix for h in hyps])
+    assert _advance_chunk(m, hyps, [], b, cfg, cache) == _advance_chunk(m, hyps, [], b, cfg)
 
 
 def test_an_infinite_parameter_is_a_numeric_error_not_a_warning(rng):

@@ -282,9 +282,9 @@ def test_decoder_steps_scores_each_distinct_prefix_once(monkeypatch):
     seen = []
     decode, ffn = m._decode, m._ffn
 
-    def recorded_decode(ids, chunk_states, cross_mask=True, self_mask=None, rows=None):
+    def recorded_decode(ids, chunk_states, cross_mask=True, rows=None):
         seen.append(ids.shape)
-        return decode(ids, chunk_states, cross_mask, self_mask, rows)
+        return decode(ids, chunk_states, cross_mask, rows)
 
     def recorded_ffn(prefix, x):
         seen.append((prefix, x.shape[0]))
@@ -345,11 +345,13 @@ def _node_table(cache):
     n = len(prefixes)
     assert list(cache.nodes.values()) == list(range(n))
     assert cache.ids[:n].tolist() == [p[-1] for p in prefixes]
+    assert cache.depth[:n].tolist() == [len(p) - 1 for p in prefixes]
     # ancestor rows are the prefix relation, and ancestors come first
     assert cache.anc[:n, :n].tolist() == [[p[:len(q)] == q for q in prefixes] for p in prefixes]
     assert all(cache.nodes[p[:k]] < j for j, p in enumerate(prefixes) for k in range(1, len(p)))
     # nothing past the nodes
-    assert not cache.anc[n:].any() and not cache.anc[:, n:].any() and not cache.ids[n:].any()
+    assert not cache.anc[n:].any() and not cache.anc[:, n:].any()
+    assert not cache.ids[n:].any() and not cache.depth[n:].any()
     assert not any(a[n:].any() for a in cache.session.values())
     assert not any(a[:, n:].any() for a in cache.tiers.values())
     return prefixes
