@@ -25,6 +25,7 @@ could see it. ``check_finite`` is the scan both use.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -146,7 +147,7 @@ def _toposort(root):
 
 def check_finite(data, where):
     """Raise NumericError naming where unless every entry of data is finite."""
-    if not np.isfinite(data).all():
+    if not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise NumericError(f"non-finite value in {where}")
 
 
@@ -252,33 +253,47 @@ def glu(a):
 def _softmax_forward(scores, mask):
     """Softmax of a numpy array over its last axis, restricted to where mask is True.
 
-    Masked positions get exactly zero probability. mask must broadcast to
-    scores.shape, and each row needs at least one unmasked entry.
+    Masked positions get exactly zero probability. mask is True (nothing
+    masked) or must broadcast to scores.shape (ShapeError), and each row
+    needs at least one unmasked entry (InvalidMaskError). A mask is checked
+    before it is broadcast, unless its last axis is not the keys' axis.
+    Reductions are direct ufunc calls: the same loops as ndarray.max and
+    np.cumsum, without their Python-level wrappers.
     """
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
-    if not mask.any(axis=-1).all():
-        raise InvalidMaskError("fully masked row in softmax")
-    neg = np.where(mask, scores, -np.inf)
-    m = neg.max(axis=-1, keepdims=True)
+    if mask is True:
+        if not scores.shape[-1]:
+            raise InvalidMaskError("fully masked row in softmax: no keys")
+        neg = scores
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim > scores.ndim or any(
+                m != 1 and m != s for m, s in zip(mask.shape[::-1], scores.shape[::-1])):
+            raise ShapeError(f"mask {mask.shape} does not broadcast to scores {scores.shape}")
+        rows = mask if mask.ndim and mask.shape[-1] == scores.shape[-1] else np.broadcast_to(
+            mask, scores.shape)
+        if not np.logical_and.reduce(np.logical_or.reduce(rows, axis=-1), axis=None):
+            raise InvalidMaskError("fully masked row in softmax")
+        neg = np.where(mask, scores, -np.inf)
+    m = np.maximum.reduce(neg, axis=-1, keepdims=True)
     e = np.exp(neg - m)
     # A sequential sum, unlike numpy's pairwise one, gives the same bits
     # however many masked (exactly zero) entries trail the row.
-    return e / np.cumsum(e, axis=-1)[..., -1:]
+    return e / np.add.accumulate(e, axis=-1)[..., -1:]
 
 
 def _softmax_backward(g, p):
     gp = g * p
-    return gp - p * gp.sum(axis=-1, keepdims=True)
+    return gp - p * np.add.reduce(gp, axis=-1, keepdims=True)
 
 
 def _split_heads(x, n_heads):
     """(..., t, d) -> (..., n_heads, t, d // n_heads), a view."""
-    return np.swapaxes(x.reshape(*x.shape[:-1], n_heads, x.shape[-1] // n_heads), -2, -3)
+    return x.reshape(*x.shape[:-1], n_heads, x.shape[-1] // n_heads).swapaxes(-2, -3)
 
 
 def _merge_heads(x):
     """(..., n_heads, t, dk) -> (..., t, n_heads * dk)."""
-    x = np.swapaxes(x, -2, -3)
+    x = x.swapaxes(-2, -3)
     return x.reshape(*x.shape[:-2], -1)
 
 
@@ -298,17 +313,17 @@ def attention(q, k, v, mask, n_heads):
             or k.data.shape[-1] != d or d % n_heads):
         raise ShapeError(f"attention shapes disagree: q {q.data.shape}, k {k.data.shape}, "
                          f"v {v.data.shape}, {n_heads} heads")
-    c = float(1.0 / np.sqrt(d // n_heads))
+    c = 1.0 / math.sqrt(d // n_heads)
     qh, kh, vh = (_split_heads(t.data, n_heads) for t in (q, k, v))
-    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * c
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * c
     check_finite(scores, "attention scores")
     p = _softmax_forward(scores, mask)
 
     def bwd(g):
         gh = _split_heads(g, n_heads)
-        gs = _softmax_backward(np.matmul(gh, np.swapaxes(vh, -1, -2)), p) * c
-        gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)
-        gv = np.matmul(np.swapaxes(p, -1, -2), gh)
+        gs = _softmax_backward(np.matmul(gh, vh.swapaxes(-1, -2)), p) * c
+        gk = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-1, -2)
+        gv = np.matmul(p.swapaxes(-1, -2), gh)
         return (_merge_heads(np.matmul(gs, kh)), _unbroadcast(_merge_heads(gk), k.data.shape),
                 _unbroadcast(_merge_heads(gv), v.data.shape))
 
@@ -318,14 +333,12 @@ def attention(q, k, v, mask, n_heads):
 def log_softmax(a):
     """Log-softmax over the last axis (max-shifted)."""
     a = _as_tensor(a)
-    m = a.data.max(axis=-1, keepdims=True)
-    z = a.data - m
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    data = z - lse
+    z = a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True)
+    data = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
     p = np.exp(data)
 
     def bwd(g):
-        return (g - p * g.sum(axis=-1, keepdims=True),)
+        return (g - p * np.add.reduce(g, axis=-1, keepdims=True),)
 
     return _make(data, (a,), bwd)
 

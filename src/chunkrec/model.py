@@ -19,10 +19,13 @@ masks and positions with a fixed number of array operations. Block 0's
 self-attention depends on the prefix alone and everything after it on the
 prefix and the chunk, so a node's block-0 keys, values and output serve
 the whole decode and its later keys, values and output row serve one chunk
-tier, which serves only the chunk it was made for. Rows leave the cache
-only through ``decoder_steps``, which checks the chunk. A pass computes
-only the rows its cache lacks, in the same one block loop (``_decode``)
-that teacher forcing runs on every row.
+tier, which serves only the chunk it was made for. A chunk tier also
+keeps each block's cross-attention keys and values of its chunk, so the
+chunk is projected once for all the passes of its rounds, as in any
+incremental decoder. Rows and keys leave the cache only through
+``decoder_steps``, which checks the chunk. A pass computes only the rows
+its cache lacks, in the same one block loop (``_decode``) that teacher
+forcing runs on every row.
 
 Finiteness is checked at sub-layer boundaries, not after every autodiff
 op, and a NumericError names the sub-layer, as in "non-finite value in
@@ -288,16 +291,20 @@ class DecoderCache:
     that tier's chunk, and the output row of each node a pass read; have
     and read mark the nodes that have the former and the latter. chunks
     holds the bytes of each tier's chunk states: the chunk being searched,
-    then the next (the look-ahead's). Each tier, and the session, holds the
-    paths to the nodes it holds; a pass makes the tiers it lacks. Rows
-    leave the cache only through decoder_steps, which checks chunks.
+    then the next (the look-ahead's). cross holds, per decoder block, the
+    cross-attention keys and values of the first tiers' chunks, a (k, v)
+    pair of (tiers, W', d_model) arrays: a pass projects them once for the
+    tiers it makes, and they leave with their tier. Each tier, and the
+    session, holds the paths to the nodes it holds; a pass makes the tiers
+    it lacks. Rows and keys leave the cache only through decoder_steps,
+    which checks chunks.
     """
 
     def __init__(self):
         self.nodes, self.size = {}, 64
         self.ids, self.depth = np.zeros(64, dtype=np.intp), np.zeros(64, dtype=np.intp)
         self.anc = np.zeros((64, 64), dtype=bool)
-        self.session, self.tiers, self.chunks = {}, {}, []
+        self.session, self.tiers, self.chunks, self.cross = {}, {}, [], []
 
     def _deepest(self, prefix):
         """(k, node): the longest start prefix[:k] of prefix, a tuple, that the
@@ -370,6 +377,7 @@ class DecoderCache:
             a[:-1, :m] = a[1:, :m] if m == n else a[1:].take(old, 1)
             a[:-1, m:n] = a[-1, :n] = 0
         self.chunks = self.chunks[1:]
+        self.cross = [(k[1:], v[1:]) for k, v in self.cross]
 
 
 def _two(nodes):
@@ -393,6 +401,9 @@ class _EveryRow:
     def queries(self, i, h, n):
         return h, n, self.mask
 
+    def memory(self, i, project):
+        return project()
+
     def residual(self, h):
         return h
 
@@ -408,11 +419,14 @@ class _TriePass:
     block 0's cross-attention on. fresh: todo and its ancestors that the
     session lacks; they run block 0's self-attention. Each is empty or at
     least two nodes (_two), so that every row is a row of a matrix product.
-    The cache's rows and the computed ones give every node's keys.
+    The cache's rows and the computed ones give every node's keys. The
+    chunk tiers' cross-attention keys and values serve a pass whose tiers
+    all have them; any other pass projects its chunks' own.
 
     A computed row goes into the cache as it is made, and its node is
-    marked as having rows once the pass has succeeded. A node that had
-    rows and is computed again gets the same bits.
+    marked as having rows once the pass has succeeded; projected keys go
+    into the tiers then too. A node that had rows and is computed again
+    gets the same bits, and so do keys projected again.
     """
 
     def __init__(self, cache, cfg, chunk, ends):
@@ -438,6 +452,9 @@ class _TriePass:
                 self.todo = todo.nonzero()[0]
             self.fresh = _two((up & ~cache.session["held"][:n]).nonzero()[0])
         self.depth = cache.depth
+        # the tiers' cross-attention keys and values, if every tier of the pass has them
+        self.cross = cache.cross if cache.cross and len(cache.cross[0][0]) >= c else None
+        self.projected = []
 
     def keys(self, i, k, v):
         """Every node's keys and values of block i: k and v in the rows the
@@ -464,6 +481,14 @@ class _TriePass:
         at = np.searchsorted(self.todo, self.ask)
         return Tensor(h.data[..., at, :]), Tensor(n.data[..., at, :]), mask[at]
 
+    def memory(self, i, project):
+        """Block i's cross-attention keys and values of the pass's chunks: the
+        chunk tiers', or project()'s, which the tiers take if the pass succeeds."""
+        if self.cross is None:
+            self.projected.append(project())
+            return self.projected[-1]
+        return [Tensor(a[:self.c] if self.stack else a[0]) for a in self.cross[i]]
+
     def residual(self, h):
         """Block 0's self-attention output of todo: h in fresh, the cache's elsewhere."""
         rows = self.cache.session["a0"]
@@ -479,6 +504,9 @@ class _TriePass:
             tiers["out"][:c, self.ask] = out.data
             tiers["have"][:c, self.todo] = tiers["read"][:c, self.ask] = True
             self.cache.session["held"][self.fresh] = True
+            if self.projected:
+                self.cache.cross = [tuple(t.data if self.stack else t.data[None] for t in kv)
+                                    for kv in self.projected]
         return tiers["out"][:c].take(self.ends, 1)
 
 
@@ -555,9 +583,11 @@ class ChunkTransducerModel:
         p = self.params
         return ad.linear(x, p[f"{prefix}.w{suffix}"], p[f"{prefix}.b{suffix}"])
 
+    def _kv(self, prefix, x):
+        return self._linear(prefix, x, "k"), self._linear(prefix, x, "v")
+
     def _mha(self, prefix, q_in, kv_in, mask):
-        return self._attend(prefix, q_in, self._linear(prefix, kv_in, "k"),
-                            self._linear(prefix, kv_in, "v"), mask)
+        return self._attend(prefix, q_in, *self._kv(prefix, kv_in), mask)
 
     def _attend(self, prefix, q_in, k, v, mask):
         try:
@@ -652,13 +682,14 @@ class ChunkTransducerModel:
             sa = f"dec.{i}.self_attn"
             if h is not None:  # none when block 0 has no fresh row
                 n = self._ln(f"dec.{i}.ln1", h)
-                k, v = rows.keys(i, self._linear(sa, n, "k"), self._linear(sa, n, "v"))
+                k, v = rows.keys(i, *self._kv(sa, n))
                 h, n, mask = rows.queries(i, h, n)
                 h = _checked(sa, h + self._attend(sa, n, k, v, mask))
             if i == 0:
                 h = rows.residual(h)
-            h = _checked(f"dec.{i}.cross_attn", h + self._mha(
-                f"dec.{i}.cross_attn", self._ln(f"dec.{i}.ln2", h), chunk_states, cross_mask))
+            ca, n = f"dec.{i}.cross_attn", self._ln(f"dec.{i}.ln2", h)
+            k, v = rows.memory(i, lambda: self._kv(ca, chunk_states))
+            h = _checked(ca, h + self._attend(ca, n, k, v, cross_mask))
             h = _checked(f"dec.{i}.ffn", h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h)))
         return _checked("dec.out", ad.log_softmax(
             self._linear("dec.out", self._ln("dec.final_ln", h))))
@@ -705,7 +736,8 @@ class ChunkTransducerModel:
         With a cache, the pass computes only the rows it lacks (_TriePass):
         block 0's self-attention on the nodes new to the session, the rest on
         the nodes new to a chunk, the output on the read nodes new to a
-        chunk; it adds them to the cache. A pass that finds every row
+        chunk, and the cross-attention keys and values of chunks new to the
+        tiers; it adds them to the cache. A pass that finds every row
         computes nothing. The cache's first C chunk tiers must be the C
         chunks', so a pass on other chunk states than the tiers were made
         for is a ProtocolError: call cache.next_chunk between chunks.

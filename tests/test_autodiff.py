@@ -98,8 +98,51 @@ def test_attention_errors():
     mask[1] = False
     with pytest.raises(InvalidMaskError):
         ad.attention(Tensor(q), Tensor(q), Tensor(q), mask, 2)
+    with pytest.raises(InvalidMaskError):  # no keys: every row is masked, mask True or not
+        ad.attention(Tensor(q), Tensor(q[:0]), Tensor(q[:0]), True, 2)
     with pytest.raises(ShapeError):
         ad.attention(Tensor(q), Tensor(q), Tensor(q), True, 3)
+
+
+def test_a_mask_that_does_not_broadcast_to_the_scores_is_a_shape_error():
+    # scores are (heads, t, s) = (2, 3, 3): a (4, 5) mask does not broadcast,
+    # and a (2, 1, 3, 3) one would broadcast them to a larger shape
+    q = np.random.default_rng(18).normal(size=(3, 4))
+    for shape in [(4, 5), (3, 2), (2, 1, 3, 3)]:
+        with pytest.raises(ShapeError, match="mask"):
+            ad.attention(Tensor(q), Tensor(q), Tensor(q), np.ones(shape, dtype=bool), 2)
+
+
+def test_a_true_mask_equals_an_all_true_mask_bitwise():
+    # True skips the mask's broadcast, check and where: the same bits forward
+    # and backward as a mask array that masks nothing
+    rng = np.random.default_rng(19)
+    q, k, v = (rng.normal(size=shape) for shape in [(2, 3, 4), (5, 4), (5, 4)])
+    c = rng.normal(size=(2, 3, 4))
+    runs = []
+    for mask in (True, np.ones((3, 5), dtype=bool), np.ones(5, dtype=bool)):
+        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = ad.attention(*ts, mask, 2)
+        ad.tsum(out * Tensor(c)).backward()
+        runs.append([out.data] + [t.grad for t in ts])
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
+
+
+@pytest.mark.parametrize("shape, row", [
+    ((3, 5), (1,)),  # (t, s), checked before it is broadcast over heads
+    ((2, 1, 1, 5), (1, 0, 0)),  # (..., 1, 1, s), a chunk key mask
+    ((3, 1), (2, 0)),  # (t, 1): its last axis is not the keys', so it is broadcast first
+])
+def test_a_fully_masked_row_is_an_invalid_mask_error(shape, row):
+    rng = np.random.default_rng(20)
+    q, k = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4))
+    mask = np.ones(shape, dtype=bool)
+    mask[row] = False
+    with pytest.raises(InvalidMaskError):
+        ad.attention(Tensor(q), Tensor(k), Tensor(k), mask, 2)
+    mask[row] = True
+    ad.attention(Tensor(q), Tensor(k), Tensor(k), mask, 2)
 
 
 # The masked softmax inside attention: _softmax_forward and _softmax_backward.

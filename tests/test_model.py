@@ -610,6 +610,107 @@ def test_op_budget_of_a_decoder_pass_and_an_encode(rng, monkeypatch):
     assert len(ops) <= 44 and len(scans) <= 14
 
 
+def test_op_budget_of_a_pass_on_a_tier_that_holds_its_keys(rng, monkeypatch):
+    # the chunk tier holds each block's cross-attention keys and values, so a
+    # later pass on the chunk skips their 4 linear ops: at most 40, where a
+    # pass on a fresh cache makes at most 44 (above)
+    m = make_tiny_model(n_enc_blocks=2, n_dec_blocks=2)
+    states = m.encode_states(rng.normal(size=(24, 4)))[0:3]
+    start = m.vocab.start_id
+    cache = DecoderCache()
+    m.decoder_steps([[start, 2, 3], [start]], states, cache)
+    ops, make = [], ad._make
+
+    def counted(*args):
+        ops.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(ad, "_make", counted)
+    m.decoder_steps([[start, 2, 3, 4], [start, 5]], states, cache)
+    assert 0 < len(ops) <= 40
+
+
+def _cross_projections(monkeypatch, m):
+    """Record the name of each cross-attention key or value weight that a
+    linear op is called with."""
+    names = {id(t): name for name, t in m.params.items()
+             if re.fullmatch(r"dec\.\d+\.cross_attn\.w[kv]", name)}
+    seen, linear = [], ad.linear
+
+    def recorded(x, w, b):
+        if id(w) in names:
+            seen.append(names[id(w)])
+        return linear(x, w, b)
+
+    monkeypatch.setattr(ad, "linear", recorded)
+    return seen
+
+
+def _cross_case(seed=10):
+    """A 2-block tiny model, two chunks, a search's rounds of prefixes, and
+    the names of every cross-attention key and value weight."""
+    m = make_tiny_model(n_dec_blocks=2)
+    chunks = np.random.default_rng(seed).normal(size=(2, m.cfg.W, m.cfg.d_model))
+    s = m.vocab.start_id
+    rounds = [[(s,)], [(s, 2), (s, 3)], [(s, 2, 4), (s, 3, 5), (s, 3)]]
+    every = sorted(f"dec.{i}.cross_attn.w{kv}" for i in range(2) for kv in "kv")
+    return m, chunks, rounds, every
+
+
+def test_a_chunks_cross_attention_keys_are_projected_once_per_tier(monkeypatch):
+    # every round of a chunk computes rows, and only the first projects each
+    # block's cross-attention keys and values; a look-ahead round projects
+    # them once more, for the stack its new tier joins
+    m, (a, b), rounds, every = _cross_case()
+    expected = [m.decoder_steps(prefixes, a) for prefixes in rounds]
+    stacked = [m.decoder_steps(prefixes, np.stack([a, b])) for prefixes in rounds]
+    cache = DecoderCache()
+    seen = _cross_projections(monkeypatch, m)
+    for prefixes, want in zip(rounds, expected):
+        assert np.array_equal(m.decoder_steps(prefixes, a, cache), want)
+    assert sorted(seen) == every
+    seen.clear()
+    for prefixes, want in zip(rounds, stacked):
+        assert np.array_equal(m.decoder_steps(prefixes, np.stack([a, b]), cache), want)
+    assert sorted(seen) == every
+
+
+def test_a_look_ahead_tiers_cross_attention_keys_survive_next_chunk(monkeypatch):
+    m, (a, b), rounds, every = _cross_case()
+    expected = m.decoder_steps(rounds[2], b)
+    cache = DecoderCache()
+    m.decoder_steps(rounds[0], a, cache)
+    m.decoder_steps(rounds[1], np.stack([a, b]), cache)
+    cache.next_chunk(rounds[1])
+    seen, passes = _cross_projections(monkeypatch, m), []
+    decode = m._decode
+    monkeypatch.setattr(m, "_decode", lambda *args, **kw: passes.append(1) or decode(*args, **kw))
+    assert np.array_equal(m.decoder_steps(rounds[2], b, cache), expected)
+    assert passes == [1] and seen == []  # the pass computes rows, against b's keys
+
+
+def test_a_failed_pass_leaves_no_cross_attention_keys_in_its_tiers(monkeypatch):
+    # a pass that ends in a NumericError adds no keys: the tiers keep those
+    # of the passes that succeeded, and the next pass projects its own
+    m, (a, b), rounds, every = _cross_case()
+    expected = m.decoder_steps(rounds[1], np.stack([a, b]))
+    for first in ([], [rounds[0]]):
+        cache = DecoderCache()
+        for prefixes in first:
+            m.decoder_steps(prefixes, a, cache)
+        held = [[t.copy() for t in kv] for kv in cache.cross]
+        with monkeypatch.context() as mp:
+            mp.setattr(ad, "log_softmax", lambda t: Tensor(np.full(t.shape, np.nan)))
+            with pytest.raises(NumericError, match="dec.out"):
+                m.decoder_steps(rounds[1], np.stack([a, b]), cache)
+        assert len(cache.cross) == len(held) and all(
+            np.array_equal(t, h) for kv, hk in zip(cache.cross, held) for t, h in zip(kv, hk))
+        seen = _cross_projections(monkeypatch, m)
+        assert np.array_equal(m.decoder_steps(rounds[1], np.stack([a, b]), cache), expected)
+        monkeypatch.undo()
+        assert sorted(seen) == every
+
+
 # every autodiff op but take, which only copies values that were checked
 INJECTED_OPS = ("add", "mul", "linear", "tsum", "relu", "glu", "attention", "log_softmax",
                 "layer_norm", "conv1d_time")
