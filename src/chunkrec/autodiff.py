@@ -81,7 +81,7 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
         self.grad += g
 
     def backward(self):
@@ -163,7 +163,7 @@ def _make(data, parents, backward):
 def _unbroadcast(g, shape):
     """Sum gradient g down to `shape` (leading-batch broadcasting only)."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     return g
 
 
@@ -425,7 +425,7 @@ def take(a, idx):
     data = a.data[idx]
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(a.data.shape)
         np.add.at(ga, idx, g)
         return (ga,)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .chunking import FRONT_END_DOWNSAMPLE, as_frames
 from .decoding import cer, greedy_decode
-from .errors import ConfigError, ContractError, NumericError, check_fields
+from .errors import ConfigError, ContractError, NumericError, ShapeError, check_fields
 
 
 # -- synthetic data ---------------------------------------------------------
@@ -72,44 +72,146 @@ def noam_lr(step, d_model, warmup, scale=1.0):
 
 class Adam:
     """Adam over a name->Tensor parameter dict; betas follow the cited
-    transformer recipe (0.9, 0.98, eps 1e-9)."""
+    transformer recipe (0.9, 0.98, eps 1e-9).
+
+    The optimizer owns one arena: three contiguous float64 buffers that
+    hold every parameter's data and its moments m and v, in the dict's
+    order. Each ``p.data`` and each ``state[name]["m"]``/``["v"]`` is a
+    reshaped view into them, so a step updates them in place. ``step`` runs
+    the per-parameter update's 14 elementwise operations, in its order,
+    over whole groups of the arena with ``out=`` buffers: the same bits as
+    a loop over the parameters, in a few calls per group.
+
+    A parameter whose ``grad`` is None is skipped: its data, m and v do not
+    move. A parameter whose ``data``, or a slot whose array, was re-bound
+    since is read back into the arena before its next update, so it is
+    optimized from its new value. ``load_state`` raises ContractError
+    (ShapeError for a slot's shape) naming the parameter, and changes
+    nothing, unless the snapshot is one this optimizer can take.
+    """
 
     beta1, beta2, eps = 0.9, 0.98, 1e-9
+    # floats per group: a group's data, m, v and two scratch buffers stay within L2
+    _GROUP = 32768
 
     def __init__(self, params):
         self.params = params
         self.step_count = 0
-        self.state = {n: {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data)}
-                      for n, t in params.items()}
+        sizes = [t.data.size for t in params.values()]
+        n = sum(sizes)
+        self._p, self._m, self._v = np.empty(n), np.zeros(n), np.zeros(n)
+        self._scratch = np.empty((2, max([self._GROUP] + sizes)))
+        self.state, self._views, lo = {}, [], 0
+        for (name, t), size in zip(params.items(), sizes):
+            hi = lo + size
+            data, m, v = (a[lo:hi].reshape(t.data.shape) for a in (self._p, self._m, self._v))
+            data[...] = t.data
+            t.data = data
+            self.state[name] = {"m": m, "v": v}
+            self._views.append((name, t, lo, hi, data, m, v))
+            lo = hi
 
     def load_state(self, snapshot):
-        self.step_count = snapshot["step"]
-        for n, slots in snapshot["slots"].items():
-            self.state[n]["m"] = slots["m"].copy()
-            self.state[n]["v"] = slots["v"].copy()
+        """Take snapshot's step and slots, as load_checkpoint returns them:
+        {"step": int >= 0, "slots": {name: {"m": array, "v": array}}} naming
+        exactly this optimizer's parameters, each slot of its parameter's shape."""
+        if not (isinstance(snapshot, dict) and snapshot.keys() == {"step", "slots"}
+                and isinstance(snapshot["slots"], dict)):
+            raise ContractError("optimizer snapshot must be {'step': int, 'slots': {name: ...}}")
+        step, slots = snapshot["step"], snapshot["slots"]
+        if type(step) is not int or step < 0:
+            raise ContractError(f"optimizer step must be an int >= 0, got {step!r}")
+        odd = sorted(slots.keys() ^ self.state.keys(), key=str)
+        if odd:
+            what = "an unknown parameter" if odd[0] in slots else "no slots for the parameter"
+            raise ContractError(f"optimizer snapshot has {what} {odd[0]}")
+        arrays = []
+        for name, *_, m, v in self._views:
+            if not isinstance(slots[name], dict) or slots[name].keys() != {"m", "v"}:
+                raise ContractError(f"optimizer snapshot of {name} needs exactly slots m and v")
+            for slot, view in (("m", m), ("v", v)):
+                arrays.append((view, _checked(slots[name][slot], view.shape,
+                                              f"optimizer slot {name}.{slot}")))
+        for view, a in arrays:
+            view[...] = a
+        for name, *_, m, v in self._views:
+            self.state[name] = {"m": m, "v": v}
+        self.step_count = step
 
     def step(self, lr):
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
-        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-        for n, p in self.params.items():
+        c1, c2 = 1 - self.beta1 ** t, 1 - self.beta2 ** t
+        grads, start, end = [], 0, 0
+        for name, p, lo, hi, data, m, v in self._views:
+            if grads and (p.grad is None or hi - start > self._GROUP):
+                self._update(start, end, grads, lr, c1, c2)
+                grads = []
             if p.grad is None:
                 continue
-            m, v = self.state[n]["m"], self.state[n]["v"]
-            m *= b1
-            m += (1 - b1) * p.grad
-            v *= b2
-            v += (1 - b2) * p.grad ** 2
-            p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            slots = self.state[name]
+            if p.data is not data or slots["m"] is not m or slots["v"] is not v:
+                self._read_back(name, p, slots, data, m, v)
+            if not grads:
+                start = lo
+            grads.append(p.grad)
+            end = hi
+        if grads:
+            self._update(start, end, grads, lr, c1, c2)
+
+    def _update(self, start, end, grads, lr, c1, c2):
+        """Adam on arena floats [start, end), whose gradients are grads in order:
+        the per-parameter formula
+            m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g ** 2
+            p = p - lr (m / c1) / (sqrt(v / c2) + eps)
+        one operation at a time over the whole group."""
+        b1, b2 = self.beta1, self.beta2
+        p, m, v = self._p[start:end], self._m[start:end], self._v[start:end]
+        g, u = self._scratch[:, :end - start]
+        np.concatenate(grads, axis=None, out=g)
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1 - b1, out=u)
+        np.add(m, u, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, g, out=g)
+        np.multiply(g, 1 - b2, out=g)
+        np.add(v, g, out=v)
+        np.divide(m, c1, out=u)
+        np.multiply(u, lr, out=u)
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        np.add(g, self.eps, out=g)
+        np.divide(u, g, out=u)
+        np.subtract(p, u, out=p)
+
+    def _read_back(self, name, p, slots, data, m, v):
+        """Copy re-bound arrays of a parameter into the arena and bind its views again."""
+        new = [(view, _checked(a, view.shape, what)) for view, a, what in (
+            (data, p.data, f"parameter {name}"), (m, slots["m"], f"optimizer slot {name}.m"),
+            (v, slots["v"], f"optimizer slot {name}.v")) if a is not view]
+        for view, a in new:
+            view[...] = a
+        p.data, slots["m"], slots["v"] = data, m, v
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
 
+def _checked(a, shape, what):
+    """a as a float64 array; ShapeError naming what unless it has shape."""
+    try:
+        a = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ContractError(f"{what} is not a float array: {e}") from e
+    if a.shape != shape:
+        raise ShapeError(f"{what} has shape {a.shape}, not {shape}")
+    return a
+
+
 def clip_grad_norm(params, max_norm):
-    """Scale all grads so their global L2 norm is at most max_norm; returns the norm.
+    """Scale all grads in place so their global L2 norm is at most max_norm;
+    returns the norm.
 
     A norm that is not finite scales nothing: it is a NumericError naming
     the first parameter, in sorted order, whose gradient is not finite, or
@@ -120,7 +222,8 @@ def clip_grad_norm(params, max_norm):
     total = 0.0
     with np.errstate(invalid="ignore", over="ignore"):  # the check below reports it
         for name in names:
-            total += float((params[name].grad ** 2).sum())
+            g = params[name].grad
+            total += float(np.add.reduce(np.multiply(g, g), axis=None))
     norm = np.sqrt(total)
     if not math.isfinite(norm):
         for name in names:
@@ -128,9 +231,9 @@ def clip_grad_norm(params, max_norm):
         raise NumericError("finite gradients overflow the gradient norm")
     if norm > max_norm:
         s = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * s
+        for name in names:
+            g = params[name].grad
+            np.multiply(g, s, out=g)
     return norm
 
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunkrec import autodiff as ad
-from chunkrec.errors import ConfigError, ContractError, NumericError, UndefinedMetricError
+from chunkrec.checkpoint import save_checkpoint
+from chunkrec.errors import (ConfigError, ContractError, NumericError, ShapeError,
+                             UndefinedMetricError)
 from chunkrec.training import (Adam, SyntheticTaskSpec, TrainConfig, batch_loss,
                                clip_grad_norm, gen_synthetic, load_features,
                                load_manifest, noam_lr, save_features, train, train_step)
@@ -190,6 +192,156 @@ def test_finite_gradients_that_overflow_the_norm_are_a_numeric_error():
     with pytest.raises(NumericError, match="overflow"):  # not numpy's overflow warning
         clip_grad_norm(m.params, 1.0)
     assert all((p.grad == 1e200).all() for p in m.params.values())  # nothing scaled
+
+
+class ReferenceAdam:
+    """Adam as a loop over the parameters, each update in fresh arrays: the
+    arithmetic that Adam's arena must reproduce bit for bit."""
+
+    beta1, beta2, eps = Adam.beta1, Adam.beta2, Adam.eps
+
+    def __init__(self, params):
+        self.params, self.step_count = params, 0
+        self.state = {n: {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data)}
+                      for n, t in params.items()}
+
+    def step(self, lr):
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+        for n, p in self.params.items():
+            if p.grad is None:
+                continue
+            m, v = self.state[n]["m"], self.state[n]["v"]
+            m *= b1
+            m += (1 - b1) * p.grad
+            v *= b2
+            v += (1 - b2) * p.grad ** 2
+            p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
+
+
+def reference_train_step(model, batch, optimizer, step, cfg):
+    """train_step with the global-norm clip written out: sum of squares per
+    parameter in sorted order, and each clipped gradient a new array.
+    Returns (loss, gradient norm)."""
+    optimizer.zero_grad()
+    loss = batch_loss(model, batch)
+    loss.backward()
+    grads = [model.params[n] for n in sorted(model.params) if model.params[n].grad is not None]
+    total = 0.0
+    for p in grads:
+        total += float((p.grad ** 2).sum())
+    norm = np.sqrt(total)
+    if norm > cfg.grad_clip:
+        for p in grads:
+            p.grad = p.grad * (cfg.grad_clip / norm)
+    optimizer.step(noam_lr(step, model.cfg.d_model, cfg.warmup_steps, cfg.lr_scale))
+    return loss.item(), norm
+
+
+def twins(seed=2):
+    """Two copies of a tiny model, the first under Adam and the second under ReferenceAdam."""
+    models = [make_tiny_model(seed=seed) for _ in range(2)]
+    return models, [Adam(models[0].params), ReferenceAdam(models[1].params)]
+
+
+def assert_twins_bitwise(models, opts):
+    assert opts[0].step_count == opts[1].step_count
+    for n in models[1].params:
+        assert np.array_equal(models[0].params[n].data, models[1].params[n].data), n
+        for slot in ("m", "v"):
+            assert np.array_equal(opts[0].state[n][slot], opts[1].state[n][slot]), (n, slot)
+
+
+@pytest.mark.parametrize("grad_clip", [TrainConfig.grad_clip, 1e-3])
+def test_adam_over_its_arena_equals_the_per_parameter_loop_bitwise(grad_clip, tmp_path):
+    data = gen_synthetic(spec_for_tiny(), 8)
+    cfg = TrainConfig(batch_size=4, warmup_steps=10, grad_clip=grad_clip, eval_interval=0)
+    models, opts = twins()
+    for step in range(1, 21):
+        batch = data[4 * (step % 2):4 * (step % 2) + 4]
+        loss = train_step(models[0], batch, opts[0], step, cfg)
+        want, norm = reference_train_step(models[1], batch, opts[1], step, cfg)
+        assert loss == want
+        assert grad_clip > 1.0 or norm > grad_clip  # the small threshold clips every step
+    assert_twins_bitwise(models, opts)
+    for i in range(2):
+        save_checkpoint(tmp_path / f"{i}.ckpt", models[i], opts[i])
+    assert (tmp_path / "0.ckpt").read_bytes() == (tmp_path / "1.ckpt").read_bytes()
+
+
+def backward_both(models, opts, batch):
+    for model, opt in zip(models, opts):
+        opt.zero_grad()
+        batch_loss(model, batch).backward()
+
+
+def test_a_parameter_without_a_gradient_keeps_its_data_and_moments():
+    batch = gen_synthetic(spec_for_tiny(), 2)
+    models, opts = twins()
+    backward_both(models, opts, batch)
+    for opt in opts:
+        opt.step(0.01)
+    skipped = "enc.0.attn.wk"  # in mid-parameter list, so its neighbours form two groups
+    before = [models[0].params[skipped].data.copy(), opts[0].state[skipped]["m"].copy(),
+              opts[0].state[skipped]["v"].copy()]
+    backward_both(models, opts, batch)
+    for model, opt in zip(models, opts):
+        model.params[skipped].grad = None
+        opt.step(0.01)
+    after = [models[0].params[skipped].data, opts[0].state[skipped]["m"],
+             opts[0].state[skipped]["v"]]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert_twins_bitwise(models, opts)  # and every other parameter moved as the loop moves it
+
+
+def test_rebound_parameter_data_and_slots_are_optimized_from_their_new_values():
+    batch = gen_synthetic(spec_for_tiny(), 2)
+    models, opts = twins()
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=models[0].params["dec.out.w"].shape)
+    m = rng.normal(size=models[0].params["dec.out.b"].shape)
+    for model, opt in zip(models, opts):
+        model.params["dec.out.w"].data = data.copy()
+        opt.state["dec.out.b"]["m"] = m.copy()
+    backward_both(models, opts, batch)
+    for opt in opts:
+        opt.step(0.01)
+    assert_twins_bitwise(models, opts)
+    assert not np.array_equal(models[0].params["dec.out.w"].data, data)
+
+
+def test_load_state_rejects_a_snapshot_that_does_not_fit_and_changes_nothing():
+    m = make_tiny_model()
+    opt = Adam(m.params)
+    train_step(m, gen_synthetic(spec_for_tiny(), 2), opt, 1,
+               TrainConfig(batch_size=2, warmup_steps=10, eval_interval=0))
+
+    def snapshot(**edit):
+        slots = {n: {k: a.copy() for k, a in s.items()} for n, s in opt.state.items()}
+        slots.update(edit)
+        return {"step": 4, "slots": {n: s for n, s in slots.items() if s is not None}}
+
+    want = {n: {k: a.copy() for k, a in s.items()} for n, s in opt.state.items()}
+    bad = [(ContractError, "nope", snapshot(nope={"m": np.zeros(1), "v": np.zeros(1)})),
+           (ContractError, "dec.out.b", snapshot(**{"dec.out.b": None})),
+           (ShapeError, r"dec\.out\.b\.m", snapshot(**{"dec.out.b": {"m": np.zeros(3),
+                                                                     "v": np.zeros(8)}})),
+           (ContractError, "-2", dict(snapshot(), step=-2)),
+           (ContractError, "4.0", dict(snapshot(), step=4.0))]
+    for error, match, snap in bad:
+        with pytest.raises(error, match=match):
+            opt.load_state(snap)
+        assert opt.step_count == 1
+        for n, s in want.items():
+            assert all(np.array_equal(opt.state[n][k], a) for k, a in s.items()), n
+    opt.load_state(snapshot())
+    assert opt.step_count == 4
 
 
 def test_training_deterministic_across_runs():
