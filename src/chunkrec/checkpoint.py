@@ -24,7 +24,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, CorruptHeaderError, TruncatedFileError, VersionMismatchError
+from .errors import (CheckpointError, ConfigError, CorruptHeaderError, TruncatedFileError,
+                     VersionMismatchError)
 from .model import ChunkTransducerModel, ModelConfig, Vocabulary, check_parameters, parameter_table
 
 MAGIC = b"CKTD"
@@ -37,7 +38,8 @@ def _array_bytes(a):
 
 def save_checkpoint(path, model, optimizer=None):
     """Write model, and optimizer's step and slots; ContractError naming the
-    parameter unless model's parameters are the ones its config defines."""
+    parameter unless model's parameters are the ones its config defines, and
+    CheckpointError naming path if the file cannot be written."""
     check_parameters(model.cfg, model.params)
     names = [name for name, _shape, _init in parameter_table(model.cfg)]
     header = {"config": asdict(model.cfg), "vocab": list(model.vocab.symbols), "optimizer": None}
@@ -46,13 +48,16 @@ def save_checkpoint(path, model, optimizer=None):
         header["optimizer"] = {"step": optimizer.step_count}
         blobs += [_array_bytes(optimizer.state[n][slot]) for n in names for slot in ("m", "v")]
     hjson = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(hjson)))
-        f.write(hjson)
-        for b in blobs:
-            f.write(b)
+    try:
+        with open(path, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<Q", len(hjson)))
+            f.write(hjson)
+            for b in blobs:
+                f.write(b)
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
+        raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
 
 
 def _room(f):
@@ -88,8 +93,13 @@ def load_checkpoint(path):
     payload's names and shapes through parameter_table.
 
     optimizer state is {"step": int, "slots": {name: {"m": arr, "v": arr}}}.
+    A file that cannot be opened is a CheckpointError naming path.
     """
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    with f:
         magic = f.read(4)
         if magic != MAGIC:
             raise CorruptHeaderError("bad checkpoint magic")

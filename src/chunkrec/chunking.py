@@ -15,8 +15,7 @@ import numpy as np
 from .errors import ContractError, EmptyInputError, GeometryError, NumericError, ProtocolError
 
 # The front end is two stride-2 time convolutions with right-only zero
-# padding. This module holds its receptive field's arithmetic; model.py
-# also derives a padded batch's conv-1 lengths and a stream's raw offset.
+# padding. This module holds all of its receptive field's arithmetic.
 FRONT_END_KERNEL = 3
 FRONT_END_STRIDE = 2
 FRONT_END_DOWNSAMPLE = FRONT_END_STRIDE * FRONT_END_STRIDE
@@ -27,10 +26,20 @@ FRONT_END_DOWNSAMPLE = FRONT_END_STRIDE * FRONT_END_STRIDE
 MAX_FRAME_ABS = 1e100
 
 
+def conv_len(T):
+    """Output frames of one front-end convolution over T input frames (an int
+    or an integer array)."""
+    return -(-T // FRONT_END_STRIDE)
+
+
 def encoded_len(T):
     """Encoded frames the front end makes from T raw frames."""
-    l1 = -(-T // FRONT_END_STRIDE)
-    return -(-l1 // FRONT_END_STRIDE)
+    return conv_len(conv_len(T))
+
+
+def first_frame(e):
+    """The first raw frame that encoded position e reads."""
+    return FRONT_END_DOWNSAMPLE * e
 
 
 def frames_needed(encoded_end):
@@ -39,13 +48,13 @@ def frames_needed(encoded_end):
     Encoded frame i reads raw frames [4i, 4i + 3*(kernel-1)].
     """
     margin = (FRONT_END_STRIDE + 1) * (FRONT_END_KERNEL - 1)
-    return FRONT_END_DOWNSAMPLE * (encoded_end - 1) + margin + 1
+    return first_frame(encoded_end - 1) + margin + 1
 
 
 def final_len(T):
     """Encoded positions final once T raw frames have arrived: the largest e
     with frames_needed(e) <= T. Positions from e on read raw frames from
-    FRONT_END_DOWNSAMPLE * e on, so a stream keeps only those."""
+    first_frame(e) on, so a stream keeps only those."""
     return max(0, (T - frames_needed(1)) // FRONT_END_DOWNSAMPLE + 1)
 
 
@@ -181,7 +190,8 @@ class StreamBuffer:
         The kept position only moves forward, within the frames pushed:
         ProtocolError for an e whose first raw frame is dropped or not pushed."""
         first = self.end - self.raw_count  # the stream index of frames[0]
-        if not first <= FRONT_END_DOWNSAMPLE * e <= self.end:
-            raise ProtocolError(f"keep_from({e}) reads from raw frame {FRONT_END_DOWNSAMPLE * e}; "
+        needed = first_frame(e)
+        if not first <= needed <= self.end:
+            raise ProtocolError(f"keep_from({e}) reads from raw frame {needed}; "
                                 f"the buffer holds frames {first} to {self.end - 1}")
-        self.frames = self.frames[FRONT_END_DOWNSAMPLE * e - first:]
+        self.frames = self.frames[needed - first:]

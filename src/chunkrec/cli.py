@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .chunking import chunk_latency_ms, effective_latency_ms
 from .decoding import BeamConfig, StreamSession, beam_decode, cer
-from .errors import ChunkrecError, ConfigError
+from .errors import ChunkrecError, ConfigError, ContractError
 from .lattice import diagonal_identity_check, backward_pass, enumerate_paths, forward_pass
 from .model import ChunkTransducerModel, ModelConfig, Vocabulary
 from .training import SyntheticTaskSpec, TrainConfig, gen_synthetic, load_manifest, train
@@ -87,8 +87,12 @@ def _data_from_args(args, cfg_dict, model, n, seed):
 
 
 def _out_stream(args):
+    """The --out file, or stdout; ContractError if the file cannot be opened."""
     if args.out:
-        return open(args.out, "w", encoding="utf-8")
+        try:
+            return open(args.out, "w", encoding="utf-8")
+        except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
+            raise ContractError(f"cannot write output {args.out}: {e}") from e
     import contextlib
     return contextlib.nullcontext(sys.stdout)
 

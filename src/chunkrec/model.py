@@ -19,13 +19,15 @@ masks and positions with a fixed number of array operations. Block 0's
 self-attention depends on the prefix alone and everything after it on the
 prefix and the chunk, so a node's block-0 keys, values and output serve
 the whole decode and its later keys, values and output row serve one chunk
-tier, which serves only the chunk it was made for. A chunk tier also
-keeps each block's cross-attention keys and values of its chunk, so the
-chunk is projected once for all the passes of its rounds, as in any
-incremental decoder. Rows and keys leave the cache only through
-``decoder_steps``, which checks the chunk. A pass computes only the rows
-its cache lacks, in the same one block loop (``_decode``) that teacher
-forcing runs on every row.
+tier, which serves only the chunk it was made for. The decoder's memory,
+each block's cross-attention keys and values of the chunk (``_memory``),
+is an argument of the one block loop (``_decode``): teacher forcing
+projects it from its chunks, and a search pass reads it from the chunk
+tiers, whose keys ``DecoderCache.memory`` projects once, as it makes the
+tier, as in any incremental decoder. Rows and keys leave the cache only
+through ``decoder_steps``, which checks the chunk. A pass computes only
+the rows its cache lacks, in the same block loop that teacher forcing
+runs on every row.
 
 Finiteness is checked at sub-layer boundaries, not after every autodiff
 op, and a NumericError names the sub-layer, as in "non-finite value in
@@ -55,8 +57,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from . import chunking
-from .chunking import (FRONT_END_DOWNSAMPLE, FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry,
-                       as_frames, left_context_mask)
+from .chunking import (FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry, as_frames,
+                       left_context_mask)
 from .errors import (AvailabilityError, ConfigError, ContractError, EmptyInputError,
                      NumericError, ProtocolError, ShapeError, VocabError, check_fields)
 from .lattice import lattice_nll
@@ -292,12 +294,11 @@ class DecoderCache:
     and read mark the nodes that have the former and the latter. chunks
     holds the bytes of each tier's chunk states: the chunk being searched,
     then the next (the look-ahead's). cross holds, per decoder block, the
-    cross-attention keys and values of the first tiers' chunks, a (k, v)
-    pair of (tiers, W', d_model) arrays: a pass projects them once for the
-    tiers it makes, and they leave with their tier. Each tier, and the
-    session, holds the paths to the nodes it holds; a pass makes the tiers
-    it lacks. Rows and keys leave the cache only through decoder_steps,
-    which checks chunks.
+    cross-attention keys and values of the tiers' chunks, a [k, v] pair of
+    (tiers, W', d_model) arrays. memory makes a tier, its keys with it, and
+    they leave with their tier. Each tier, and the session, holds the paths
+    to the nodes it holds. Rows and keys leave the cache only through
+    decoder_steps, which checks chunks.
     """
 
     def __init__(self):
@@ -360,6 +361,26 @@ class DecoderCache:
         if n_tiers > len(self.tiers["out"]):
             self.tiers = {name: _grown(a, 0, n_tiers) for name, a in self.tiers.items()}
 
+    def memory(self, cfg, chunk, project):
+        """Each decoder block's cross-attention [k, v] of chunk, (W', d_model) or
+        a (C, W', d_model) stack, read from the first chunk tiers after making
+        those the cache lacks: project (the model's _memory) projects their
+        chunks once, as one stack. ProtocolError for a tier of other states."""
+        stack = chunk if chunk.ndim == 3 else chunk[None]
+        states = [c.tobytes() for c in stack]
+        if any(made != s for made, s in zip(self.chunks, states)):
+            raise ProtocolError("the DecoderCache's chunk tiers hold other chunks' rows: "
+                                "call next_chunk before a pass on the next chunk")
+        self._make(cfg, len(states))
+        old = len(self.chunks)
+        if old < len(states):
+            new = [[t.data for t in kv] for kv in project(stack[old:])]
+            self.cross = [[np.concatenate(pair) for pair in zip(*kvs)]
+                          for kvs in zip(self.cross, new)] if old else new
+            self.chunks += states[old:]
+        return [[Tensor(a[:len(states)] if chunk.ndim == 3 else a[0]) for a in kv]
+                for kv in self.cross]
+
     def next_chunk(self, prefixes):
         """Drop the searched chunk's tier, and every node off the paths of
         prefixes; the rest keep their order, renumbered 0, 1, ..."""
@@ -377,7 +398,7 @@ class DecoderCache:
             a[:-1, :m] = a[1:, :m] if m == n else a[1:].take(old, 1)
             a[:-1, m:n] = a[-1, :n] = 0
         self.chunks = self.chunks[1:]
-        self.cross = [(k[1:], v[1:]) for k, v in self.cross]
+        self.cross = [[a[1:] for a in kv] for kv in self.cross]
 
 
 def _two(nodes):
@@ -401,9 +422,6 @@ class _EveryRow:
     def queries(self, i, h, n):
         return h, n, self.mask
 
-    def memory(self, i, project):
-        return project()
-
     def residual(self, h):
         return h
 
@@ -420,24 +438,16 @@ class _TriePass:
     session lacks; they run block 0's self-attention. Each is empty or at
     least two nodes (_two), so that every row is a row of a matrix product.
     The cache's rows and the computed ones give every node's keys. The
-    chunk tiers' cross-attention keys and values serve a pass whose tiers
-    all have them; any other pass projects its chunks' own.
+    pass's chunk tiers exist (DecoderCache.memory) before it starts.
 
     A computed row goes into the cache as it is made, and its node is
-    marked as having rows once the pass has succeeded; projected keys go
-    into the tiers then too. A node that had rows and is computed again
-    gets the same bits, and so do keys projected again.
+    marked as having rows once the pass has succeeded. A node that had
+    rows and is computed again gets the same bits.
     """
 
     def __init__(self, cache, cfg, chunk, ends):
-        states = [c.tobytes() for c in (chunk if chunk.ndim == 3 else [chunk])]
-        if any(made != s for made, s in zip(cache.chunks, states)):
-            raise ProtocolError("the DecoderCache's chunk tiers hold other chunks' rows: "
-                                "call next_chunk before a pass on the next chunk")
-        cache.chunks += states[len(cache.chunks):]
-        cache._make(cfg, len(states))
         self.cache, self.last, self.stack = cache, cfg.n_dec_blocks - 1, chunk.ndim == 3
-        n, c = len(cache.nodes), len(states)
+        n, c = len(cache.nodes), len(chunk) if self.stack else 1
         self.n, self.c, self.ends = n, c, ends
         anc, tiers = cache.anc, cache.tiers
         nodes = np.array(sorted(set(ends)), dtype=np.intp)
@@ -452,9 +462,6 @@ class _TriePass:
                 self.todo = todo.nonzero()[0]
             self.fresh = _two((up & ~cache.session["held"][:n]).nonzero()[0])
         self.depth = cache.depth
-        # the tiers' cross-attention keys and values, if every tier of the pass has them
-        self.cross = cache.cross if cache.cross and len(cache.cross[0][0]) >= c else None
-        self.projected = []
 
     def keys(self, i, k, v):
         """Every node's keys and values of block i: k and v in the rows the
@@ -481,14 +488,6 @@ class _TriePass:
         at = np.searchsorted(self.todo, self.ask)
         return Tensor(h.data[..., at, :]), Tensor(n.data[..., at, :]), mask[at]
 
-    def memory(self, i, project):
-        """Block i's cross-attention keys and values of the pass's chunks: the
-        chunk tiers', or project()'s, which the tiers take if the pass succeeds."""
-        if self.cross is None:
-            self.projected.append(project())
-            return self.projected[-1]
-        return [Tensor(a[:self.c] if self.stack else a[0]) for a in self.cross[i]]
-
     def residual(self, h):
         """Block 0's self-attention output of todo: h in fresh, the cache's elsewhere."""
         rows = self.cache.session["a0"]
@@ -504,9 +503,6 @@ class _TriePass:
             tiers["out"][:c, self.ask] = out.data
             tiers["have"][:c, self.todo] = tiers["read"][:c, self.ask] = True
             self.cache.session["held"][self.fresh] = True
-            if self.projected:
-                self.cache.cross = [tuple(t.data if self.stack else t.data[None] for t in kv)
-                                    for kv in self.projected]
         return tiers["out"][:c].take(self.ends, 1)
 
 
@@ -535,19 +531,19 @@ class ChunkTransducerModel:
     def _frames(self, x, start=0):
         """Raw frames checked by as_frames. From a stream's first frame (start 0)
         they must be long enough to encode; a later tail need not be."""
-        x = as_frames(x, self.cfg.d_in)
-        if start == 0 and x.shape[0] < FRONT_END_DOWNSAMPLE:
-            raise EmptyInputError(f"need at least {FRONT_END_DOWNSAMPLE} frames, got {x.shape[0]}")
+        x, need = as_frames(x, self.cfg.d_in), chunking.first_frame(1)
+        if start == 0 and x.shape[0] < need:
+            raise EmptyInputError(f"need at least {need} frames, got {x.shape[0]}")
         return x
 
     def front_end(self, x, lengths=None, start=0):
         """Raw frames (T, d_in) -> encoded inputs (L, d_model).
 
-        With start, x is a stream's raw frames from frame FRONT_END_DOWNSAMPLE
-        * start on, and the output is positions start onward.
+        With start, x is a stream's raw frames from frame first_frame(start)
+        on, and the output is positions start onward.
 
         With lengths, x is instead N utterances' frames right-padded with zeros
-        to (N, T, d_in), lengths[n] (at least FRONT_END_DOWNSAMPLE) the frame
+        to (N, T, d_in), lengths[n] (at least first_frame(1)) the frame
         count of utterance n, and the output is (N, L, d_model). Encoded
         frames of utterance n up to encoded_len(lengths[n]) equal its
         unbatched front end; those past it are filler.
@@ -561,7 +557,7 @@ class ChunkTransducerModel:
             # Conv 2 must read conv-1 frames past an utterance's end as the
             # zeros of the right padding, as the unbatched path does, not as
             # the relu(b1) that the padded input frames make.
-            live = np.arange(h.shape[-2]) < -(-np.asarray(lengths)[:, None] // FRONT_END_STRIDE)
+            live = np.arange(h.shape[-2]) < chunking.conv_len(np.asarray(lengths)[:, None])
             h = h * Tensor(np.broadcast_to(live[..., None], h.shape))
         h = ad.conv1d_time(h, p["fe.conv2.w"], FRONT_END_STRIDE)
         h = ad.relu(_checked("fe.conv2", h + p["fe.conv2.b"]))
@@ -614,7 +610,7 @@ class ChunkTransducerModel:
         needs no key mask: no state of an utterance reads its padding.
 
         With an EncoderCache, x is a stream's raw frames from frame
-        FRONT_END_DOWNSAMPLE * cache.start on, the output is positions
+        chunking.first_frame(cache.start) on, the output is positions
         cache.start onward, and each block's attention also reads the cached
         rows, outside the autodiff graph. An empty cache computes what no
         cache does. The cache then moves on to the first position not yet
@@ -633,7 +629,7 @@ class ChunkTransducerModel:
             keys.append(kv.data)  # the rows of positions start - P onward
         if cache is not None:
             # positions from final_len on read raw frames still to come
-            cache.start = chunking.final_len(FRONT_END_DOWNSAMPLE * start + len(x))
+            cache.start = chunking.final_len(chunking.first_frame(start) + len(x))
             end = P + cache.start - start  # the first such row in keys
             cache.rows = [k[max(0, end - left):end] for k in keys]
         return _checked("enc.final_ln", self._ln("enc.final_ln", s))
@@ -660,14 +656,19 @@ class ChunkTransducerModel:
             raise VocabError(f"prefix ids must be integers in the vocabulary, got {ids!r}")
         return ids.astype(np.intp, copy=False)
 
-    def _decode(self, ids, chunk_states, cross_mask=True, rows=None):
+    def _memory(self, chunks):
+        """Each decoder block's cross-attention keys and values of chunks, (k, v) pairs."""
+        return [self._kv(f"dec.{i}.cross_attn", chunks) for i in range(self.cfg.n_dec_blocks)]
+
+    def _decode(self, ids, memory, cross_mask=True, rows=None):
         """Decoder blocks over ids of shape (..., P) -> (..., P, vocab) log-softmax.
 
-        Row j attends to rows 0..j and sits at position j (_EveryRow), so it
-        depends on its ancestors' ids and the chunk alone, and right padding
-        reaches no real row. cross_mask broadcasts against the (...,
-        heads, P, W) cross-attention scores; chunk positions it marks False
-        get exactly zero attention. rows, a _TriePass of a decoder_steps
+        memory is each block's cross-attention keys and values of the chunk
+        (_memory). Row j attends to rows 0..j and sits at position j
+        (_EveryRow), so it depends on its ancestors' ids and the chunk alone,
+        and right padding reaches no real row. cross_mask broadcasts against
+        the (..., heads, P, W) cross-attention scores; chunk positions it marks
+        False get exactly zero attention. rows, a _TriePass of a decoder_steps
         pass (under no_grad), has the blocks compute only the rows that its
         DecoderCache lacks, each node under its ancestor row and at its
         depth, the others' keys and values coming from the cache, and the
@@ -688,8 +689,7 @@ class ChunkTransducerModel:
             if i == 0:
                 h = rows.residual(h)
             ca, n = f"dec.{i}.cross_attn", self._ln(f"dec.{i}.ln2", h)
-            k, v = rows.memory(i, lambda: self._kv(ca, chunk_states))
-            h = _checked(ca, h + self._attend(ca, n, k, v, cross_mask))
+            h = _checked(ca, h + self._attend(ca, n, *memory[i], cross_mask))
             h = _checked(f"dec.{i}.ffn", h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h)))
         return _checked("dec.out", ad.log_softmax(
             self._linear("dec.out", self._ln("dec.final_ln", h))))
@@ -714,7 +714,7 @@ class ChunkTransducerModel:
         prefix_ids must start with the start symbol (= blank id). Output is
         (len(prefix), vocab_size) log-softmax rows.
         """
-        return self._decode(self._check_prefix(prefix_ids), chunk_states)
+        return self._decode(self._check_prefix(prefix_ids), self._memory(chunk_states))
 
     @_quiet
     def decoder_steps(self, prefixes, chunk_states, cache=None):
@@ -735,12 +735,13 @@ class ChunkTransducerModel:
 
         With a cache, the pass computes only the rows it lacks (_TriePass):
         block 0's self-attention on the nodes new to the session, the rest on
-        the nodes new to a chunk, the output on the read nodes new to a
-        chunk, and the cross-attention keys and values of chunks new to the
-        tiers; it adds them to the cache. A pass that finds every row
-        computes nothing. The cache's first C chunk tiers must be the C
-        chunks', so a pass on other chunk states than the tiers were made
-        for is a ProtocolError: call cache.next_chunk between chunks.
+        the nodes new to a chunk, and the output on the read nodes new to a
+        chunk; it adds them to the cache. A chunk tier, with each block's
+        cross-attention keys and values of its chunk, is made once, before the
+        pass (DecoderCache.memory). A pass that finds every row computes
+        nothing. The cache's first C chunk tiers must be the C chunks', so a
+        pass on other chunk states than the tiers were made for is a
+        ProtocolError: call cache.next_chunk between chunks.
 
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
         chunk_states)[0], and row [c, i] of a stack to decoder_steps(prefixes,
@@ -766,11 +767,10 @@ class ChunkTransducerModel:
         ends = [cache.number(pre, V) for pre in prefixes]
         if len(cache.nodes) == 1:  # a trie of the start node alone gets a second node
             cache.number((start, start), V)
-        rows = _TriePass(cache, self.cfg, chunk.data, ends)
-        out = None
-        if len(rows.ask):
-            with ad.no_grad():
-                out = self._decode(cache.ids[:rows.n], chunk, rows=rows)
+        with ad.no_grad():
+            memory = cache.memory(self.cfg, chunk.data, self._memory)
+            rows = _TriePass(cache, self.cfg, chunk.data, ends)
+            out = self._decode(cache.ids[:rows.n], memory, rows=rows) if len(rows.ask) else None
         out = rows.outputs(out)
         return out if chunk.data.ndim == 3 else out[0]
 
@@ -805,7 +805,7 @@ class ChunkTransducerModel:
         pos = spans[:, :1] + np.arange(self.cfg.W)
         valid = pos < spans[:, 1:]
         chunks = states[utt[:, None], np.minimum(pos, spans[:, 1:] - 1)]
-        ld = self._decode(_right_pad(prefixes, self.vocab.start_id)[utt], chunks,
+        ld = self._decode(_right_pad(prefixes, self.vocab.start_id)[utt], self._memory(chunks),
                           valid[:, None, None, :])
         ends = np.cumsum(M)
         return [(ld[a:b, :len(p), self.vocab.blank_id], ld[a:b, np.arange(len(p) - 1), p[1:]])

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from chunkrec import checkpoint
 from chunkrec.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
-from chunkrec.errors import (ChunkrecError, CorruptHeaderError, TruncatedFileError,
-                             VersionMismatchError)
+from chunkrec.errors import (CheckpointError, ChunkrecError, CorruptHeaderError,
+                             TruncatedFileError, VersionMismatchError)
 from chunkrec.model import parameter_table
 from chunkrec.training import Adam, TrainConfig, gen_synthetic, train
 
@@ -56,6 +56,18 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(blob[:-1])
     with pytest.raises(TruncatedFileError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("where", ["missing", "directory", "nul"])
+def test_a_path_that_cannot_be_opened_is_a_checkpoint_error_naming_it(tmp_path, where):
+    path = {"missing": str(tmp_path / "no" / "model.ckpt"), "directory": str(tmp_path),
+            "nul": str(tmp_path / "a\0b")}[where]
+    with pytest.raises(CheckpointError, match="cannot read checkpoint") as read:
+        load_checkpoint(path)
+    with pytest.raises(CheckpointError, match="cannot write checkpoint") as write:
+        save_checkpoint(path, make_tiny_model())
+    assert all(type(e.value) is CheckpointError and path in str(e.value)
+               for e in (read, write))
 
 
 def test_version_mismatch_rejected(tmp_path):

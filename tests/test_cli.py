@@ -124,6 +124,30 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert record["error"] == "corrupt-header"
 
 
+def _one_record(capsys):
+    """The error category of the one JSON record main wrote to stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--checkpoint", "{tmp}/missing.ckpt", "decode"],
+    ["--checkpoint", "{tmp}", "decode"],  # a directory
+    ["--config", "{config}", "--checkpoint", "{tmp}/no/model.ckpt", "train"],
+], ids=["missing", "directory", "missing-directory"])
+def test_a_checkpoint_file_error_is_one_json_record(tmp_path, capsys, argv):
+    args = [a.format(tmp=tmp_path, config=tiny_config(tmp_path, total_steps=1)) for a in argv]
+    assert main(args) == 1
+    assert _one_record(capsys) == "checkpoint"
+
+
+def test_an_out_file_that_cannot_be_opened_is_one_json_record(tmp_path, capsys):
+    for out in (tmp_path / "no" / "x.txt", tmp_path):
+        assert main(["--out", str(out), "latency"]) == 1
+        assert _one_record(capsys) == "contract"
+
+
 def test_decode_with_a_nan_parameter_is_a_numeric_error_naming_its_sub_layer(tmp_path, capsys):
     m = make_tiny_model()
     m.params["dec.0.cross_attn.wv"].data[0, 0] = np.nan

@@ -372,9 +372,9 @@ def _computing(model):
     passes = []
     decode = model._decode
 
-    def counted(ids, chunk_states, *args, **kwargs):
-        passes.append(chunk_states.data.ndim == 3)
-        return decode(ids, chunk_states, *args, **kwargs)
+    def counted(ids, memory, *args, **kwargs):
+        passes.append(memory[0][0].data.ndim == 3)  # block 0's cross-attention keys
+        return decode(ids, memory, *args, **kwargs)
 
     model._decode = counted
     return passes
