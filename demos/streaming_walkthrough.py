@@ -36,7 +36,7 @@ while pos < len(x):
     pos += len(frags[-1])
 
 # First, watch the buffer release chunks as frames trickle in.
-buf = StreamBuffer(W=cfg.W, B=cfg.B)
+buf = StreamBuffer(W=cfg.W, B=cfg.B, d_in=cfg.d_in)
 pos = 0
 for frag in frags:
     pos += len(frag)

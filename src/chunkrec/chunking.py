@@ -145,14 +145,16 @@ class StreamBuffer:
     is final, which also guarantees the chunk is not the (truncated) final
     one. Remaining chunks are released on flush(), when the true encoded
     length is known. frames holds the stream's last raw_count raw frames as
-    one array, and keep_from drops those no later encoding reads.
+    one array, and keep_from drops those no later encoding reads. Frames
+    are d_in wide; without d_in, as wide as the first fragment.
     """
 
-    def __init__(self, W, B):
+    def __init__(self, W, B, d_in=None):
         _check_geometry(W, B)
         self.W = W
         self.B = B
-        self.frames = np.zeros((0, 0))
+        self.d_in = d_in
+        self.frames = np.zeros((0, d_in or 0))
         self.end = 0  # raw frames the stream has delivered
         self.next_start = 0  # the first encoded position of the next chunk
         self._flushed = False
@@ -162,11 +164,12 @@ class StreamBuffer:
         return len(self.frames)
 
     def push(self, frames):
-        """Append raw frames, as wide as those already buffered (as_frames checks
-        them); return the encoded [start, end) ranges now complete."""
+        """Append raw frames, d_in wide (as_frames checks them); return the
+        encoded [start, end) ranges now complete."""
         if self._flushed:
             raise ProtocolError("push after end-of-stream flush")
-        frames = as_frames(frames, self.frames.shape[1] if self.raw_count else None)
+        frames = as_frames(frames, self.d_in)
+        self.d_in = frames.shape[1]
         self.frames = np.concatenate([self.frames, frames]) if self.raw_count else frames
         self.end += len(frames)
         out = []

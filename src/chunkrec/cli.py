@@ -11,7 +11,9 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -21,7 +23,7 @@ from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .chunking import chunk_latency_ms, effective_latency_ms
 from .decoding import BeamConfig, StreamSession, beam_decode, cer
-from .errors import ChunkrecError, ConfigError, ContractError
+from .errors import CheckpointError, ChunkrecError, ConfigError, ContractError
 from .lattice import diagonal_identity_check, backward_pass, enumerate_paths, forward_pass
 from .model import ChunkTransducerModel, ModelConfig, Vocabulary
 from .training import SyntheticTaskSpec, TrainConfig, gen_synthetic, load_manifest, train
@@ -93,11 +95,14 @@ def _out_stream(args):
             return open(args.out, "w", encoding="utf-8")
         except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
             raise ContractError(f"cannot write output {args.out}: {e}") from e
-    import contextlib
     return contextlib.nullcontext(sys.stdout)
 
 
 def cmd_train(args, cfg_dict):
+    # the checkpoint is written only after training, so its path is checked first
+    path = args.checkpoint
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise CheckpointError(f"cannot write checkpoint {path}: not a file in a directory")
     model = _model_from_config(cfg_dict, seed=args.seed)
     tc = _section(cfg_dict, "train")
     data = _data_from_args(args, cfg_dict, model,
@@ -159,9 +164,9 @@ def cmd_eval_cer(args, cfg_dict):
     beam = _section(cfg_dict, "beam")
     data = _data_from_args(args, cfg_dict, model, n=_count(cfg_dict, "n_eval", 64),
                            seed=model.cfg.seed + 505)
-    result = {"utterances": len(data),
-              "cer": cer((beam_decode(model, x, beam)[0][0], y) for x, y in data)}
     with _out_stream(args) as out:
+        result = {"utterances": len(data),
+                  "cer": cer((beam_decode(model, x, beam)[0][0], y) for x, y in data)}
         out.write(json.dumps(result) + "\n")
     return 0
 

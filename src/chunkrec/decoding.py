@@ -21,12 +21,12 @@ Above width 1 the result takes the greedy path as a floor, a width-1 beam
 ranked by the same rule in the same passes; ``decoder_steps`` is
 batch-invariant, so its rows score bit for bit as greedy decoding does.
 
-A session keeps a DecoderCache, so a pass computes only the rows of the
-prefix nodes it has not met: block 0's self-attention once per node for
-the whole session, and the rest once per node and chunk (decoder_steps).
-After each chunk, next_chunk drops that chunk's tier, and keeps the nodes
-on the paths of the live hypotheses and the floor in their order. A row
-depends only on (prefix, chunk), so results stay bitwise.
+A session keeps a DecoderCache (``decoder_cache``), so a pass computes only
+the rows of the prefix nodes it has not met: block 0's self-attention once
+per node for the whole session, and the rest once per node and chunk. After
+each chunk, next_chunk drops that chunk's tier, and keeps the nodes on the
+paths of the live hypotheses and the floor in their order. A row depends
+only on (prefix, chunk), so results stay bitwise.
 
 A chunk looks one chunk ahead when its push or flush also releases the
 next at full length: offline, where the one fragment is the flush, or a
@@ -48,9 +48,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .chunking import StreamBuffer, as_frames
+from .chunking import StreamBuffer
+from .decoder_cache import DecoderCache
 from .errors import UndefinedMetricError, check_fields
-from .model import DecoderCache, EncoderCache
+from .model import EncoderCache
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,8 @@ class StreamSession:
         self.model, self.cfg = model, cfg
         self.clock = clock or time.monotonic
         self.t0 = self.clock()
-        self.buf = StreamBuffer(model.cfg.W, model.cfg.B)
-        self.cache, self.decoder_cache = EncoderCache(), DecoderCache()
+        self.buf = StreamBuffer(model.cfg.W, model.cfg.B, model.cfg.d_in)
+        self.cache, self.decoder_cache = EncoderCache(), DecoderCache(model.cfg)
         # the states of encoded positions _first onward, from _n_encoded raw frames
         self._states, self._first, self._n_encoded = None, 0, 0
         start = Hypothesis((model.vocab.start_id,), 0.0)
@@ -219,13 +220,13 @@ class StreamSession:
 
     def push(self, fragment):
         """Take the next fragment; returns the Emissions of the chunks it released."""
-        return self._search(self.buf.push(as_frames(fragment, self.model.cfg.d_in)))
+        return self._search(self.buf.push(fragment))
 
     def flush(self, fragment=None):
         """End the stream, after a last fragment if given; returns the last
         Emissions. The fragment's chunks and the rest are searched as one
         release, so each full chunk is looked ahead into."""
-        spans = [] if fragment is None else self.buf.push(as_frames(fragment, self.model.cfg.d_in))
+        spans = [] if fragment is None else self.buf.push(fragment)
         out = self._search(spans + self.buf.flush())
         self.hyps = _with_floor(self.hyps, self.floor, self.cfg.width)
         return out + self._emit(self.hyps[0].prefix)

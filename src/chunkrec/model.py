@@ -11,23 +11,10 @@ label prefix against every chunk of its utterance.
 ``parameter_table`` is the one list of parameter names and shapes; the
 initializer walks it and the model checks given parameters against it.
 
-Search passes score prefixes (``decoder_steps``) against a
-``DecoderCache``, which keeps the decode's prefix trie as a node table: a
-dict from prefix to node number, and each node's id, depth and ancestor
-row. A pass finds its nodes with one dict lookup per prefix, and its rows,
-masks and positions with a fixed number of array operations. Block 0's
-self-attention depends on the prefix alone and everything after it on the
-prefix and the chunk, so a node's block-0 keys, values and output serve
-the whole decode and its later keys, values and output row serve one chunk
-tier, which serves only the chunk it was made for. The decoder's memory,
-each block's cross-attention keys and values of the chunk (``_memory``),
-is an argument of the one block loop (``_decode``): teacher forcing
-projects it from its chunks, and a search pass reads it from the chunk
-tiers, whose keys ``DecoderCache.memory`` projects once, as it makes the
-tier, as in any incremental decoder. Rows and keys leave the cache only
-through ``decoder_steps``, which checks the chunk. A pass computes only
-the rows its cache lacks, in the same block loop that teacher forcing
-runs on every row.
+The decoder's memory, each block's cross-attention keys and values of the
+chunk (``_memory``), is an argument of the one block loop (``_decode``),
+which teacher forcing runs on every row and a search pass
+(``decoder_steps``) on the rows its decoder cache lacks (``decoder_cache``).
 
 Finiteness is checked at sub-layer boundaries, not after every autodiff
 op, and a NumericError names the sub-layer, as in "non-finite value in
@@ -50,7 +37,6 @@ not as a RuntimeWarning from the op that first makes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -59,8 +45,9 @@ from .autodiff import Tensor
 from . import chunking
 from .chunking import (FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry, as_frames,
                        left_context_mask)
+from .decoder_cache import DecoderCache
 from .errors import (AvailabilityError, ConfigError, ContractError, EmptyInputError,
-                     NumericError, ProtocolError, ShapeError, VocabError, check_fields)
+                     NumericError, ShapeError, VocabError, check_fields)
 from .lattice import lattice_nll
 
 
@@ -260,154 +247,6 @@ class EncoderCache:
     rows: list = field(default_factory=list)
 
 
-def _grown(a, axis, size):
-    """a with zeros appended along axis up to size."""
-    out = np.zeros(a.shape[:axis] + (size,) + a.shape[axis + 1:], dtype=a.dtype)
-    out[tuple(map(slice, a.shape))] = a
-    return out
-
-
-def _compact(a, old, n):
-    """Move a's rows old (ascending) to the front in their order, and zero its
-    other rows below n."""
-    a[:len(old)] = a.take(old, 0)
-    a[len(old):n] = 0
-
-
-class DecoderCache:
-    """A decode's prefix trie and its decoder rows by trie node, so that a
-    search pass computes only the rows it lacks (decoder_steps).
-
-    nodes maps each prefix the trie holds, a tuple of ids, to its node
-    number; ids[j] is node j's last id, depth[j] its length less one (its
-    position), and anc[j, i] is True iff node i is node j or an ancestor of
-    it. A node is added from its parent's entry, after its parent, so
-    ancestors are numbered before descendants, and its id is checked once,
-    as it is added. The root, the start symbol, is node
-    0. Every array is indexed by node number, and is zero past the nodes.
-
-    session holds each node's block-0 self-attention keys, values and
-    residual output ("k0", "v0", "a0"), which depend on the prefix alone;
-    held marks the nodes that have them. tiers holds, per chunk tier, each
-    node's self-attention keys and values of every later block against
-    that tier's chunk, and the output row of each node a pass read; have
-    and read mark the nodes that have the former and the latter. chunks
-    holds the bytes of each tier's chunk states: the chunk being searched,
-    then the next (the look-ahead's). cross holds, per decoder block, the
-    cross-attention keys and values of the tiers' chunks, a [k, v] pair of
-    (tiers, W', d_model) arrays. memory makes a tier, its keys with it, and
-    they leave with their tier. Each tier, and the session, holds the paths
-    to the nodes it holds. Rows and keys leave the cache only through
-    decoder_steps, which checks chunks.
-    """
-
-    def __init__(self):
-        self.nodes, self.size = {}, 64
-        self.ids, self.depth = np.zeros(64, dtype=np.intp), np.zeros(64, dtype=np.intp)
-        self.anc = np.zeros((64, 64), dtype=bool)
-        self.session, self.tiers, self.chunks, self.cross = {}, {}, [], []
-
-    def _deepest(self, prefix):
-        """(k, node): the longest start prefix[:k] of prefix, a tuple, that the
-        trie holds, and its node (-1 for k = 0)."""
-        for k in range(len(prefix), 0, -1):
-            number = self.nodes.get(prefix[:k])
-            if number is not None:
-                return k, number
-        return 0, -1
-
-    def number(self, prefix, vocab_size):
-        """The node number of prefix, a tuple, after adding the nodes it lacks;
-        VocabError, with none of them added, for an id to add that is not an
-        integer in [0, vocab_size)."""
-        known, number = self._deepest(prefix)
-        if known == len(prefix):
-            return number
-        if not all((type(t) is int or isinstance(t, np.integer)) and 0 <= t < vocab_size
-                   for t in prefix[known:]):
-            raise VocabError(f"prefix ids {prefix[known:]!r} are not integers in the "
-                             f"vocabulary [0, {vocab_size})")
-        n = len(self.nodes)
-        if n + len(prefix) - known > self.size:
-            self._grow(max(n + len(prefix) - known, 2 * self.size))
-        for j in range(known, len(prefix)):
-            parent, number = number, len(self.nodes)
-            if parent >= 0:
-                self.anc[number] = self.anc[parent]
-            self.anc[number, number] = True
-            self.ids[number], self.depth[number] = prefix[j], j
-            self.nodes[prefix[:j + 1]] = number
-        return number
-
-    def _grow(self, size):
-        self.ids, self.depth = _grown(self.ids, 0, size), _grown(self.depth, 0, size)
-        self.anc = _grown(_grown(self.anc, 0, size), 1, size)
-        self.session = {name: _grown(a, 0, size) for name, a in self.session.items()}
-        self.tiers = {name: _grown(a, 1, size) for name, a in self.tiers.items()}
-        self.size = size
-
-    def _make(self, cfg, n_tiers):
-        """Room for cfg's rows in at least n_tiers chunk tiers."""
-        d = cfg.d_model
-        if not self.session:
-            names = ("k0", "v0", "a0") if cfg.n_dec_blocks else ()
-            self.session = {name: np.zeros((self.size, d)) for name in names}
-            self.session["held"] = np.zeros(self.size, dtype=bool)
-            widths = {f"{kv}{i}": d for i in range(1, cfg.n_dec_blocks) for kv in "kv"}
-            self.tiers = {name: np.zeros((0, self.size, width))
-                          for name, width in {**widths, "out": cfg.vocab_size}.items()}
-            self.tiers.update(have=np.zeros((0, self.size), dtype=bool),
-                              read=np.zeros((0, self.size), dtype=bool))
-        if n_tiers > len(self.tiers["out"]):
-            self.tiers = {name: _grown(a, 0, n_tiers) for name, a in self.tiers.items()}
-
-    def memory(self, cfg, chunk, project):
-        """Each decoder block's cross-attention [k, v] of chunk, (W', d_model) or
-        a (C, W', d_model) stack, read from the first chunk tiers after making
-        those the cache lacks: project (the model's _memory) projects their
-        chunks once, as one stack. ProtocolError for a tier of other states."""
-        stack = chunk if chunk.ndim == 3 else chunk[None]
-        states = [c.tobytes() for c in stack]
-        if any(made != s for made, s in zip(self.chunks, states)):
-            raise ProtocolError("the DecoderCache's chunk tiers hold other chunks' rows: "
-                                "call next_chunk before a pass on the next chunk")
-        self._make(cfg, len(states))
-        old = len(self.chunks)
-        if old < len(states):
-            new = [[t.data for t in kv] for kv in project(stack[old:])]
-            self.cross = [[np.concatenate(pair) for pair in zip(*kvs)]
-                          for kvs in zip(self.cross, new)] if old else new
-            self.chunks += states[old:]
-        return [[Tensor(a[:len(states)] if chunk.ndim == 3 else a[0]) for a in kv]
-                for kv in self.cross]
-
-    def next_chunk(self, prefixes):
-        """Drop the searched chunk's tier, and every node off the paths of
-        prefixes; the rest keep their order, renumbered 0, 1, ..."""
-        n = len(self.nodes)
-        ends = [node for known, node in map(self._deepest, map(tuple, prefixes)) if known]
-        keep = np.logical_or.reduce(self.anc.take(ends, 0)[:, :n], axis=0)
-        old = keep.nonzero()[0]
-        m = len(old)
-        if m < n:
-            self.nodes = dict(zip(compress(self.nodes, keep), range(m)))
-            square = self.anc[:n, :n]
-            for a in [self.ids, self.depth, square, square.T, *self.session.values()]:
-                _compact(a, old, n)
-        for a in self.tiers.values():  # tier t + 1 becomes tier t
-            a[:-1, :m] = a[1:, :m] if m == n else a[1:].take(old, 1)
-            a[:-1, m:n] = a[-1, :n] = 0
-        self.chunks = self.chunks[1:]
-        self.cross = [[a[1:] for a in kv] for kv in self.cross]
-
-
-def _two(nodes):
-    """Sorted trie nodes, with a second if there is one: the root, or its first
-    child (node 1) if nodes is the root. Neither has an ancestor outside the
-    other."""
-    return np.array([0, max(1, nodes[0])], dtype=np.intp) if len(nodes) == 1 else nodes
-
-
 class _EveryRow:
     """The rows a decoder pass without a cache computes: all P of them, row j
     under the chain mask at position j."""
@@ -424,86 +263,6 @@ class _EveryRow:
 
     def residual(self, h):
         return h
-
-
-class _TriePass:
-    """The rows a decoder_steps pass over a DecoderCache's trie computes,
-    which it adds there. Its keys are every node of the trie, a row's mask
-    is its node's ancestor row, and its position its node's depth.
-
-    ask: the read nodes (ends) that lack an output row in a chunk tier of the
-    pass; they run the last block's queries and the output. todo: ask and
-    its ancestors that lack a chunk tier's rows; they run everything from
-    block 0's cross-attention on. fresh: todo and its ancestors that the
-    session lacks; they run block 0's self-attention. Each is empty or at
-    least two nodes (_two), so that every row is a row of a matrix product.
-    The cache's rows and the computed ones give every node's keys. The
-    pass's chunk tiers exist (DecoderCache.memory) before it starts.
-
-    A computed row goes into the cache as it is made, and its node is
-    marked as having rows once the pass has succeeded. A node that had
-    rows and is computed again gets the same bits.
-    """
-
-    def __init__(self, cache, cfg, chunk, ends):
-        self.cache, self.last, self.stack = cache, cfg.n_dec_blocks - 1, chunk.ndim == 3
-        n, c = len(cache.nodes), len(chunk) if self.stack else 1
-        self.n, self.c, self.ends = n, c, ends
-        anc, tiers = cache.anc, cache.tiers
-        nodes = np.array(sorted(set(ends)), dtype=np.intp)
-        read = np.logical_and.reduce(tiers["read"][:c].take(nodes, 1), axis=0)
-        self.ask = self.todo = self.fresh = _two(nodes[~read])
-        if len(self.ask) and self.last >= 0:
-            # ask and its ancestors: every ancestor of todo, which holds ask
-            up = np.logical_or.reduce(anc.take(self.ask, 0)[:, :n], axis=0)
-            if self.last > 0:
-                todo = up & ~np.logical_and.reduce(tiers["have"][:c, :n], axis=0)
-                todo[self.ask] = True
-                self.todo = todo.nonzero()[0]
-            self.fresh = _two((up & ~cache.session["held"][:n]).nonzero()[0])
-        self.depth = cache.depth
-
-    def keys(self, i, k, v):
-        """Every node's keys and values of block i: k and v in the rows the
-        pass computes, the cache's in the others."""
-        n, out = self.n, []
-        for name, t in ((f"k{i}", k), (f"v{i}", v)):
-            if i == 0:
-                rows = self.cache.session[name]
-                rows[self.fresh] = t.data
-            else:
-                rows = self.cache.tiers[name][:self.c]
-                rows[:, self.todo] = t.data
-                rows = rows if self.stack else rows[0]
-            out.append(Tensor(rows[..., :n, :]))
-        return out
-
-    def queries(self, i, h, n):
-        """The residual, normed input and mask rows of block i's self-attention queries."""
-        if i == 0:
-            return h, n, self.cache.anc.take(self.fresh, 0)[:, :self.n]
-        mask = self.cache.anc.take(self.todo, 0)[:, :self.n]
-        if i < self.last or len(self.todo) == len(self.ask):  # todo holds ask
-            return h, n, mask
-        at = np.searchsorted(self.todo, self.ask)
-        return Tensor(h.data[..., at, :]), Tensor(n.data[..., at, :]), mask[at]
-
-    def residual(self, h):
-        """Block 0's self-attention output of todo: h in fresh, the cache's elsewhere."""
-        rows = self.cache.session["a0"]
-        if h is not None:
-            rows[self.fresh] = h.data
-        return Tensor(rows.take(self.todo, 0))
-
-    def outputs(self, out=None):
-        """Add out, the output rows of ask, to the cache and mark the pass's
-        nodes; then return the output rows of ends, (chunks, len(ends), vocab)."""
-        tiers, c = self.cache.tiers, self.c
-        if out is not None:
-            tiers["out"][:c, self.ask] = out.data
-            tiers["have"][:c, self.todo] = tiers["read"][:c, self.ask] = True
-            self.cache.session["held"][self.fresh] = True
-        return tiers["out"][:c].take(self.ends, 1)
 
 
 @dataclass
@@ -668,11 +427,11 @@ class ChunkTransducerModel:
         (_EveryRow), so it depends on its ancestors' ids and the chunk alone,
         and right padding reaches no real row. cross_mask broadcasts against
         the (..., heads, P, W) cross-attention scores; chunk positions it marks
-        False get exactly zero attention. rows, a _TriePass of a decoder_steps
-        pass (under no_grad), has the blocks compute only the rows that its
-        DecoderCache lacks, each node under its ancestor row and at its
-        depth, the others' keys and values coming from the cache, and the
-        output is ask's rows, (..., len(ask), vocab).
+        False get exactly zero attention. rows, a decoder cache's pass
+        (decoder_cache._TriePass, under no_grad), has the blocks compute only
+        the rows the cache lacks, each node under its ancestor row and at its
+        depth, with the other nodes' keys and values from the cache; the
+        output is then the rows of its read nodes that the cache lacks.
         """
         rows = rows or _EveryRow(ids.shape[-1])
         h, at = None, rows.fresh
@@ -733,25 +492,16 @@ class ChunkTransducerModel:
         (ContractError), and each id the trie adds must be an integer in the
         vocabulary (VocabError), checked as its node is added.
 
-        With a cache, the pass computes only the rows it lacks (_TriePass):
-        block 0's self-attention on the nodes new to the session, the rest on
-        the nodes new to a chunk, and the output on the read nodes new to a
-        chunk; it adds them to the cache. A chunk tier, with each block's
-        cross-attention keys and values of its chunk, is made once, before the
-        pass (DecoderCache.memory). A pass that finds every row computes
-        nothing. The cache's first C chunk tiers must be the C chunks', so a
-        pass on other chunk states than the tiers were made for is a
-        ProtocolError: call cache.next_chunk between chunks.
+        With a DecoderCache, the pass computes only the rows the cache lacks
+        and adds them there, so a pass that finds every row computes nothing.
+        The cache's first C chunk tiers must be the C chunks', so a pass on
+        other chunk states than the tiers were made for is a ProtocolError:
+        call cache.next_chunk between chunks.
 
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
         chunk_states)[0], and row [c, i] of a stack to decoder_steps(prefixes,
-        chunk_states[c])[i], cache or none. Masked keys add exact zeros to the
-        softmax's sequential sum, a node's ancestors keep their depth order,
-        a stack's products run one chunk's matrix at a time, and every
-        computed row set has at least two rows, which keeps each row a row of
-        a matrix product, off BLAS's matrix-vector path, which sums in another
-        order. So a row the cache holds is the row the pass would compute.
-        Rows equal decoder_forward(...)[-1] up to summation order.
+        chunk_states[c])[i], cache or none (decoder_cache says why). Rows equal
+        decoder_forward(...)[-1] up to summation order.
         """
         chunk = ad._as_tensor(chunk_states)
         d = self.cfg.d_model
@@ -759,20 +509,10 @@ class ChunkTransducerModel:
             raise ShapeError(f"chunk states must be (W', {d}) or (C, W', {d}), got {chunk.shape}")
         if len(prefixes) == 0:
             raise ContractError("decoder_steps needs at least one prefix")
-        start, V = self.vocab.start_id, self.cfg.vocab_size
         prefixes = [tuple(pre) for pre in prefixes]
-        if not all(len(pre) and pre[0] == start for pre in prefixes):
+        if not all(len(pre) and pre[0] == self.vocab.start_id for pre in prefixes):
             raise ContractError("decoder prefix must start with the blank start symbol")
-        cache = cache or DecoderCache()
-        ends = [cache.number(pre, V) for pre in prefixes]
-        if len(cache.nodes) == 1:  # a trie of the start node alone gets a second node
-            cache.number((start, start), V)
-        with ad.no_grad():
-            memory = cache.memory(self.cfg, chunk.data, self._memory)
-            rows = _TriePass(cache, self.cfg, chunk.data, ends)
-            out = self._decode(cache.ids[:rows.n], memory, rows=rows) if len(rows.ask) else None
-        out = rows.outputs(out)
-        return out if chunk.data.ndim == 3 else out[0]
+        return (cache or DecoderCache(self.cfg)).steps(self, prefixes, chunk.data)
 
     def decoder_step(self, prefix_ids, chunk_states):
         """Log-distribution (numpy vector) for the next symbol."""

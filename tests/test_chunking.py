@@ -106,7 +106,7 @@ def test_final_len_inverts_frames_needed():
 
 def test_stream_buffer_keeps_the_raw_frames_from_a_position_on():
     frames = np.arange(60.0)[:, None]
-    buf = StreamBuffer(4, 1)
+    buf = StreamBuffer(4, 1, 1)
     buf.push(frames[:25])
     buf.keep_from(3)  # encoded position 3 reads raw frames from 12 on
     assert (buf.raw_count, buf.end) == (13, 25)
@@ -117,7 +117,7 @@ def test_stream_buffer_keeps_the_raw_frames_from_a_position_on():
 
 def test_stream_buffer_keep_from_only_moves_forward():
     frames = np.arange(25.0)[:, None]
-    buf = StreamBuffer(4, 1)
+    buf = StreamBuffer(4, 1, 1)
     buf.push(frames)
     buf.keep_from(3)
     buf.keep_from(3)  # the same position keeps the same frames
@@ -145,7 +145,7 @@ def test_stream_buffer_equivalence_any_partition():
         offline = chunk_spans(L, W, B)
         n_cuts = int(rng.integers(0, min(T, 6)))
         cuts = sorted(rng.choice(np.arange(1, T), size=n_cuts, replace=False)) if n_cuts else []
-        buf = StreamBuffer(W, B)
+        buf = StreamBuffer(W, B, 2)
         got = []
         for frag in np.split(frames, cuts):
             got += buf.push(frag)
@@ -154,20 +154,20 @@ def test_stream_buffer_equivalence_any_partition():
 
 
 def test_stream_buffer_all_at_once():
-    buf = StreamBuffer(4, 1)
+    buf = StreamBuffer(4, 1, 2)
     spans = buf.push(np.zeros((40, 2)))
     spans += buf.flush()
     assert spans == chunk_spans(10, 4, 1)
 
 
 def test_stream_buffer_minimal_flush():
-    buf = StreamBuffer(4, 1)
+    buf = StreamBuffer(4, 1, 2)
     assert buf.push(np.zeros((4, 2))) == []
     assert buf.flush() == [(0, 1)]
 
 
 def test_stream_buffer_push_after_flush():
-    buf = StreamBuffer(4, 1)
+    buf = StreamBuffer(4, 1, 2)
     buf.push(np.zeros((8, 2)))
     buf.flush()
     with pytest.raises(ProtocolError):
@@ -177,10 +177,12 @@ def test_stream_buffer_push_after_flush():
 def test_stream_buffer_push_checks_each_fragment():
     for bad in (np.zeros(40), "x" * 40):
         with pytest.raises(ContractError):
-            StreamBuffer(4, 1).push(bad)
+            StreamBuffer(4, 1, 2).push(bad)
     with pytest.raises(NumericError):
-        StreamBuffer(4, 1).push(np.full((40, 2), np.nan))
-    buf = StreamBuffer(4, 1)
+        StreamBuffer(4, 1, 2).push(np.full((40, 2), np.nan))
+    with pytest.raises(ContractError):  # the first fragment is as wide as d_in too
+        StreamBuffer(4, 1, 2).push(np.zeros((40, 3)))
+    buf = StreamBuffer(4, 1)  # without d_in, the first fragment sets the width
     buf.push(np.zeros((8, 2)))
     with pytest.raises(ContractError):
         buf.push(np.zeros((40, 3)))
@@ -188,7 +190,7 @@ def test_stream_buffer_push_checks_each_fragment():
 
 
 def test_stream_buffer_empty_flush():
-    buf = StreamBuffer(4, 1)
+    buf = StreamBuffer(4, 1, 2)
     with pytest.raises(EmptyInputError):
         buf.flush()
 

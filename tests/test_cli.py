@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chunkrec import cli
 from chunkrec.checkpoint import save_checkpoint
 from chunkrec.cli import main
 from chunkrec.decoding import BeamConfig
@@ -146,6 +147,40 @@ def test_an_out_file_that_cannot_be_opened_is_one_json_record(tmp_path, capsys):
     for out in (tmp_path / "no" / "x.txt", tmp_path):
         assert main(["--out", str(out), "latency"]) == 1
         assert _one_record(capsys) == "contract"
+
+
+def _counted(monkeypatch, name):
+    """Wrap cli's name so that each call is recorded; returns the list of calls."""
+    calls, fn = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("argv, work, record", [
+    (["--out", "{tmp}/no/x.txt", "eval-cer"], "beam_decode", "contract"),
+    (["--checkpoint", "{tmp}/no/model.ckpt", "train"], "train", "checkpoint"),
+    (["--checkpoint", "{tmp}", "train"], "train", "checkpoint"),  # a directory
+], ids=["eval-cer", "train", "train-into-a-directory"])
+def test_an_output_that_cannot_be_written_fails_before_the_work(tmp_path, capsys, monkeypatch,
+                                                                argv, work, record):
+    calls = _counted(monkeypatch, work)
+    args = ["--config", tiny_config(tmp_path, total_steps=1)]
+    assert main(args + [a.format(tmp=tmp_path) for a in argv]) == 1
+    assert calls == [] and _one_record(capsys) == record
+
+
+def test_train_leaves_an_existing_checkpoint_until_training_ends(tmp_path, monkeypatch):
+    cfg, ckpt = tiny_config(tmp_path, total_steps=1), tmp_path / "model.ckpt"
+    ckpt.write_bytes(b"old")
+    train = cli.train
+
+    def checked(*args, **kw):
+        assert ckpt.read_bytes() == b"old"
+        return train(*args, **kw)
+
+    monkeypatch.setattr(cli, "train", checked)
+    assert main(["--config", cfg, "--checkpoint", str(ckpt), "train"]) == 0
+    assert ckpt.read_bytes() != b"old"
 
 
 def test_decode_with_a_nan_parameter_is_a_numeric_error_naming_its_sub_layer(tmp_path, capsys):

@@ -11,7 +11,8 @@ from chunkrec.decoding import (BeamConfig, Hypothesis, StreamSession, _advance_c
                                beam_decode, cer, edit_distance, greedy_decode, stream_decode)
 from chunkrec.errors import (ChunkrecError, ConfigError, ContractError, EmptyInputError,
                              NumericError, ProtocolError, UndefinedMetricError)
-from chunkrec.model import DecoderCache, Vocabulary
+from chunkrec.decoder_cache import DecoderCache
+from chunkrec.model import Vocabulary
 
 from conftest import make_tiny_model
 
@@ -63,7 +64,9 @@ class ScriptedModel:
 
     def __init__(self, dist_fn, W=4, B=1, L=8, vocab=None):
         self.vocab = vocab or Vocabulary.from_units("ab")
-        self.cfg = SimpleNamespace(W=W, B=B, d_in=1)  # what stream_decode reads
+        # what stream_decode and DecoderCache read
+        self.cfg = SimpleNamespace(W=W, B=B, d_in=1, d_model=1, n_dec_blocks=1,
+                                   vocab_size=len(self.vocab))
         self._dist_fn = dist_fn
         self._W, self._B, self._L = W, B, L
 
@@ -476,7 +479,7 @@ def test_a_chunk_searched_without_next_chunk_is_a_protocol_error():
     x = np.random.default_rng(9).normal(size=(36, 4))
     states = m.encode_states(x).data
     a, b = (states[s:e] for s, e in m.geometry_for(len(x)).spans[:2])
-    cfg, cache = BeamConfig(width=1), DecoderCache()
+    cfg, cache = BeamConfig(width=1), DecoderCache(m.cfg)
     hyps, _ = _advance_chunk(m, [Hypothesis((m.vocab.start_id,), 0.0)], [], a, cfg, cache)
     assert hyps[0].prefix == (m.vocab.start_id,)
     with pytest.raises(ProtocolError, match="next_chunk"):
@@ -568,7 +571,7 @@ def test_long_stream_encodes_each_frame_once():
         live = {h.prefix[:k] for h in session.hyps + session.floor
                 for k in range(1, len(h.prefix) + 1)}
         assert set(_cached_prefixes(cache)) <= live and len(cache.chunks) <= 2
-        assert not cache.session or not cache.session["held"][len(cache.nodes):].any()
+        assert not cache.session["held"][len(cache.nodes):].any()
     session.flush()
     del m.encode_states
     # the work per release and the raw frames kept do not grow along the stream
@@ -610,7 +613,7 @@ def test_session_pushes_return_what_stream_decode_emits(rng):
         m = make_tiny_model(seed=seed)
         x = rng.normal(size=(61, 4))
         frags = np.split(x, [5, 19, 20, 33, 47, 52])
-        buf = StreamBuffer(m.cfg.W, m.cfg.B)
+        buf = StreamBuffer(m.cfg.W, m.cfg.B, m.cfg.d_in)
         released = [len(buf.push(f)) for f in frags] + [len(buf.flush())]
         session = StreamSession(m, cfg, clock=lambda: 0.0)
         returned = [session.push(f) for f in frags] + [session.flush()]
@@ -658,6 +661,8 @@ def test_a_flush_with_a_fragment_ends_as_a_push_and_a_flush(rng):
 
 def test_stream_rejects_misshapen_fragments(tiny_model, rng):
     x = rng.normal(size=(24, 4))
+    with pytest.raises(ContractError):
+        stream_decode(tiny_model, [x[:8, :3]])  # a first fragment narrower than d_in
     with pytest.raises(ContractError):
         stream_decode(tiny_model, [x[:8], x[8:14].T])  # transposed (d_in, n)
     with pytest.raises(ContractError):

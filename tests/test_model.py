@@ -5,14 +5,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chunkrec import autodiff as ad
 from chunkrec.autodiff import Tensor
+from chunkrec.decoder_cache import DecoderCache
 from chunkrec.errors import (AvailabilityError, ConfigError, ContractError, NumericError,
                              ProtocolError, ShapeError, VocabError)
-from chunkrec.model import (ChunkTransducerModel, DecoderCache, EncoderCache, ModelConfig,
-                            Vocabulary, sinusoidal_positions)
+from chunkrec.model import (ChunkTransducerModel, EncoderCache, ModelConfig, Vocabulary,
+                            sinusoidal_positions)
 
 from conftest import make_tiny_model
 
@@ -306,104 +307,6 @@ def test_decoder_steps_scores_each_distinct_prefix_once(monkeypatch):
         assert seen == [(rows,), ("dec.0.ffn", rows), ("dec.1.ffn", read)]
 
 
-_BENCHMARK_SHAPED = dict(d_model=64, n_heads=4, n_enc_blocks=2, n_dec_blocks=2, left_context=8,
-                         W=4, vocab_size=16, ffn_inner=128)
-
-# a search's passes: per chunk, passes of beam-shaped prefixes over one shared
-# history, each against the chunk alone or stacked with the next
-_SEARCH = st.tuples(
-    st.lists(st.integers(1, 7), max_size=12),
-    st.lists(st.lists(st.tuples(st.booleans(), _BEAM_TRIES.map(lambda trie: trie[1])),
-                      min_size=1, max_size=4), min_size=1, max_size=3))
-
-
-@pytest.mark.parametrize("overrides", [
-    dict(n_dec_blocks=0), {}, dict(n_dec_blocks=2), _BENCHMARK_SHAPED,
-], ids=["no-block", "one-block", "two-blocks", "benchmark-shaped"])
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(search=_SEARCH, seed=st.integers(0, 2**16))
-def test_cached_passes_equal_uncached_passes(overrides, search, seed):
-    # a pass that reads rows from a DecoderCache, and computes the rest, gives
-    # the bits of the pass that computes every row, alone or stacked; each
-    # chunk tier's cross-attention keys are _memory of its chunk
-    m = make_tiny_model(seed=2, **overrides)
-    history, chunks = search
-    states = np.random.default_rng(seed).normal(size=(len(chunks) + 1, m.cfg.W, m.cfg.d_model))
-    cache = DecoderCache()
-    for c, passes in enumerate(chunks):
-        for stacked, cuts in passes:
-            prefixes = [(m.vocab.start_id, *history[:cut], *tail) for cut, tail in cuts]
-            chunk = states[c:c + 2] if stacked else states[c]
-            assert np.array_equal(m.decoder_steps(prefixes, chunk, cache),
-                                  m.decoder_steps(prefixes, chunk))
-            assert 1 + stacked <= len(cache.chunks) <= 2
-            assert _tiers_hold_memory(m, cache, states[c:c + len(cache.chunks)])
-        cache.next_chunk(prefixes)
-
-
-def _tiers_hold_memory(m, cache, chunks):
-    """Whether the cache's chunk tiers are those of chunks, each tier's
-    cross-attention keys and values bitwise _memory of its chunk."""
-    return len(cache.chunks) == len(chunks) and all(
-        np.array_equal(tier[t], fresh.data) for t, chunk in enumerate(chunks)
-        for kv, fresh_kv in zip(cache.cross, m._memory(chunk)) for tier, fresh in zip(kv, fresh_kv))
-
-
-def _node_table(cache):
-    """Check a DecoderCache's trie against the prefix relation; returns its
-    prefixes by node number."""
-    prefixes = list(cache.nodes)
-    n = len(prefixes)
-    assert list(cache.nodes.values()) == list(range(n))
-    assert cache.ids[:n].tolist() == [p[-1] for p in prefixes]
-    assert cache.depth[:n].tolist() == [len(p) - 1 for p in prefixes]
-    # ancestor rows are the prefix relation, and ancestors come first
-    assert cache.anc[:n, :n].tolist() == [[p[:len(q)] == q for q in prefixes] for p in prefixes]
-    assert all(cache.nodes[p[:k]] < j for j, p in enumerate(prefixes) for k in range(1, len(p)))
-    # nothing past the nodes
-    assert not cache.anc[n:].any() and not cache.anc[:, n:].any()
-    assert not cache.ids[n:].any() and not cache.depth[n:].any()
-    assert not any(a[n:].any() for a in cache.session.values())
-    assert not any(a[:, n:].any() for a in cache.tiers.values())
-    return prefixes
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(search=_SEARCH, live=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), max_size=4),
-       seed=st.integers(0, 2**16))
-@example(search=([], [[(False, [(0, [])])]]), live=[], seed=0)  # the start node alone
-def test_decoder_cache_node_table_is_the_prefix_relation(search, live, seed):
-    # the trie a DecoderCache keeps over a search's passes and next_chunk calls
-    m = make_tiny_model(seed=2, n_dec_blocks=2)
-    history, chunks = search
-    states = np.random.default_rng(seed).normal(size=(len(chunks) + 1, m.cfg.W, m.cfg.d_model))
-    cache = DecoderCache()
-    for c, passes in enumerate(chunks):
-        for stacked, cuts in passes:
-            prefixes = [(m.vocab.start_id, *history[:cut], *tail) for cut, tail in cuts]
-            m.decoder_steps(prefixes, states[c:c + 2] if stacked else states[c], cache)
-            table = _node_table(cache)
-            assert set(prefixes) <= set(table)
-        # the live hypotheses: some of the last pass's prefixes, one maybe
-        # extended by a symbol no pass scored (a forced advance)
-        ends = [prefixes[i % len(prefixes)] + (sym,) * (sym < m.cfg.vocab_size)
-                for i, sym in live]
-        before = {p: (cache.session["held"][j], cache.session["a0"][j].copy(),
-                      cache.tiers["have"][1:, j].tolist(), cache.tiers["out"][1:, j].copy())
-                  for j, p in enumerate(table)}
-        cache.next_chunk(ends)
-        # the kept nodes are exactly those on the live paths, in their order,
-        # with their rows; the next chunk's tier is now the first
-        kept = _node_table(cache)
-        assert kept == [q for q in table if any(e[:len(q)] == q for e in ends)]
-        for j, p in enumerate(kept):
-            held, a0, have, out = before[p]
-            assert cache.session["held"][j] == held and np.array_equal(cache.session["a0"][j], a0)
-            assert cache.tiers["have"][:-1, j].tolist() == have
-            assert np.array_equal(cache.tiers["out"][:-1, j], out)
-        assert not cache.tiers["have"][-1].any() and len(cache.chunks) <= 1
-
-
 def test_a_cache_searched_on_another_chunk_is_a_protocol_error():
     # a chunk tier records the chunk states it was made for: a pass on other
     # states must not read its rows
@@ -412,7 +315,7 @@ def test_a_cache_searched_on_another_chunk_is_a_protocol_error():
     start = m.vocab.start_id
     prefixes = [(start, 2, 3), (start, 4)]
     for first in (a, np.stack([a, b])):
-        cache = DecoderCache()
+        cache = DecoderCache(m.cfg)
         m.decoder_steps(prefixes, first, cache)
         with pytest.raises(ProtocolError, match="next_chunk"):
             m.decoder_steps(prefixes, b, cache)
@@ -468,7 +371,7 @@ def test_a_cached_pass_computes_only_what_the_cache_lacks(monkeypatch):
     chunks = rng.normal(size=(2, m.cfg.W, m.cfg.d_model))
     start = m.vocab.start_id
     beam = [(start, 2, 3, 4), (start, 2, 3, 5), (start, 2, 6)]  # 6 nodes
-    cache = DecoderCache()
+    cache = DecoderCache(m.cfg)
     seen = _rows_run(monkeypatch, m)
     m.decoder_steps(beam, chunks[0], cache)
     assert seen == [("dec.0.self_attn", 6), ("dec.0.ffn", 6), ("dec.1.self_attn", 3),
@@ -504,7 +407,7 @@ def test_a_pass_with_one_missing_node_computes_two_rows(monkeypatch, n_dec_block
     for held, asked in [([(start, 3, 4)], [(start, 3, 4, 5)]),  # a new leaf
                         ([(start, 3, 4, 5), (start, 6)], [(start, 3, 4)]),  # a held node, read
                         ([(start,)], [(start, 3)])]:  # the root held, as a pass's pad
-        cache = DecoderCache()
+        cache = DecoderCache(m.cfg)
         m.decoder_steps(held, chunk, cache)
         seen = _rows_run(monkeypatch, m)
         got = m.decoder_steps(asked, chunk, cache)
@@ -621,26 +524,6 @@ def test_op_budget_of_a_decoder_pass_and_an_encode(rng, monkeypatch):
     assert len(ops) <= 44 and len(scans) <= 14
 
 
-def test_op_budget_of_a_pass_on_a_tier_that_holds_its_keys(rng, monkeypatch):
-    # the chunk tier holds each block's cross-attention keys and values, so a
-    # later pass on the chunk skips their 4 linear ops: at most 40, where a
-    # pass on a fresh cache makes at most 44 (above)
-    m = make_tiny_model(n_enc_blocks=2, n_dec_blocks=2)
-    states = m.encode_states(rng.normal(size=(24, 4)))[0:3]
-    start = m.vocab.start_id
-    cache = DecoderCache()
-    m.decoder_steps([[start, 2, 3], [start]], states, cache)
-    ops, make = [], ad._make
-
-    def counted(*args):
-        ops.append(1)
-        return make(*args)
-
-    monkeypatch.setattr(ad, "_make", counted)
-    m.decoder_steps([[start, 2, 3, 4], [start, 5]], states, cache)
-    assert 0 < len(ops) <= 40
-
-
 def _cross_projections(monkeypatch, m):
     """Record the name of each cross-attention key or value weight that a
     linear op is called with, once per chunk-matrix it projects."""
@@ -675,7 +558,7 @@ def test_a_chunks_cross_attention_keys_are_projected_once_per_tier(monkeypatch):
     m, (a, b), rounds, every = _cross_case()
     expected = [m.decoder_steps(prefixes, a) for prefixes in rounds]
     stacked = [m.decoder_steps(prefixes, np.stack([a, b])) for prefixes in rounds]
-    cache = DecoderCache()
+    cache = DecoderCache(m.cfg)
     seen = _cross_projections(monkeypatch, m)
     for prefixes, want in zip(rounds, expected):
         assert np.array_equal(m.decoder_steps(prefixes, a, cache), want)
@@ -689,7 +572,7 @@ def test_a_chunks_cross_attention_keys_are_projected_once_per_tier(monkeypatch):
 def test_a_look_ahead_tiers_cross_attention_keys_survive_next_chunk(monkeypatch):
     m, (a, b), rounds, every = _cross_case()
     expected = m.decoder_steps(rounds[2], b)
-    cache = DecoderCache()
+    cache = DecoderCache(m.cfg)
     m.decoder_steps(rounds[0], a, cache)
     m.decoder_steps(rounds[1], np.stack([a, b]), cache)
     cache.next_chunk(rounds[1])
@@ -698,27 +581,6 @@ def test_a_look_ahead_tiers_cross_attention_keys_survive_next_chunk(monkeypatch)
     monkeypatch.setattr(m, "_decode", lambda *args, **kw: passes.append(1) or decode(*args, **kw))
     assert np.array_equal(m.decoder_steps(rounds[2], b, cache), expected)
     assert passes == [1] and seen == []  # the pass computes rows, against b's keys
-
-
-def test_a_failed_pass_keeps_its_tiers_cross_attention_keys(monkeypatch):
-    # a tier's keys are made with the tier, before its pass: after a pass that
-    # ends in a NumericError they are _memory of the tier's chunk, and the
-    # next pass reads them, with the bits of a pass on a fresh cache
-    m, (a, b), rounds, _ = _cross_case()
-    expected = m.decoder_steps(rounds[1], np.stack([a, b]))
-    for first in ([], [rounds[0]]):
-        cache = DecoderCache()
-        for prefixes in first:
-            m.decoder_steps(prefixes, a, cache)
-        with monkeypatch.context() as mp:
-            mp.setattr(ad, "log_softmax", lambda t: Tensor(np.full(t.shape, np.nan)))
-            with pytest.raises(NumericError, match="dec.out"):
-                m.decoder_steps(rounds[1], np.stack([a, b]), cache)
-        assert _tiers_hold_memory(m, cache, [a, b])
-        seen = _cross_projections(monkeypatch, m)
-        assert np.array_equal(m.decoder_steps(rounds[1], np.stack([a, b]), cache), expected)
-        monkeypatch.undo()
-        assert seen == []
 
 
 # every autodiff op but take, which only copies values that were checked
@@ -755,7 +617,7 @@ def test_a_non_finite_op_output_anywhere_is_a_numeric_error(monkeypatch):
     padded = np.zeros((2, 26, 4))
     padded[0], padded[1, :13] = x, x2
     prefixes = [[start, 2, 3], [start, 2], [start, 4]]
-    filled = DecoderCache()  # holds the start, 2 and 5 and their outputs, not 2 3 or 4
+    filled = DecoderCache(m.cfg)  # holds the start, 2 and 5 and their outputs, not 2 3 or 4
     m.decoder_steps([[start, 2], [start, 5]], chunk, filled)
     runs = {
         "offline encode": lambda: m.encode_states(x),
