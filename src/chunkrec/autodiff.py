@@ -197,7 +197,8 @@ def linear(x, w, b):
             or b.data.shape != w.data.shape[1:]):
         raise ShapeError(f"linear shapes disagree: {x.data.shape} @ {w.data.shape} "
                          f"+ {b.data.shape}")
-    data = np.matmul(x.data, w.data) + b.data
+    data = np.matmul(x.data, w.data)
+    np.add(data, b.data, out=data)
 
     def bwd(g):
         d_in, d_out = w.data.shape
@@ -238,7 +239,10 @@ def glu(a):
         raise ShapeError(f"glu needs an even last dimension, got {d2}")
     d = d2 // 2
     x, gate = a.data[..., :d], a.data[..., d:]
-    s = 1.0 / (1.0 + np.exp(-gate))
+    s = np.negative(gate)  # 1 / (1 + exp(-gate)), in place
+    np.exp(s, out=s)
+    np.add(s, 1.0, out=s)
+    np.divide(1.0, s, out=s)
     data = x * s
 
     def bwd(g):
@@ -345,7 +349,8 @@ def log_softmax(a):
 
 def _row_mean(a):
     """a.mean(axis=-1, keepdims=True), bit for bit, without ndarray.mean's Python wrapper."""
-    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.divide(m, a.shape[-1], out=m)
 
 
 def layer_norm(x, gain, bias):
@@ -354,12 +359,17 @@ def layer_norm(x, gain, bias):
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm gain/bias must have shape (last_dim,)")
-    mu = _row_mean(x.data)
-    xc = x.data - mu
-    var = _row_mean(xc * xc)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    # the formula's operations in its order, each intermediate written into
+    # an array the op owns: xc becomes xhat, var becomes inv, xc * xc the output
+    xc = x.data - _row_mean(x.data)
+    data = np.multiply(xc, xc)
+    inv = _row_mean(data)
+    np.add(inv, 1e-5, out=inv)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat = np.multiply(xc, inv, out=xc)
+    np.multiply(xhat, gain.data, out=data)
+    np.add(data, bias.data, out=data)
 
     def bwd(g):
         ggain = _unbroadcast(g * xhat, gain.data.shape)

@@ -200,10 +200,11 @@ def cmd_oracle_check(args, _cfg_dict):
                 max_dev = max(max_dev, abs(np.exp(lp) - np.exp(ref)) / np.exp(ref))
                 beta = backward_pass(blank, label)
                 max_diag = max(max_diag, diagonal_identity_check(alpha, beta, lp))
-    ok = max_dev <= 1e-10 and max_diag <= 1e-9
-    print(f"{'PASS' if ok else 'FAIL'} forward vs enumeration, max relative deviation {max_dev:.3e}")
-    print(f"{'PASS' if ok else 'FAIL'} diagonal identity, max deviation {max_diag:.3e}")
-    return 0 if ok else 1
+    checks = [(max_dev <= 1e-10, f"forward vs enumeration, max relative deviation {max_dev:.3e}"),
+              (max_diag <= 1e-9, f"diagonal identity, max deviation {max_diag:.3e}")]
+    for ok, what in checks:
+        print(f"{'PASS' if ok else 'FAIL'} {what}")
+    return 0 if all(ok for ok, _ in checks) else 1
 
 
 def cmd_latency(args, cfg_dict):

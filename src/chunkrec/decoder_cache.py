@@ -238,6 +238,10 @@ class _TriePass:
             rows[self.fresh] = h.data
         return Tensor(rows.take(self.todo, 0))
 
+    def chunked(self, t):
+        """t: the trie's rows broadcast against every chunk of the pass."""
+        return t
+
     def outputs(self, out=None):
         """Add out, the output rows of ask, to the cache and mark the pass's
         nodes; then return the output rows of ends, (chunks, len(ends), vocab)."""

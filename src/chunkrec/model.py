@@ -7,13 +7,16 @@ The decoder output is a log-distribution over vocabulary + blank, from
 which the training lattice tables are extracted by teacher forcing. A
 whole batch is scored in one padded pass: the utterances' frames are
 right-padded and encoded together, and one decoder pass scores every
-label prefix against every chunk of its utterance.
+label prefix against every chunk of its utterance. Block 0 up to its
+cross-attention query reads the prefix alone, so that pass runs it once
+per utterance and gathers its rows to the utterance's chunks only where
+block 0 first reads the chunk (``log_prob_table``).
 ``parameter_table`` is the one list of parameter names and shapes; the
 initializer walks it and the model checks given parameters against it.
 
 The decoder's memory, each block's cross-attention keys and values of the
 chunk (``_memory``), is an argument of the one block loop (``_decode``),
-which teacher forcing runs on every row and a search pass
+which teacher forcing runs on every row (``_EveryRow``) and a search pass
 (``decoder_steps``) on the rows its decoder cache lacks (``decoder_cache``).
 
 Finiteness is checked at sub-layer boundaries, not after every autodiff
@@ -249,11 +252,18 @@ class EncoderCache:
 
 class _EveryRow:
     """The rows a decoder pass without a cache computes: all P of them, row j
-    under the chain mask at position j."""
+    under the chain mask at position j.
 
-    def __init__(self, P):
+    With chunk_of, the ids hold one row of prefixes per utterance, and
+    chunk_of[c] is the utterance of chunk c, memory's batch entry c: block 0
+    runs up to its cross-attention query per utterance, and ``chunked``
+    gathers its rows to the chunks there.
+    """
+
+    def __init__(self, P, chunk_of=None):
         self.fresh = self.depth = np.arange(P)
         self.mask = left_context_mask(P, P)
+        self.chunk_of = chunk_of
 
     def keys(self, i, k, v):
         return k, v
@@ -263,6 +273,10 @@ class _EveryRow:
 
     def residual(self, h):
         return h
+
+    def chunked(self, t):
+        """t, rows by utterance, as the rows of each chunk."""
+        return t if self.chunk_of is None else ad.take(t, self.chunk_of)
 
 
 @dataclass
@@ -332,7 +346,8 @@ class ChunkTransducerModel:
     # Activations are (..., t, d): the encoder passes one (L, d) sequence or
     # an (N, L, d) padded batch, search passes one (nodes, d) prefix trie
     # against one (W, d) chunk or a (C, W, d) stack, and teacher forcing
-    # passes (sum of M, U+1, d) prefixes against (sum of M, W, d) chunks.
+    # passes (N, U+1, d) prefixes, gathered to (sum of M, U+1, d) at block
+    # 0's cross-attention, against (sum of M, W, d) chunks.
 
     def _linear(self, prefix, x, suffix=""):
         p = self.params
@@ -342,11 +357,13 @@ class ChunkTransducerModel:
         return self._linear(prefix, x, "k"), self._linear(prefix, x, "v")
 
     def _mha(self, prefix, q_in, kv_in, mask):
-        return self._attend(prefix, q_in, *self._kv(prefix, kv_in), mask)
+        return self._attend(prefix, self._linear(prefix, q_in, "q"), *self._kv(prefix, kv_in),
+                            mask)
 
-    def _attend(self, prefix, q_in, k, v, mask):
+    def _attend(self, prefix, q, k, v, mask):
+        """Attention of the projected queries q over k and v, then the output projection."""
         try:
-            context = ad.attention(self._linear(prefix, q_in, "q"), k, v, mask, self.cfg.n_heads)
+            context = ad.attention(q, k, v, mask, self.cfg.n_heads)
         except NumericError as e:
             raise NumericError(f"{e} of {prefix}") from None
         return self._linear(prefix, context, "o")
@@ -432,23 +449,30 @@ class ChunkTransducerModel:
         the rows the cache lacks, each node under its ancestor row and at its
         depth, with the other nodes' keys and values from the cache; the
         output is then the rows of its read nodes that the cache lacks.
+        Block 0's residual and query rows pass rows.chunked where its
+        cross-attention first reads the chunk, the embedding's when there is
+        no block: an _EveryRow with chunk_of gathers them there (teacher forcing).
         """
         rows = rows or _EveryRow(ids.shape[-1])
         h, at = None, rows.fresh
         if len(at):
             h = _checked("dec.embed", ad.take(self.params["dec.embed"], ids[..., at]) + Tensor(
                 self._depth_positions(rows.depth[at])))
+        if not self.cfg.n_dec_blocks:
+            h = rows.chunked(h)
         for i in range(self.cfg.n_dec_blocks):
-            sa = f"dec.{i}.self_attn"
+            sa, ca = f"dec.{i}.self_attn", f"dec.{i}.cross_attn"
             if h is not None:  # none when block 0 has no fresh row
                 n = self._ln(f"dec.{i}.ln1", h)
                 k, v = rows.keys(i, *self._kv(sa, n))
                 h, n, mask = rows.queries(i, h, n)
-                h = _checked(sa, h + self._attend(sa, n, k, v, mask))
+                h = _checked(sa, h + self._attend(sa, self._linear(sa, n, "q"), k, v, mask))
             if i == 0:
                 h = rows.residual(h)
-            ca, n = f"dec.{i}.cross_attn", self._ln(f"dec.{i}.ln2", h)
-            h = _checked(ca, h + self._attend(ca, n, *memory[i], cross_mask))
+            q = self._linear(ca, self._ln(f"dec.{i}.ln2", h), "q")
+            if i == 0:
+                h, q = rows.chunked(h), rows.chunked(q)
+            h = _checked(ca, h + self._attend(ca, q, *memory[i], cross_mask))
             h = _checked(f"dec.{i}.ffn", h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h)))
         return _checked("dec.out", ad.log_softmax(
             self._linear("dec.out", self._ln("dec.final_ln", h))))
@@ -521,17 +545,21 @@ class ChunkTransducerModel:
     # -- training surface ---------------------------------------------------
 
     @_quiet
-    def lattice_probs(self, batch):
-        """Teacher-forced lattice tables for (features, labels) pairs, in one padded pass.
+    def log_prob_table(self, batch):
+        """The decoder's teacher-forced log-probabilities for (features, labels)
+        pairs, in one padded pass: (table, cells).
 
-        Returns one (blank_lp, label_lp) pair of Tensors per pair, of shapes
-        (M, U+1) and (M, U). The frames are right-padded and encoded as one
-        batch, and one decoder pass scores every chunk of every utterance with
-        the chunk as the batch axis, (sum of M, max U + 1). Padded labels come
-        after the real ones, so the causal self-attention mask hides them. A
-        truncated last chunk is padded to W states and the cross-attention
-        mask hides the padding. Padding gets exactly zero attention and zero
-        gradient.
+        table is a (sum of M, max U + 1, vocab_size) Tensor, one row per chunk
+        of every utterance in batch order. cells holds per pair a (blank,
+        label) pair of indices into table: table[blank] is the pair's (M, U+1)
+        blank_lp and table[label] its (M, U) label_lp. The frames are
+        right-padded and encoded as one batch. The decoder runs block 0 up to
+        its cross-attention query once per utterance, on the (N, max U + 1)
+        padded prefixes, and the rest once per chunk (_EveryRow). Padded
+        labels come after the real ones, so the causal self-attention mask
+        hides them. A truncated last chunk is padded to W states and the
+        cross-attention mask hides the padding. Padding gets exactly zero
+        attention and zero gradient.
         """
         if not batch:
             raise ContractError("empty batch")
@@ -545,11 +573,22 @@ class ChunkTransducerModel:
         pos = spans[:, :1] + np.arange(self.cfg.W)
         valid = pos < spans[:, 1:]
         chunks = states[utt[:, None], np.minimum(pos, spans[:, 1:] - 1)]
-        ld = self._decode(_right_pad(prefixes, self.vocab.start_id)[utt], self._memory(chunks),
-                          valid[:, None, None, :])
-        ends = np.cumsum(M)
-        return [(ld[a:b, :len(p), self.vocab.blank_id], ld[a:b, np.arange(len(p) - 1), p[1:]])
-                for a, b, p in zip(ends - M, ends, prefixes)]
+        ids = _right_pad(prefixes, self.vocab.start_id)
+        table = self._decode(ids, self._memory(chunks), valid[:, None, None, :],
+                             _EveryRow(ids.shape[-1], utt))
+        ends, blank = np.cumsum(M), self.vocab.blank_id
+        return table, [((slice(a, b), slice(None, len(p)), blank),
+                        (slice(a, b), np.arange(len(p) - 1), p[1:]))
+                       for a, b, p in zip(ends - M, ends, prefixes)]
+
+    def lattice_probs(self, batch):
+        """Teacher-forced lattice tables for (features, labels) pairs, in one padded pass.
+
+        Returns one (blank_lp, label_lp) pair of Tensors per pair, of shapes
+        (M, U+1) and (M, U): the cells of log_prob_table that the lattice reads.
+        """
+        table, cells = self.log_prob_table(batch)
+        return [(table[blank], table[label]) for blank, label in cells]
 
     def sequence_nlls(self, batch):
         """Negative log-probability of each y given its x (scalar Tensors), in one padded pass."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import lattice
 from .chunking import FRONT_END_DOWNSAMPLE, as_frames
 from .decoding import cer, greedy_decode
 from .errors import ConfigError, ContractError, NumericError, ShapeError, check_fields
@@ -258,9 +259,31 @@ class TrainConfig:
 
 def batch_loss(model, batch):
     """Mean per-sequence lattice NLL over a batch (scalar Tensor), teacher-forced in one
-    padded pass."""
-    nlls = model.sequence_nlls(batch)
-    return sum(nlls[1:], nlls[0]) * (1.0 / len(batch))
+    padded pass.
+
+    One autodiff node over the decoder's log-prob table (model.log_prob_table):
+    lattice_grad runs per utterance on its cells, the NLLs are summed in batch
+    order and scaled by 1/N, and the backward adds each utterance's edge
+    occupancies times -g/N into one zero table. Its value and the table's
+    gradient are bitwise those of sum(model.sequence_nlls(batch)) * (1/N).
+    """
+    table, cells = model.log_prob_table(batch)
+    scale, nlls, occupancies = 1.0 / len(batch), [], []
+    for pair in cells:
+        log_prob, *grads = lattice.lattice_grad(*(table.data[at] for at in pair))
+        nlls.append(-log_prob)
+        occupancies.extend(zip(pair, grads))
+    data = np.asarray(sum(nlls[1:], nlls[0]) * scale)
+    ad.check_finite(data, "lattice loss")
+
+    def bwd(g):
+        c = -(g * scale)
+        out = np.zeros(table.data.shape)
+        for at, occupancy in occupancies:
+            np.add.at(out, at, c * occupancy)
+        return (out,)
+
+    return ad._make(data, (table,), bwd)
 
 
 def train_step(model, batch, optimizer, step, cfg):

@@ -55,6 +55,14 @@ def test_oracle_check_command(capsys):
     assert "FAIL" not in out
 
 
+def test_oracle_check_reports_each_check_on_its_own_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "diagonal_identity_check", lambda alpha, beta, log_prob: 1.0)
+    assert main(["--seed", "0", "oracle-check"]) == 1
+    forward, diagonal = capsys.readouterr().out.splitlines()
+    assert forward.startswith("PASS forward vs enumeration")
+    assert diagonal.startswith("FAIL diagonal identity")
+
+
 def test_train_then_decode_and_eval(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     ckpt = str(tmp_path / "model.ckpt")

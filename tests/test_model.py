@@ -12,6 +12,7 @@ from chunkrec.autodiff import Tensor
 from chunkrec.decoder_cache import DecoderCache
 from chunkrec.errors import (AvailabilityError, ConfigError, ContractError, NumericError,
                              ProtocolError, ShapeError, VocabError)
+from chunkrec.lattice import lattice_nll
 from chunkrec.model import (ChunkTransducerModel, EncoderCache, ModelConfig, Vocabulary,
                             sinusoidal_positions)
 
@@ -458,21 +459,82 @@ def test_lattice_probs_match_per_chunk_decoder_passes(tiny_model, rng, T, y, chu
 
 
 def test_lattice_probs_make_one_decoder_pass(tiny_model, rng, monkeypatch):
-    batches = []
+    # one _decode call per batch: its ids hold one row of prefixes per
+    # utterance, its memory one entry per chunk of every utterance
+    calls = []
     decode = tiny_model._decode
 
-    def counted(ids, *args, **kwargs):
-        batches.append(ids.shape[0])
-        return decode(ids, *args, **kwargs)
+    def counted(ids, memory, *args, **kwargs):
+        calls.append((ids.shape[0], [k.shape[0] for k, _v in memory]))
+        return decode(ids, memory, *args, **kwargs)
 
     monkeypatch.setattr(tiny_model, "_decode", counted)
-    for T in (8, 24, 64):
-        batches.clear()
-        tiny_model.lattice_probs([(rng.normal(size=(T, 4)), [2, 5])])
-        assert batches == [tiny_model.geometry_for(T).M]
-    batches.clear()
-    tiny_model.lattice_probs([(rng.normal(size=(T, 4)), [2, 5]) for T in (8, 24, 64)])
-    assert batches == [sum(tiny_model.geometry_for(T).M for T in (8, 24, 64))]
+    for lengths in ([8], [24], [64], [8, 24, 64]):
+        calls.clear()
+        tiny_model.lattice_probs([(rng.normal(size=(T, 4)), [2, 5]) for T in lengths])
+        chunks = sum(tiny_model.geometry_for(T).M for T in lengths)
+        assert calls == [(len(lengths), [chunks] * tiny_model.cfg.n_dec_blocks)]
+
+
+def _per_chunk_tables(m, batch):
+    """lattice_probs as one _decode pass with every decoder row computed per
+    chunk: each utterance's prefix repeated for each of its chunks, no row plan."""
+    prefixes = [np.array([m.vocab.start_id, *y]) for _, y in batch]
+    T = np.array([len(x) for x, _ in batch])
+    frames = np.zeros((len(batch), T.max(), m.cfg.d_in))
+    ids = np.full((len(batch), max(map(len, prefixes))), m.vocab.start_id)
+    for n, ((x, _), p) in enumerate(zip(batch, prefixes)):
+        frames[n, :len(x)], ids[n, :len(p)] = x, p
+    states = m.encode_states(frames, T)
+    spans = [np.array(m.geometry_for(t).spans) for t in T]
+    M = [len(s) for s in spans]
+    utt, spans = np.repeat(np.arange(len(batch)), M), np.concatenate(spans)
+    pos = spans[:, :1] + np.arange(m.cfg.W)
+    chunks = states[utt[:, None], np.minimum(pos, spans[:, 1:] - 1)]
+    ld = m._decode(ids[utt], m._memory(chunks), (pos < spans[:, 1:])[:, None, None, :])
+    ends = np.cumsum(M)
+    return [(ld[a:b, :len(p), m.vocab.blank_id], ld[a:b, np.arange(len(p) - 1), p[1:]])
+            for a, b, p in zip(ends - M, ends, prefixes)]
+
+
+# parameters of block 0 up to its cross-attention query, which teacher
+# forcing runs once per utterance rather than once per chunk
+_BLOCK_0 = re.compile(r"dec\.embed|dec\.0\.(ln1|self_attn|ln2)\..*|dec\.0\.cross_attn\.[wb]q")
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(n_dec_blocks=0), dict(n_dec_blocks=2),
+    dict(d_model=64, n_heads=4, n_enc_blocks=2, n_dec_blocks=2, d_in=8, left_context=8, W=4,
+         vocab_size=16, ffn_inner=128),
+])
+def test_lattice_probs_equal_per_chunk_decoder_rows(overrides):
+    # the tables and every gradient past block 0's query are bitwise those of
+    # the per-chunk pass; block 0's gradients sum their chunks in another order
+    m = make_tiny_model(**overrides)
+    rng = np.random.default_rng(8)
+    d_in, V = m.cfg.d_in, m.cfg.vocab_size
+    batch = [(rng.normal(size=(T, d_in)), rng.integers(2, V, size=U).tolist())
+             for T, U in [(8, 2), (24, 3), (64, 5), (20, 0), (40, 4), (13, 1)]]
+    runs = []
+    for tables in (m.lattice_probs(batch), _per_chunk_tables(m, batch)):
+        for p in m.params.values():
+            p.zero_grad()
+        nlls = [lattice_nll(b, l) for b, l in tables]
+        sum(nlls[1:], nlls[0]).backward()
+        runs.append(([t.data for pair in tables for t in pair],
+                     {n: p.grad for n, p in m.params.items()}))
+    (tables, got), (ref_tables, ref) = runs
+    assert len(tables) == len(ref_tables) == 2 * len(batch)
+    assert all(np.array_equal(a, b) for a, b in zip(tables, ref_tables))
+    assert sum(bool(_BLOCK_0.fullmatch(n)) for n in got) == (15 if m.cfg.n_dec_blocks else 1)
+    for n in got:
+        if got[n] is None or ref[n] is None:
+            assert got[n] is None and ref[n] is None, n
+        elif _BLOCK_0.fullmatch(n):
+            dev = np.abs(got[n] - ref[n]) / np.maximum(1.0, np.abs(ref[n]))
+            assert dev.max() <= 1e-13, n
+        else:
+            assert np.array_equal(got[n], ref[n]), n
 
 
 def test_lattice_probs_empty_target(tiny_model, rng):

@@ -131,6 +131,34 @@ def test_padded_batch_loss_matches_the_per_utterance_loop():
     assert ok, dev
 
 
+@pytest.mark.parametrize("overrides", [{}, dict(n_dec_blocks=0), dict(n_dec_blocks=2)])
+def test_batch_loss_is_bitwise_the_mean_of_sequence_nlls(overrides):
+    # one node over the decoder's table against one lattice_nll per utterance,
+    # summed and scaled: the same value and gradients, bit for bit. The label
+    # 0 is the blank id, so its label cells are blank cells too.
+    m = make_tiny_model(seed=5, **overrides)
+    rng = np.random.default_rng(5)
+    batch = [(rng.normal(size=(T, 4)), y) for T, y in [
+        (24, [2, 5, 3]), (8, []), (37, [6, 2, 7, 3, 4]), (24, [0, 3]), (20, [1])]]
+
+    def reference():
+        nlls = m.sequence_nlls(batch)
+        return sum(nlls[1:], nlls[0]) * (1.0 / len(batch))
+
+    runs = []
+    for loss in (lambda: batch_loss(m, batch), reference):
+        for p in m.params.values():
+            p.zero_grad()
+        value = loss()
+        value.backward()
+        runs.append((value.item(), {n: p.grad for n, p in m.params.items()}))
+    (value, grads), (ref_value, ref_grads) = runs
+    assert value == ref_value
+    for n in grads:
+        assert (grads[n] is None and ref_grads[n] is None) or np.array_equal(grads[n],
+                                                                              ref_grads[n]), n
+
+
 def test_zero_lr_leaves_params_bitwise():
     m = make_tiny_model(seed=2)
     batch = gen_synthetic(spec_for_tiny(), 2)
