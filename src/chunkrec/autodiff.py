@@ -439,7 +439,9 @@ def take(a, idx):
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return _make(data.copy() if isinstance(data, np.ndarray) else np.asarray(data), (a,), bwd)
+    # basic slicing gives a view of a.data, integer-array indexing a copy already
+    return _make(data.copy() if np.may_share_memory(data, a.data) else np.asarray(data), (a,),
+                 bwd)
 
 
 # -- finite-difference checking --------------------------------------------

@@ -2,8 +2,9 @@
 
 Every decode is a ``StreamSession``: it feeds raw-frame fragments through
 a ``StreamBuffer``, encodes each frame about once, and passes each chunk
-the buffer releases through ``_advance_chunk``. Offline decoding is a
-stream whose frames have all arrived: one fragment, encoded once.
+the buffer releases through ``_advance_chunk``, one chunk per pass.
+Offline decoding is a stream of one fragment, pushed and then flushed,
+and encoded once.
 
 Within a chunk a hypothesis keeps emitting symbols until it predicts
 blank (adding the blank's log-probability) or hits the per-chunk symbol
@@ -26,18 +27,9 @@ the rows of the prefix nodes it has not met: block 0's self-attention once
 per node for the whole session, and the rest once per node and chunk. After
 each chunk, next_chunk drops that chunk's tier, and keeps the nodes on the
 paths of the live hypotheses and the floor in their order. A row depends
-only on (prefix, chunk), so results stay bitwise.
-
-A chunk looks one chunk ahead when its push or flush also releases the
-next at full length: offline, where the one fragment is the flush, or a
-push releasing two full chunks, but never into a truncated last chunk,
-nor in a stream whose pushes release one chunk each. Its rounds after
-the first score both chunks in one pass, whose rows of the next chunk go
-into the cache, and the next chunk's round 0, whose decoder_steps call
-finds them there, computes nothing, unless a forced advance brought in
-a prefix no pass scored. On the benchmark's decode seed 5 sets 0-1,
-beam(5) makes 1,105 passes of which 782 compute (1,104 without the
-look-ahead), and greedy 996 of which 674 compute (996 without).
+only on (prefix, chunk), so results stay bitwise. On the benchmark's
+decode seed 5 sets 0-1, beam(5) makes 1,105 passes of which 1,104
+compute, and greedy 996, all of which compute.
 """
 
 from __future__ import annotations
@@ -142,18 +134,14 @@ def _rank(finished, frontier, dists, width, blank, at_cap):
     return [h for h, done in kept if done], [h for h, done in kept if not done]
 
 
-def _advance_chunk(model, hyps, floor, chunk, cfg, cache=None, nxt=None):
+def _advance_chunk(model, hyps, floor, chunk, cfg, cache=None):
     """Push the hypotheses, and the greedy floor (a width-1 beam of at most one
     hypothesis), through one chunk; returns both, finished. Round r scores both
     frontiers, whose hypotheses have all emitted r symbols in this chunk, with
-    one decoder_steps call; a floor prefix that the search's frontier holds
-    shares its trie nodes, so it costs no extra row.
-
-    cache is the decode's DecoderCache, its first chunk tier this chunk's
-    (without one, each pass makes its own). With nxt, the next chunk, every
-    round after round 0 scores both chunks in one pass, for both frontiers
-    and, in round 1, the prefixes round 0 finished, so that the next
-    chunk's round 0 finds its rows in the cache and computes nothing.
+    one decoder_steps call on the chunk; a floor prefix that the search's
+    frontier holds shares its trie nodes, so it costs no extra row. cache is
+    the decode's DecoderCache, its chunk tier this chunk's (without one, each
+    pass makes its own).
     """
     blank, cap = model.vocab.blank_id, cfg.max_symbols_per_chunk
     beam, floor = ([], hyps), ([], floor)
@@ -161,15 +149,10 @@ def _advance_chunk(model, hyps, floor, chunk, cfg, cache=None, nxt=None):
         prefixes = [h.prefix for h in beam[1] + floor[1]]
         if not prefixes:
             break
-        if r > 0 and nxt is not None:
-            # a prefix that finished after round 0 was scored here as a frontier prefix
-            scored = prefixes + [h.prefix for h in beam[0] + floor[0]] * (r == 1)
-            dists = model.decoder_steps(scored, np.stack([chunk, nxt]), cache)[0]
-        else:
-            dists = model.decoder_steps(prefixes, chunk, cache)
+        dists = model.decoder_steps(prefixes, chunk, cache)
         n = len(beam[1])
         beam = _rank(*beam, dists[:n], cfg.width, blank, r + 1 >= cap)
-        floor = _rank(*floor, dists[n:len(prefixes)], 1, blank, r + 1 >= cap)
+        floor = _rank(*floor, dists[n:], 1, blank, r + 1 >= cap)
     return beam[0], floor[0]
 
 
@@ -222,12 +205,9 @@ class StreamSession:
         """Take the next fragment; returns the Emissions of the chunks it released."""
         return self._search(self.buf.push(fragment))
 
-    def flush(self, fragment=None):
-        """End the stream, after a last fragment if given; returns the last
-        Emissions. The fragment's chunks and the rest are searched as one
-        release, so each full chunk is looked ahead into."""
-        spans = [] if fragment is None else self.buf.push(fragment)
-        out = self._search(spans + self.buf.flush())
+    def flush(self):
+        """End the stream; returns the last Emissions."""
+        out = self._search(self.buf.flush())
         self.hyps = _with_floor(self.hyps, self.floor, self.cfg.width)
         return out + self._emit(self.hyps[0].prefix)
 
@@ -244,13 +224,10 @@ class StreamSession:
                     new = np.concatenate([self._states[:start - self._first], new])
                 self._states, self._n_encoded = new, self.buf.end
                 self.buf.keep_from(self.cache.start)
-            chunks = [self._states[a - self._first:b - self._first] for a, b in spans]
-            for chunk, nxt in zip(chunks, chunks[1:] + [None]):
-                # look one chunk ahead when the next is released too and not truncated
-                if nxt is not None and len(nxt) < self.model.cfg.W:
-                    nxt = None
+            for a, b in spans:
+                chunk = self._states[a - self._first:b - self._first]
                 self.hyps, self.floor = _advance_chunk(self.model, self.hyps, self.floor, chunk,
-                                                       self.cfg, self.decoder_cache, nxt)
+                                                       self.cfg, self.decoder_cache)
                 self.decoder_cache.next_chunk([h.prefix for h in self.hyps + self.floor])
                 self._chunk += 1
                 out += self._emit(_shared_prefix(self.hyps + self.floor))
@@ -273,16 +250,9 @@ def _session(model, fragments, cfg, clock=None):
     return session, emissions + session.flush()
 
 
-def _offline(model, x, cfg):
-    """The n-best list of a session whose one fragment x is its flush."""
-    session = StreamSession(model, cfg)
-    session.flush(x)
-    return session.hyps
-
-
 def greedy_decode(model, x, cfg=None):
     """Argmax decoding, the width-1 search; returns (label ids, log_prob)."""
-    best = _offline(model, x, replace(cfg or BeamConfig(), width=1))[0]
+    best = _session(model, [x], replace(cfg or BeamConfig(), width=1))[0].hyps[0]
     return list(best.prefix[1:]), best.log_prob
 
 
@@ -292,7 +262,7 @@ def beam_decode(model, x, cfg=None):
     The greedy path is always included in the candidate pool, so the best
     beam score never falls below the greedy score.
     """
-    hyps = _offline(model, x, cfg or BeamConfig())
+    hyps = _session(model, [x], cfg or BeamConfig())[0].hyps
     return [(list(h.prefix[1:]), h.log_prob) for h in hyps]
 
 

@@ -345,9 +345,9 @@ class ChunkTransducerModel:
     #
     # Activations are (..., t, d): the encoder passes one (L, d) sequence or
     # an (N, L, d) padded batch, search passes one (nodes, d) prefix trie
-    # against one (W, d) chunk or a (C, W, d) stack, and teacher forcing
-    # passes (N, U+1, d) prefixes, gathered to (sum of M, U+1, d) at block
-    # 0's cross-attention, against (sum of M, W, d) chunks.
+    # against one (W, d) chunk, and teacher forcing passes (N, U+1, d)
+    # prefixes, gathered to (sum of M, U+1, d) at block 0's cross-attention,
+    # against (sum of M, W, d) chunks.
 
     def _linear(self, prefix, x, suffix=""):
         p = self.params
@@ -507,30 +507,26 @@ class ChunkTransducerModel:
         prefixes alone, as one sequence under its ancestor mask, so a symbol
         that several prefixes share, and a prefix repeated, is scored once.
         The last block carries on only the distinct last nodes, the rows
-        read. chunk_states is one (W', d_model) chunk, and the result an (n,
-        vocab_size) numpy array; or a (C, W', d_model) stack of C chunks, and
-        the result (C, n, vocab_size), the rows against each chunk. The trie
-        stays one sequence, so block 0's self-attention runs once and the
-        chunk axis starts at its cross-attention. Anything else is a
-        ShapeError. Each prefix must start with the start symbol
-        (ContractError), and each id the trie adds must be an integer in the
-        vocabulary (VocabError), checked as its node is added.
+        read. chunk_states is one (W', d_model) chunk, anything else a
+        ShapeError, and the result an (n, vocab_size) numpy array. Each
+        prefix must start with the start symbol (ContractError), and each id
+        the trie adds must be an integer in the vocabulary (VocabError),
+        checked as its node is added.
 
         With a DecoderCache, the pass computes only the rows the cache lacks
         and adds them there, so a pass that finds every row computes nothing.
-        The cache's first C chunk tiers must be the C chunks', so a pass on
-        other chunk states than the tiers were made for is a ProtocolError:
-        call cache.next_chunk between chunks.
+        The cache's chunk tier must be the chunk's, so a pass on other chunk
+        states than the tier was made for is a ProtocolError: call
+        cache.next_chunk between chunks.
 
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
-        chunk_states)[0], and row [c, i] of a stack to decoder_steps(prefixes,
-        chunk_states[c])[i], cache or none (decoder_cache says why). Rows equal
+        chunk_states)[0], cache or none (decoder_cache says why). Rows equal
         decoder_forward(...)[-1] up to summation order.
         """
         chunk = ad._as_tensor(chunk_states)
         d = self.cfg.d_model
-        if chunk.data.ndim not in (2, 3) or chunk.shape[-1] != d or not chunk.data.size:
-            raise ShapeError(f"chunk states must be (W', {d}) or (C, W', {d}), got {chunk.shape}")
+        if chunk.data.ndim != 2 or chunk.shape[-1] != d or not chunk.data.size:
+            raise ShapeError(f"chunk states must be (W', {d}), got {chunk.shape}")
         if len(prefixes) == 0:
             raise ContractError("decoder_steps needs at least one prefix")
         prefixes = [tuple(pre) for pre in prefixes]

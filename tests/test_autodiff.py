@@ -346,3 +346,20 @@ def test_embedding_and_gather_grads():
     ok, dev = ad.check_gradients(
         lambda: ad.tsum(ad.take(table, ids) * Tensor(w)), [table], tol=1e-6)
     assert ok, dev
+
+
+@pytest.mark.parametrize("idx", [slice(1, 4), 2, np.array([0, 2, 2, 5]), (slice(None), 1), (3, 1)],
+                         ids=["slice", "int", "int-array", "column", "entry"])
+def test_take_never_shares_memory_with_its_input(idx):
+    # basic slicing gives a view of the input, which take copies; integer-array
+    # indexing gives a copy already. The gradient scatter-adds into zeros
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    out = ad.take(a, idx)
+    assert not np.shares_memory(out.data, a.data)
+    assert np.array_equal(out.data, a.data[idx])
+    g = np.asarray(rng.normal(size=out.shape))
+    ad.tsum(out * Tensor(g)).backward()
+    want = np.zeros(a.shape)
+    np.add.at(want, idx, g)
+    assert np.array_equal(a.grad, want)

@@ -1,4 +1,4 @@
-"""The decoder cache's node table, chunk tiers and cross-attention memory,
+"""The decoder cache's node table, chunk tier and cross-attention memory,
 and the op budget of a pass on a tier that holds its keys."""
 
 import numpy as np
@@ -11,17 +11,19 @@ from chunkrec.decoder_cache import DecoderCache
 from chunkrec.errors import NumericError
 
 from conftest import make_tiny_model
-from test_model import _BEAM_TRIES, _cross_case, _cross_projections
+from test_model import _cross_case, _cross_projections
 
 
 _BENCHMARK_SHAPED = dict(d_model=64, n_heads=4, n_enc_blocks=2, n_dec_blocks=2, left_context=8,
                          W=4, vocab_size=16, ffn_inner=128)
 
 # a search's passes: per chunk, passes of beam-shaped prefixes over one shared
-# history, each against the chunk alone or stacked with the next
+# history, each prefix a cut of the history and its own tail
 _SEARCH = st.tuples(
     st.lists(st.integers(1, 7), max_size=12),
-    st.lists(st.lists(st.tuples(st.booleans(), _BEAM_TRIES.map(lambda trie: trie[1])),
+    st.lists(st.lists(st.lists(st.tuples(st.integers(0, 12),
+                                         st.lists(st.integers(1, 7), max_size=3)),
+                               min_size=1, max_size=7),
                       min_size=1, max_size=4), min_size=1, max_size=3))
 
 
@@ -32,29 +34,28 @@ _SEARCH = st.tuples(
 @given(search=_SEARCH, seed=st.integers(0, 2**16))
 def test_cached_passes_equal_uncached_passes(overrides, search, seed):
     # a pass that reads rows from a DecoderCache, and computes the rest, gives
-    # the bits of the pass that computes every row, alone or stacked; each
-    # chunk tier's cross-attention keys are _memory of its chunk
+    # the bits of the pass that computes every row; the chunk tier's
+    # cross-attention keys are _memory of its chunk until next_chunk drops them
     m = make_tiny_model(seed=2, **overrides)
     history, chunks = search
-    states = np.random.default_rng(seed).normal(size=(len(chunks) + 1, m.cfg.W, m.cfg.d_model))
+    states = np.random.default_rng(seed).normal(size=(len(chunks), m.cfg.W, m.cfg.d_model))
     cache = DecoderCache(m.cfg)
-    for c, passes in enumerate(chunks):
-        for stacked, cuts in passes:
+    for chunk, passes in zip(states, chunks):
+        for cuts in passes:
             prefixes = [(m.vocab.start_id, *history[:cut], *tail) for cut, tail in cuts]
-            chunk = states[c:c + 2] if stacked else states[c]
             assert np.array_equal(m.decoder_steps(prefixes, chunk, cache),
                                   m.decoder_steps(prefixes, chunk))
-            assert 1 + stacked <= len(cache.chunks) <= 2
-            assert _tiers_hold_memory(m, cache, states[c:c + len(cache.chunks)])
+            assert _tier_holds_memory(m, cache, chunk)
         cache.next_chunk(prefixes)
+        assert cache.chunk is None and cache.cross == []
 
 
-def _tiers_hold_memory(m, cache, chunks):
-    """Whether the cache's chunk tiers are those of chunks, each tier's
-    cross-attention keys and values bitwise _memory of its chunk."""
-    return len(cache.chunks) == len(chunks) and all(
-        np.array_equal(tier[t], fresh.data) for t, chunk in enumerate(chunks)
-        for kv, fresh_kv in zip(cache.cross, m._memory(chunk)) for tier, fresh in zip(kv, fresh_kv))
+def _tier_holds_memory(m, cache, chunk):
+    """Whether the cache's chunk tier is chunk's, its cross-attention keys and
+    values bitwise _memory of chunk."""
+    return cache.chunk == chunk.tobytes() and len(cache.cross) == m.cfg.n_dec_blocks and all(
+        np.array_equal(held, fresh.data)
+        for kv, fresh_kv in zip(cache.cross, m._memory(chunk)) for held, fresh in zip(kv, fresh_kv))
 
 
 def _node_table(cache):
@@ -72,44 +73,41 @@ def _node_table(cache):
     assert not cache.anc[n:].any() and not cache.anc[:, n:].any()
     assert not cache.ids[n:].any() and not cache.depth[n:].any()
     assert not any(a[n:].any() for a in cache.session.values())
-    assert not any(a[:, n:].any() for a in cache.tiers.values())
+    assert not any(a[n:].any() for a in cache.tier.values())
     return prefixes
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(search=_SEARCH, live=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), max_size=4),
        seed=st.integers(0, 2**16))
-@example(search=([], [[(False, [(0, [])])]]), live=[], seed=0)  # the start node alone
+@example(search=([], [[[(0, [])]]]), live=[], seed=0)  # the start node alone
 def test_decoder_cache_node_table_is_the_prefix_relation(search, live, seed):
     # the trie a DecoderCache keeps over a search's passes and next_chunk calls
     m = make_tiny_model(seed=2, n_dec_blocks=2)
     history, chunks = search
-    states = np.random.default_rng(seed).normal(size=(len(chunks) + 1, m.cfg.W, m.cfg.d_model))
+    states = np.random.default_rng(seed).normal(size=(len(chunks), m.cfg.W, m.cfg.d_model))
     cache = DecoderCache(m.cfg)
-    for c, passes in enumerate(chunks):
-        for stacked, cuts in passes:
+    for chunk, passes in zip(states, chunks):
+        for cuts in passes:
             prefixes = [(m.vocab.start_id, *history[:cut], *tail) for cut, tail in cuts]
-            m.decoder_steps(prefixes, states[c:c + 2] if stacked else states[c], cache)
+            m.decoder_steps(prefixes, chunk, cache)
             table = _node_table(cache)
             assert set(prefixes) <= set(table)
         # the live hypotheses: some of the last pass's prefixes, one maybe
         # extended by a symbol no pass scored (a forced advance)
         ends = [prefixes[i % len(prefixes)] + (sym,) * (sym < m.cfg.vocab_size)
                 for i, sym in live]
-        before = {p: (cache.session["held"][j], cache.session["a0"][j].copy(),
-                      cache.tiers["have"][1:, j].tolist(), cache.tiers["out"][1:, j].copy())
+        before = {p: (cache.session["held"][j], cache.session["a0"][j].copy())
                   for j, p in enumerate(table)}
         cache.next_chunk(ends)
         # the kept nodes are exactly those on the live paths, in their order,
-        # with their rows; the next chunk's tier is now the first
+        # with their session rows; the chunk tier is empty
         kept = _node_table(cache)
         assert kept == [q for q in table if any(e[:len(q)] == q for e in ends)]
         for j, p in enumerate(kept):
-            held, a0, have, out = before[p]
+            held, a0 = before[p]
             assert cache.session["held"][j] == held and np.array_equal(cache.session["a0"][j], a0)
-            assert cache.tiers["have"][:-1, j].tolist() == have
-            assert np.array_equal(cache.tiers["out"][:-1, j], out)
-        assert not cache.tiers["have"][-1].any() and len(cache.chunks) <= 1
+        assert not any(a.any() for a in cache.tier.values()) and cache.chunk is None
 
 
 def test_op_budget_of_a_pass_on_a_tier_that_holds_its_keys(rng, monkeypatch):
@@ -135,19 +133,21 @@ def test_op_budget_of_a_pass_on_a_tier_that_holds_its_keys(rng, monkeypatch):
 def test_a_failed_pass_keeps_its_tiers_cross_attention_keys(monkeypatch):
     # a tier's keys are made with the tier, before its pass: after a pass that
     # ends in a NumericError they are _memory of the tier's chunk, and the
-    # next pass reads them, with the bits of a pass on a fresh cache
+    # next pass reads them, with the bits of a pass on a fresh cache. The
+    # failed pass is a decode's first, or the first on its second chunk
     m, (a, b), rounds, _ = _cross_case()
-    expected = m.decoder_steps(rounds[1], np.stack([a, b]))
+    expected = m.decoder_steps(rounds[1], b)
     for first in ([], [rounds[0]]):
         cache = DecoderCache(m.cfg)
         for prefixes in first:
             m.decoder_steps(prefixes, a, cache)
+            cache.next_chunk(prefixes)
         with monkeypatch.context() as mp:
             mp.setattr(ad, "log_softmax", lambda t: Tensor(np.full(t.shape, np.nan)))
             with pytest.raises(NumericError, match="dec.out"):
-                m.decoder_steps(rounds[1], np.stack([a, b]), cache)
-        assert _tiers_hold_memory(m, cache, [a, b])
+                m.decoder_steps(rounds[1], b, cache)
+        assert _tier_holds_memory(m, cache, b)
         seen = _cross_projections(monkeypatch, m)
-        assert np.array_equal(m.decoder_steps(rounds[1], np.stack([a, b]), cache), expected)
+        assert np.array_equal(m.decoder_steps(rounds[1], b, cache), expected)
         monkeypatch.undo()
         assert seen == []

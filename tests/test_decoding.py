@@ -77,11 +77,9 @@ class ScriptedModel:
         return ChunkGeometry(W=self._W, B=self._B, L=self._L)
 
     def decoder_steps(self, prefixes, chunk, cache=None):
-        """(n, vocab) rows against one chunk; (C, n, vocab) against a (C, W, d) stack.
-        It keeps no rows in the cache, so every round makes its pass."""
-        chunks = chunk if np.ndim(chunk) == 3 else [chunk]
-        out = np.array([[self._dist_fn(prefix, c) for prefix in prefixes] for c in chunks])
-        return out if np.ndim(chunk) == 3 else out[0]
+        """(n, vocab) rows against one chunk. It keeps no rows in the cache,
+        so every round makes its pass."""
+        return np.array([self._dist_fn(prefix, chunk) for prefix in prefixes])
 
 
 def _logdist(probs):
@@ -280,7 +278,7 @@ def test_greedy_path_adds_no_row_while_the_beam_holds_its_prefix():
     _beam_only(m, cfg)
     without = list(rows)
     rows.clear()
-    # fed one frame at a time, no push releases two chunks, so no pass looks ahead
+    # fed one frame at a time, as offline, every pass scores one chunk
     stream_decode(m, [np.zeros((1, 1))] * 32, cfg)
     assert rows == without
 
@@ -293,7 +291,7 @@ def test_beam_keeps_the_greedy_path_it_pruned():
     beam_only = _beam_only(m, cfg)
     without = list(rows)
     rows.clear()
-    # fed one frame at a time, no push releases two chunks, so no pass looks ahead
+    # fed one frame at a time, as offline, every pass scores one chunk
     nbest = stream_decode(m, _one_frame_at_a_time(x), cfg)[:2]
     # the same passes, and one more row, in chunk 1's first round, where the
     # beam no longer holds the greedy prefix
@@ -361,7 +359,7 @@ def test_decode_terminates_within_step_budget():
     greedy_decode(m, np.zeros((32, 1)), cfg)
     budget = m.geometry_for(32).M * (cfg.max_symbols_per_chunk + 1)
     assert len(passes) <= budget
-    assert len(calls) <= 2 * budget  # a pass scores at most two chunks
+    assert len(calls) == len(passes)  # a pass scores one prefix against one chunk
 
 
 def _one_frame_at_a_time(x):
@@ -369,105 +367,52 @@ def _one_frame_at_a_time(x):
 
 
 def _computing(model):
-    """Wrap model._decode; returns a list with one entry per pass that
-    computes rows, True if it ran on a stack of chunks (a look-ahead). A pass
-    whose rows the cache holds computes nothing."""
+    """Wrap model._decode; returns a list with the trie's node count of each
+    pass that computes rows. A pass whose rows the cache holds computes nothing."""
     passes = []
     decode = model._decode
 
-    def counted(ids, memory, *args, **kwargs):
-        passes.append(memory[0][0].data.ndim == 3)  # block 0's cross-attention keys
-        return decode(ids, memory, *args, **kwargs)
+    def counted(ids, *args, **kwargs):
+        passes.append(len(ids))
+        return decode(ids, *args, **kwargs)
 
     model._decode = counted
     return passes
 
 
-def test_offline_decoding_looks_ahead_in_fewer_passes():
-    # a blank bias makes the tiny models stop within a chunk, as a trained
-    # model does; 40 frames make 4 full chunks and a truncated one, all
-    # released by one push but the last. Fed one frame at a time, each push
-    # releases at most one chunk, so no pass looks ahead. 36 frames make 4
-    # full chunks, and the flush after one push releases the last alone:
-    # offline decoding, whose one fragment is its flush, looks ahead into it.
-    # A pass counts if it computes rows
-    looked, x40 = [], np.random.default_rng(9).normal(size=(40, 4))
-    for x in (x40, x40[:36]):
-        for seed in range(4):
-            m = make_tiny_model(seed=seed)
+def test_offline_decoding_makes_the_passes_of_a_frame_by_frame_stream():
+    # offline decoding searches one chunk per pass, as a stream fed one frame
+    # at a time does, although one push releases all its chunks but the
+    # last: the same decoder_steps calls, the same passes that compute rows,
+    # and the same n-best list, its scores to the stream's 1e-10 (a stream
+    # encodes a position in other matrix shapes). 40 frames make 4 full
+    # chunks and a truncated one; a blank bias makes the hypotheses stop
+    # within a chunk, as a trained model's do
+    x = np.random.default_rng(9).normal(size=(40, 4))
+    for blocks in (1, 2):
+        for seed in range(3):
+            m = make_tiny_model(seed=seed, n_dec_blocks=blocks)
             m.params["dec.out.b"].data[m.vocab.blank_id] = 1.0
-            assert [b - a for a, b in m.geometry_for(len(x)).spans] == [3] * 4 + [2] * (
-                len(x) == 40)
-            passes = _computing(m)
+            assert [b - a for a, b in m.geometry_for(len(x)).spans] == [3] * 4 + [2]
+            steps, passes = _counting(m), _computing(m)
             for cfg, decode in ((BeamConfig(width=5), beam_decode),
                                 (BeamConfig(width=1), greedy_decode)):
+                steps.clear()
                 passes.clear()
-                best = decode(m, x, cfg)
-                offline = list(passes)
+                offline = decode(m, x, cfg)
+                offline_steps, offline_passes = list(steps), list(passes)
+                steps.clear()
                 passes.clear()
-                ids, lp, emissions = stream_decode(m, _one_frame_at_a_time(x), cfg,
-                                                   clock=lambda: 0.0)
-                assert len(offline) < len(passes) and not any(passes), (seed, cfg)
-                assert (ids, lp) == tuple(best[0] if cfg.width > 1 else best)
-                passes.clear()
-                assert stream_decode(m, [x], cfg, clock=lambda: 0.0)[2] == emissions
-                assert len(offline) <= len(passes)
-                if len(x) == 40:  # the same releases, so the same passes
-                    assert offline == passes
-                else:
-                    looked.append(sum(offline) > sum(passes))
-    assert looked[::2] == [True] * 4  # beam(5) on 36 frames looks ahead into the last chunk
-
-
-def test_a_forced_advance_falls_back_to_a_pass_of_its_own(monkeypatch):
-    # 36 frames make 4 full chunks, and offline decoding looks ahead from each
-    # into the next. With a blank bias the hypotheses stop within a chunk, and
-    # on this model each next chunk's round 0 finds its prefixes' rows in the
-    # cache, so its pass computes nothing. A label bias makes every round
-    # emit, so the last round keeps a forced advance, a prefix no pass has
-    # scored: each next chunk's round 0 computes its own rows. Fed one frame
-    # at a time, no pass looks ahead
-    chunks = []  # per chunk searched, per round: [on a stack of chunks, computed]
-    advance = decoding._advance_chunk
-
-    def new_chunk(*args):
-        chunks.append([])
-        return advance(*args)
-
-    monkeypatch.setattr(decoding, "_advance_chunk", new_chunk)
-    x, cfg = np.random.default_rng(9).normal(size=(36, 4)), BeamConfig(
-        width=3, max_symbols_per_chunk=2)
-    for token, forced in ((0, False), (3, True)):
-        m = make_tiny_model(seed=3, n_dec_blocks=2)
-        m.params["dec.out.b"].data[token] = 5.0
-        assert [b - a for a, b in m.geometry_for(len(x)).spans] == [3] * 4
-        steps, decode = m.decoder_steps, m._decode
-
-        def step(prefixes, chunk, cache=None):
-            chunks[-1].append([np.ndim(chunk) == 3, False])
-            return steps(prefixes, chunk, cache)
-
-        def computed(*args, **kwargs):
-            chunks[-1][-1][1] = True
-            return decode(*args, **kwargs)
-
-        m.decoder_steps, m._decode = step, computed
-        chunks.clear()
-        offline = beam_decode(m, x, cfg)
-        looked = list(chunks)
-        chunks.clear()
-        ids, lp, _ = stream_decode(m, _one_frame_at_a_time(x), cfg)
-        assert (ids, lp) == offline[0]
-        # every round makes one decoder_steps call, offline as in the stream
-        assert [len(rounds) for rounds in looked] == [len(rounds) for rounds in chunks]
-        # round 0 of chunks 1-3 computed nothing after a look-ahead, or made its own pass
-        assert [rounds[0][1] for rounds in looked] == [True] + [forced] * 3
-        assert any(s for rounds in looked for s, _ in rounds)
-        assert not any(s for rounds in chunks for s, _ in rounds)
-        # the look-ahead saves computing passes only where round 0 reads its rows
-        offline_passes, stream_passes = (sum(c for rounds in run for _, c in rounds)
-                                         for run in (looked, chunks))
-        assert offline_passes == stream_passes if forced else offline_passes < stream_passes
+                session = StreamSession(m, cfg)
+                for frame in _one_frame_at_a_time(x):
+                    session.push(frame)
+                session.flush()
+                assert offline_steps == steps and offline_passes == passes, (blocks, seed, cfg)
+                assert len(steps) >= 5 and passes
+                offline = offline if cfg.width > 1 else [offline]
+                assert [list(h.prefix[1:]) for h in session.hyps] == [ids for ids, _ in offline]
+                assert [h.log_prob for h in session.hyps] == pytest.approx(
+                    [lp for _, lp in offline], rel=0, abs=1e-10)
 
 
 def test_a_chunk_searched_without_next_chunk_is_a_protocol_error():
@@ -570,8 +515,11 @@ def test_long_stream_encodes_each_frame_once():
         cache = session.decoder_cache
         live = {h.prefix[:k] for h in session.hyps + session.floor
                 for k in range(1, len(h.prefix) + 1)}
-        assert set(_cached_prefixes(cache)) <= live and len(cache.chunks) <= 2
+        assert set(_cached_prefixes(cache)) <= live
         assert not cache.session["held"][len(cache.nodes):].any()
+        # and no chunk's keys or rows between chunks
+        assert cache.chunk is None and cache.cross == []
+        assert not any(a.any() for a in cache.tier.values())
     session.flush()
     del m.encode_states
     # the work per release and the raw frames kept do not grow along the stream
@@ -636,27 +584,19 @@ def test_session_protocol_errors(tiny_model, rng):
         session.push(rng.normal(size=(4, 4)))
     with pytest.raises(ProtocolError):
         session.flush()
-    # flush takes a last fragment, checked as push checks it
-    with pytest.raises(EmptyInputError):
-        StreamSession(tiny_model, BeamConfig()).flush(rng.normal(size=(3, 4)))
-    with pytest.raises(ContractError):
-        StreamSession(tiny_model, BeamConfig()).flush(rng.normal(size=(20, 5)))
+    # a stream too short to encode fails at flush, a fragment of the wrong width at its push
     session = StreamSession(tiny_model, BeamConfig())
-    session.flush(rng.normal(size=(20, 4)))
+    session.push(rng.normal(size=(3, 4)))
+    with pytest.raises(EmptyInputError):
+        session.flush()
+    with pytest.raises(ContractError):
+        StreamSession(tiny_model, BeamConfig()).push(rng.normal(size=(20, 5)))
+    # a session flushed after its only push takes no further push
+    session = StreamSession(tiny_model, BeamConfig())
+    session.push(rng.normal(size=(20, 4)))
+    session.flush()
     with pytest.raises(ProtocolError):
-        session.flush(rng.normal(size=(4, 4)))
-
-
-def test_a_flush_with_a_fragment_ends_as_a_push_and_a_flush(rng):
-    cfg = BeamConfig(width=3)
-    for seed in range(4):
-        m = make_tiny_model(seed=seed, n_dec_blocks=2)
-        x = rng.normal(size=(int(rng.integers(8, 60)), 4))
-        pushed = StreamSession(m, cfg, clock=lambda: 0.0)
-        emissions = pushed.push(x[:5]) + pushed.push(x[5:]) + pushed.flush()
-        flushed = StreamSession(m, cfg, clock=lambda: 0.0)
-        assert flushed.push(x[:5]) + flushed.flush(x[5:]) == emissions
-        assert flushed.hyps == pushed.hyps
+        session.push(rng.normal(size=(4, 4)))
 
 
 def test_stream_rejects_misshapen_fragments(tiny_model, rng):

@@ -1,11 +1,13 @@
 """Golden outputs: decoding and training results pinned against a recorded fixture.
 
 ``golden.json`` holds the seeded tiny model's beam(3), greedy and streaming
-results on ten seeded inputs, and five train_step losses. The decoding
-model's blank logit is raised by 1, so its paths mix blanks, symbols and
-the per-chunk cap of 3. A change that should not alter results must
-reproduce them: ids exactly, scores and losses within 1e-9. To re-record
-after a deliberate change of results:
+results on ten seeded inputs, the same of a tiny model with two decoder
+blocks, whose later block's keys and values a search pass caches per
+chunk, and five train_step losses. The decoding models' blank logits are
+raised, by 1 and 0.5, so their paths mix blanks, symbols and the per-chunk
+cap of 3. A change that should not alter results must reproduce them: ids
+exactly, scores and losses within 1e-9. To re-record after a deliberate
+change of results:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,12 +27,12 @@ FIXTURE = Path(__file__).with_name("golden.json")
 TOL = 1e-9
 
 
-def record():
-    """The results the fixture pins, as JSON-ready lists."""
-    rng = np.random.default_rng(2024)
-    model = make_tiny_model(seed=2)
+def _decodes(model, seed, blank_bias):
+    """beam(3), greedy and streaming results of model, its blank logit raised
+    by blank_bias, on ten seeded inputs."""
+    rng = np.random.default_rng(seed)
     bias = model.params["dec.out.b"]
-    bias.data = bias.data + np.eye(len(bias.data))[model.vocab.blank_id]
+    bias.data = bias.data + blank_bias * np.eye(len(bias.data))[model.vocab.blank_id]
     cfg = BeamConfig(width=3, max_symbols_per_chunk=3)
     decodes = []
     for _ in range(10):
@@ -42,23 +44,29 @@ def record():
             greedy=list(greedy_decode(model, x, cfg)),
             stream=[ids, lp, [[e.chunk_index, e.symbol, e.cumulative_log_prob]
                               for e in emissions]]))
+    return decodes
+
+
+def record():
+    """The results the fixture pins, as JSON-ready lists."""
+    decodes = _decodes(make_tiny_model(seed=2), 2024, 1.0)
     model = make_tiny_model(seed=3)
     spec = SyntheticTaskSpec(vocab_size=8, d_in=4, min_len=2, max_len=4, seed=7)
     data = gen_synthetic(spec, 16)
     opt, cfg = Adam(model.params), TrainConfig(batch_size=4, warmup_steps=10)
     losses = [train_step(model, data[4 * (s % 4):4 * (s % 4) + 4], opt, s, cfg)
               for s in range(1, 6)]
-    return dict(decodes=decodes, losses=losses)
+    return dict(decodes=decodes, losses=losses,
+                two_block_decodes=_decodes(make_tiny_model(seed=4, n_dec_blocks=2), 2025, 0.5))
 
 
 def _scores_close(got, want):
     return got == pytest.approx(want, rel=0, abs=TOL)
 
 
-def test_outputs_match_the_golden_fixture():
-    want, got = json.loads(FIXTURE.read_text()), record()
-    assert len(got["decodes"]) == len(want["decodes"])
-    for g, w in zip(got["decodes"], want["decodes"]):
+def _assert_decodes_match(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
         assert [ids for ids, _ in g["beam"]] == [ids for ids, _ in w["beam"]]
         assert _scores_close([lp for _, lp in g["beam"]], [lp for _, lp in w["beam"]])
         assert g["greedy"][0] == w["greedy"][0] and _scores_close(g["greedy"][1], w["greedy"][1])
@@ -66,6 +74,12 @@ def test_outputs_match_the_golden_fixture():
         assert ids == w_ids and _scores_close(lp, w_lp)
         assert [e[:2] for e in em] == [e[:2] for e in w_em]
         assert _scores_close([e[2] for e in em], [e[2] for e in w_em])
+
+
+def test_outputs_match_the_golden_fixture():
+    want, got = json.loads(FIXTURE.read_text()), record()
+    _assert_decodes_match(got["decodes"], want["decodes"])
+    _assert_decodes_match(got["two_block_decodes"], want["two_block_decodes"])
     assert _scores_close(got["losses"], want["losses"])
 
 

@@ -215,38 +215,9 @@ def test_decoder_steps_rows_are_batch_invariant(overrides):
                 f"{np.max(np.abs(row - alone)):.3g}")
 
 
-# beam-shaped tries: a shared history, then each prefix's cut of it and its own tail
-_BEAM_TRIES = st.tuples(
-    st.lists(st.integers(1, 7), max_size=12),
-    st.lists(st.tuples(st.integers(0, 12), st.lists(st.integers(1, 7), max_size=3)),
-             min_size=1, max_size=7))
-
-
-@pytest.mark.parametrize("overrides", [
-    {},
-    dict(d_model=64, n_heads=4, n_enc_blocks=2, n_dec_blocks=2, left_context=8, W=4,
-         vocab_size=16, ffn_inner=128),  # the benchmark model's shape
-    dict(n_dec_blocks=0),  # no block reads the chunks, yet the result has their axis
-], ids=["tiny", "benchmark-shaped", "no-block"])
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(trie=_BEAM_TRIES, width=st.integers(1, 3), seed=st.integers(0, 2**16))
-def test_decoder_steps_rows_are_invariant_along_the_chunk_axis(overrides, trie, width, seed):
-    # search scores the next chunk in the current chunk's passes and reads
-    # its rows there bit for bit only if a stack of two chunks changes no bit
-    m = make_tiny_model(seed=2, **overrides)
-    history, cuts = trie
-    prefixes = [[m.vocab.start_id, *history[:cut], *tail] for cut, tail in cuts]
-    chunks = np.random.default_rng(seed).normal(size=(2, width, m.cfg.d_model))
-    stacked = m.decoder_steps(prefixes, chunks)
-    assert stacked.shape == (2, len(prefixes), m.cfg.vocab_size)
-    for c, chunk in enumerate(chunks):
-        for prefix, row in zip(prefixes, stacked[c]):
-            assert np.array_equal(row, m.decoder_steps([prefix], chunk)[0])
-
-
 def test_decoder_steps_rejects_misshapen_chunk_states(tiny_model):
     d, start = tiny_model.cfg.d_model, tiny_model.vocab.start_id
-    for shape in [(d,), (3, d + 1), (2, 3, d - 1), (1, 2, 3, d), (0, d), (2, 0, d)]:
+    for shape in [(d,), (3, d + 1), (2, 3, d), (2, 3, d - 1), (1, 2, 3, d), (0, d), (2, 0, d)]:
         with pytest.raises(ShapeError):
             tiny_model.decoder_steps([[start, 2]], np.zeros(shape))
 
@@ -309,21 +280,24 @@ def test_decoder_steps_scores_each_distinct_prefix_once(monkeypatch):
 
 
 def test_a_cache_searched_on_another_chunk_is_a_protocol_error():
-    # a chunk tier records the chunk states it was made for: a pass on other
-    # states must not read its rows
+    # the chunk tier records the chunk states it was made for: a pass on other
+    # states must not read its rows, and after next_chunk the next chunk's
+    # pass makes the tier anew
     m = make_tiny_model(n_dec_blocks=2)
     a, b = np.random.default_rng(8).normal(size=(2, m.cfg.W, m.cfg.d_model))
     start = m.vocab.start_id
     prefixes = [(start, 2, 3), (start, 4)]
-    for first in (a, np.stack([a, b])):
-        cache = DecoderCache(m.cfg)
-        m.decoder_steps(prefixes, first, cache)
+    cache = DecoderCache(m.cfg)
+    m.decoder_steps(prefixes, a, cache)
+    for other in (b, a[:-1]):  # another chunk, and a truncated one
         with pytest.raises(ProtocolError, match="next_chunk"):
-            m.decoder_steps(prefixes, b, cache)
-    cache.next_chunk(prefixes)  # the stacked pass's tier of b is now the first
+            m.decoder_steps(prefixes, other, cache)
+    # the same states in another array are the tier's chunk
+    assert np.array_equal(m.decoder_steps(prefixes, a.copy(), cache), m.decoder_steps(prefixes, a))
+    cache.next_chunk(prefixes)
     assert np.array_equal(m.decoder_steps(prefixes, b, cache), m.decoder_steps(prefixes, b))
-    assert np.array_equal(m.decoder_steps(prefixes, np.stack([b, a]), cache),
-                          m.decoder_steps(prefixes, np.stack([b, a])))
+    with pytest.raises(ProtocolError, match="next_chunk"):
+        m.decoder_steps(prefixes, a, cache)
 
 
 def test_a_non_integer_id_is_a_vocab_error(tiny_model, rng):
@@ -615,34 +589,18 @@ def _cross_case(seed=10):
 
 def test_a_chunks_cross_attention_keys_are_projected_once_per_tier(monkeypatch):
     # every round of a chunk computes rows, and only the first projects each
-    # block's cross-attention keys and values; the first look-ahead round
-    # projects only its new tier's chunk, not the stack
-    m, (a, b), rounds, every = _cross_case()
-    expected = [m.decoder_steps(prefixes, a) for prefixes in rounds]
-    stacked = [m.decoder_steps(prefixes, np.stack([a, b])) for prefixes in rounds]
+    # block's cross-attention keys and values; after next_chunk the next
+    # chunk's first round projects its own
+    m, chunks, rounds, every = _cross_case()
+    expected = [[m.decoder_steps(prefixes, chunk) for prefixes in rounds] for chunk in chunks]
     cache = DecoderCache(m.cfg)
     seen = _cross_projections(monkeypatch, m)
-    for prefixes, want in zip(rounds, expected):
-        assert np.array_equal(m.decoder_steps(prefixes, a, cache), want)
-    assert sorted(seen) == every
-    seen.clear()
-    for prefixes, want in zip(rounds, stacked):
-        assert np.array_equal(m.decoder_steps(prefixes, np.stack([a, b]), cache), want)
-    assert sorted(seen) == every
-
-
-def test_a_look_ahead_tiers_cross_attention_keys_survive_next_chunk(monkeypatch):
-    m, (a, b), rounds, every = _cross_case()
-    expected = m.decoder_steps(rounds[2], b)
-    cache = DecoderCache(m.cfg)
-    m.decoder_steps(rounds[0], a, cache)
-    m.decoder_steps(rounds[1], np.stack([a, b]), cache)
-    cache.next_chunk(rounds[1])
-    seen, passes = _cross_projections(monkeypatch, m), []
-    decode = m._decode
-    monkeypatch.setattr(m, "_decode", lambda *args, **kw: passes.append(1) or decode(*args, **kw))
-    assert np.array_equal(m.decoder_steps(rounds[2], b, cache), expected)
-    assert passes == [1] and seen == []  # the pass computes rows, against b's keys
+    for chunk, want in zip(chunks, expected):
+        for prefixes, rows in zip(rounds, want):
+            assert np.array_equal(m.decoder_steps(prefixes, chunk, cache), rows)
+        assert sorted(seen) == every
+        seen.clear()
+        cache.next_chunk(rounds[-1])
 
 
 # every autodiff op but take, which only copies values that were checked
