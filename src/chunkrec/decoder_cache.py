@@ -1,5 +1,5 @@
 """The search's decoder cache: a decode's prefix trie and each trie node's
-decoder rows, so that a search pass computes only the rows it lacks.
+decoder keys and values, so that a search pass computes only those it lacks.
 
 The trie is a node table. ``nodes`` maps each prefix the cache holds, a
 tuple of ids, to its node number; ``ids[j]`` is node j's last id,
@@ -16,9 +16,8 @@ it on the prefix and the chunk. So the session tier holds each node's
 block-0 self-attention keys, values and residual output ("k0", "v0",
 "a0") for the whole decode, and "held" marks the nodes that have them. The
 chunk tier (``tier``) holds each node's self-attention keys and values of
-every later block against the chunk being searched, and the output row of
-each node a pass read; "have" and "read" mark the nodes that have the
-former and the latter. ``chunk`` holds the bytes of that chunk's states,
+every later block against the chunk being searched, and "have" marks the
+nodes that have them. ``chunk`` holds the bytes of that chunk's states,
 and ``cross`` each decoder block's cross-attention keys and values of it,
 a [k, v] pair of (W', d_model) arrays: the first pass on a chunk makes
 them, once, and ``next_chunk`` drops them with the tier's rows. A pass on
@@ -29,14 +28,14 @@ A pass (``steps``) runs the trie as one sequence, each node under its
 ancestor row and at its depth, through the model's block loop
 (``_decode``), and computes only the rows the cache lacks (``_TriePass``):
 block 0's self-attention on the nodes new to the session, the rest on the
-nodes new to the chunk, and the output on the read nodes new to the chunk.
-A computed row goes into its tier as it is made, and its node is marked as
-having it once the pass has succeeded. A row the cache holds is bitwise
-the row the pass would compute: masked keys add exact zeros to the
-softmax's sequential sum, a node's ancestors keep their depth order, and
-every computed row set has at least two rows (``_two``), which keeps each
-row a row of a matrix product, off BLAS's matrix-vector path, which sums
-in another order.
+nodes new to the chunk, and the last block's queries and the output on
+the read nodes, in every pass. A computed row goes into its tier as it is
+made, and its node is marked as having it once the pass has succeeded. A
+row the cache holds is bitwise the row the pass would compute: masked keys
+add exact zeros to the softmax's sequential sum, a node's ancestors keep
+their depth order, and every computed row set has at least two rows
+(``_two``), which keeps each row a row of a matrix product, off BLAS's
+matrix-vector path, which sums in another order.
 """
 
 from __future__ import annotations
@@ -82,10 +81,8 @@ class DecoderCache:
         names = ("k0", "v0", "a0") if self.blocks else ()
         self.session = {name: np.zeros((size, d)) for name in names}
         self.session["held"] = np.zeros(size, dtype=bool)
-        widths = {f"{kv}{i}": d for i in range(1, self.blocks) for kv in "kv"}
-        self.tier = {name: np.zeros((size, width))
-                     for name, width in {**widths, "out": cfg.vocab_size}.items()}
-        self.tier.update(have=np.zeros(size, dtype=bool), read=np.zeros(size, dtype=bool))
+        self.tier = {f"{kv}{i}": np.zeros((size, d)) for i in range(1, self.blocks) for kv in "kv"}
+        self.tier["have"] = np.zeros(size, dtype=bool)
         self.chunk, self.cross = None, []
 
     def _deepest(self, prefix):
@@ -143,8 +140,7 @@ class DecoderCache:
                 self.chunk = state
             memory = [[Tensor(a) for a in kv] for kv in self.cross]
             rows = _TriePass(self, ends)
-            out = model._decode(self.ids[:rows.n], memory, rows=rows) if len(rows.ask) else None
-        return rows.outputs(out)
+            return rows.outputs(model._decode(self.ids[:rows.n], memory, rows=rows))
 
     def next_chunk(self, prefixes):
         """Drop the searched chunk's tier, and every node off the paths of
@@ -167,25 +163,23 @@ class DecoderCache:
 class _TriePass:
     """The rows a pass over a DecoderCache's trie computes, as _decode reads them.
 
-    ask: the read nodes (ends) that lack an output row in the chunk tier;
-    they run the last block's queries and the output. todo: ask and its
-    ancestors that lack the chunk tier's rows; they run everything from
-    block 0's cross-attention on. fresh: todo and its ancestors that the
-    session lacks; they run block 0's self-attention. Each is empty or at
-    least two nodes (_two).
+    ask: the distinct read nodes (ends); they run the last block's queries
+    and the output. todo: ask and its ancestors that lack the chunk tier's
+    rows; they run everything from block 0's cross-attention on. fresh:
+    todo and its ancestors that the session lacks; they run block 0's
+    self-attention. ask and todo are at least two nodes (_two), fresh empty
+    or at least two.
     """
 
     def __init__(self, cache, ends):
         self.cache, self.last, self.ends = cache, cache.blocks - 1, ends
-        n, tier = len(cache.nodes), cache.tier
-        self.n = n
-        nodes = np.array(sorted(set(ends)), dtype=np.intp)
-        self.ask = self.todo = self.fresh = _two(nodes[~tier["read"][nodes]])
-        if len(self.ask) and self.last >= 0:
+        n = self.n = len(cache.nodes)
+        self.ask = self.todo = self.fresh = _two(np.array(sorted(set(ends)), dtype=np.intp))
+        if self.last >= 0:
             # ask and its ancestors: every ancestor of todo, which holds ask
             up = np.logical_or.reduce(cache.anc.take(self.ask, 0)[:, :n], axis=0)
             if self.last > 0:
-                todo = up & ~tier["have"][:n]
+                todo = up & ~cache.tier["have"][:n]
                 todo[self.ask] = True
                 self.todo = todo.nonzero()[0]
             self.fresh = _two((up & ~cache.session["held"][:n]).nonzero()[0])
@@ -222,12 +216,8 @@ class _TriePass:
         """The trie's rows t as they are: a pass reads one chunk."""
         return t
 
-    def outputs(self, out=None):
-        """Add out, the output rows of ask, to the cache and mark the pass's
-        nodes; then return the output rows of ends, (len(ends), vocab)."""
-        tier = self.cache.tier
-        if out is not None:
-            tier["out"][self.ask] = out.data
-            tier["have"][self.todo] = tier["read"][self.ask] = True
-            self.cache.session["held"][self.fresh] = True
-        return tier["out"].take(self.ends, 0)
+    def outputs(self, out):
+        """Mark the pass's nodes as having their rows, and return the output
+        rows of ends from out, the output rows of ask: (len(ends), vocab)."""
+        self.cache.tier["have"][self.todo] = self.cache.session["held"][self.fresh] = True
+        return out.data.take(np.searchsorted(self.ask, self.ends), 0)

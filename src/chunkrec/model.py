@@ -448,7 +448,7 @@ class ChunkTransducerModel:
         (decoder_cache._TriePass, under no_grad), has the blocks compute only
         the rows the cache lacks, each node under its ancestor row and at its
         depth, with the other nodes' keys and values from the cache; the
-        output is then the rows of its read nodes that the cache lacks.
+        output is then the rows of its read nodes.
         Block 0's residual and query rows pass rows.chunked where its
         cross-attention first reads the chunk, the embedding's when there is
         no block: an _EveryRow with chunk_of gathers them there (teacher forcing).
@@ -513,11 +513,11 @@ class ChunkTransducerModel:
         the trie adds must be an integer in the vocabulary (VocabError),
         checked as its node is added.
 
-        With a DecoderCache, the pass computes only the rows the cache lacks
-        and adds them there, so a pass that finds every row computes nothing.
-        The cache's chunk tier must be the chunk's, so a pass on other chunk
-        states than the tier was made for is a ProtocolError: call
-        cache.next_chunk between chunks.
+        With a DecoderCache, the pass computes the keys and values the cache
+        lacks, adding them there, and the output rows it reads. The cache's
+        chunk tier must be the chunk's, so a pass on other chunk states than
+        the tier was made for is a ProtocolError: call cache.next_chunk
+        between chunks.
 
         Batch-invariant: row i is bitwise equal to decoder_steps([prefixes[i]],
         chunk_states)[0], cache or none (decoder_cache says why). Rows equal

@@ -110,6 +110,21 @@ def test_decoder_cache_node_table_is_the_prefix_relation(search, live, seed):
         assert not any(a.any() for a in cache.tier.values()) and cache.chunk is None
 
 
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+def test_the_chunk_tier_holds_later_blocks_keys_and_values_alone(blocks):
+    # a pass computes the output rows it reads, so the chunk tier keeps no
+    # output row: only each block >= 1's self-attention keys and values and
+    # the marks of the nodes that have them
+    m = make_tiny_model(n_dec_blocks=blocks)
+    chunk = np.random.default_rng(3).normal(size=(m.cfg.W, m.cfg.d_model))
+    cache = DecoderCache(m.cfg)
+    m.decoder_steps([(m.vocab.start_id, 2, 3), (m.vocab.start_id, 4)], chunk, cache)
+    names = [f"{kv}{i}" for i in range(1, blocks) for kv in "kv"]
+    assert sorted(cache.tier) == sorted(names + ["have"])
+    assert all(cache.tier[name].shape == (len(cache.ids), m.cfg.d_model) for name in names)
+    assert cache.tier["have"].shape == cache.ids.shape and cache.tier["have"].dtype == bool
+
+
 def test_op_budget_of_a_pass_on_a_tier_that_holds_its_keys(rng, monkeypatch):
     # the chunk tier holds each block's cross-attention keys and values, so a
     # later pass on the chunk skips their 4 linear ops: at most 40, where a

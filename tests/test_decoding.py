@@ -368,7 +368,7 @@ def _one_frame_at_a_time(x):
 
 def _computing(model):
     """Wrap model._decode; returns a list with the trie's node count of each
-    pass that computes rows. A pass whose rows the cache holds computes nothing."""
+    pass, every one of which computes the output rows it reads."""
     passes = []
     decode = model._decode
 

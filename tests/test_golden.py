@@ -6,13 +6,19 @@ blocks, whose later block's keys and values a search pass caches per
 chunk, and five train_step losses. The decoding models' blank logits are
 raised, by 1 and 0.5, so their paths mix blanks, symbols and the per-chunk
 cap of 3. A change that should not alter results must reproduce them: ids
-exactly, scores and losses within 1e-9. To re-record after a deliberate
-change of results:
+exactly, scores and losses within 1e-9. To see, entry by entry, whether
+the code reproduces the fixture bit for bit, and how many ulps its scores
+are off, without writing anything:
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+To re-record after a deliberate change of results:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,5 +89,54 @@ def test_outputs_match_the_golden_fixture():
     assert _scores_close(got["losses"], want["losses"])
 
 
+def _leaves(x):
+    """Every leaf of x, a JSON tree, in order."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return [leaf for item in x for leaf in _leaves(item)]
+    return [x]
+
+
+def _ordered(x):
+    """x, a float, as an integer that counts ulps: adjacent floats differ by 1."""
+    i = int(np.float64(x).view(np.int64))
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def check():
+    """One line per pinned entry: whether record() reproduces it bit for bit,
+    else its ulp distance, the largest of its scores', or that its ids or
+    shape differ."""
+    want, got = json.loads(FIXTURE.read_text()), json.loads(json.dumps(record()))
+    lines = []
+    for key, entries in want.items():
+        for i, (w, g) in enumerate(zip(entries, got[key])):
+            w, g = _leaves(w), _leaves(g)
+            same = len(w) == len(g) and all(
+                type(a) is type(b) and (isinstance(a, float) or a == b) for a, b in zip(w, g))
+            if same:
+                ulps = max((abs(_ordered(a) - _ordered(b)) for a, b in zip(w, g)
+                            if isinstance(a, float)), default=0)
+                verdict = f"{ulps} ulp" if ulps else "exact"
+            else:
+                verdict = "ids or shape differ"
+            lines.append(f"{key}[{i}]: {verdict}")
+        if len(entries) != len(got[key]):
+            lines.append(f"{key}: {len(got[key])} entries, {len(entries)} pinned")
+    return lines
+
+
+def test_ulp_distance_counts_adjacent_floats():
+    for x in (9.666377783255884, -6.793207233650275, 0.0, -5e-324, np.inf):
+        up = np.nextafter(x, np.inf)
+        assert abs(_ordered(up) - _ordered(x)) == (x != up)
+    assert _ordered(0.0) == _ordered(-0.0) == 0 and _ordered(5e-324) - _ordered(-5e-324) == 2
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        report = check()
+        print("\n".join(report))
+        sys.exit(any(not line.endswith(": exact") for line in report))
     FIXTURE.write_text(json.dumps(record(), indent=1) + "\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chunkrec import lattice
 from chunkrec.autodiff import Tensor, check_gradients
 from chunkrec.errors import CapacityError, DegenerateLatticeError, NumericError, ShapeError
 from chunkrec.lattice import (alignment_paths, backward_pass,
@@ -160,6 +161,26 @@ def test_misshapen_tables_are_shape_errors(blank, label):
     for fn in (forward_pass, backward_pass, lattice_grad):
         with pytest.raises(ShapeError):
             fn(np.zeros(blank), np.zeros(label))
+
+
+def test_lattice_grad_validates_its_tables_once(monkeypatch):
+    # lattice_grad checks its tables and runs the unvalidated sweeps on them,
+    # with the bits of the public passes
+    calls, validate = [], lattice._validate
+
+    def counted(*args):
+        calls.append(1)
+        return validate(*args)
+
+    blank, label = random_tables(np.random.default_rng(8), 4, 3)
+    alpha, lp = forward_pass(blank, label)
+    beta = backward_pass(blank, label)
+    monkeypatch.setattr(lattice, "_validate", counted)
+    log_prob, grad_blank, grad_label = lattice_grad(blank, label)
+    assert len(calls) == 1
+    assert log_prob == lp
+    assert np.array_equal(grad_label, np.exp(alpha[:, :-1] + label + beta[:, 1:] - lp))
+    assert np.array_equal(grad_blank[:-1], np.exp(alpha[:-1] + blank[:-1] + beta[1:] - lp))
 
 
 def test_lattice_nll_tensor_grads():
