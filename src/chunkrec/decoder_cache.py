@@ -11,31 +11,31 @@ start symbol, is node 0. Every array is indexed by node number and is zero
 past the nodes. A pass finds its nodes with one dict lookup per prefix,
 and its rows, masks and positions with a fixed number of array operations.
 
-Block 0's self-attention depends on the prefix alone and everything after
-it on the prefix and the chunk. So the session tier holds each node's
-block-0 self-attention keys, values and residual output ("k0", "v0",
-"a0") for the whole decode, and "held" marks the nodes that have them. The
-chunk tier (``tier``) holds each node's self-attention keys and values of
-every later block against the chunk being searched, and "have" marks the
-nodes that have them. ``chunk`` holds the bytes of that chunk's states,
-and ``cross`` each decoder block's cross-attention keys and values of it,
-a [k, v] pair of (W', d_model) arrays: the first pass on a chunk makes
-them, once, and ``next_chunk`` drops them with the tier's rows. A pass on
-other states is a ProtocolError, so no row is read against a chunk it was
-not made for.
+Block 0 up to its cross-attention query depends on the prefix alone and
+everything after it on the prefix and the chunk. So the session tier holds
+each node's block-0 self-attention keys and values, residual output and
+cross-attention query ("k0", "v0", "a0", "q0") for the whole decode, and
+"held" marks the nodes that have them. The chunk tier (``tier``) holds
+each node's self-attention keys and values of every later block against
+the chunk being searched, and "have" marks the nodes that have them.
+``chunk`` holds the bytes of that chunk's states, and ``cross`` each
+decoder block's cross-attention keys and values of it, a (k, v) pair of
+(W', d_model) Tensors: the first pass on a chunk makes them, once, and
+``next_chunk`` drops them with the tier's rows. A pass on other states is
+a ProtocolError, so no row is read against a chunk it was not made for.
 
 A pass (``steps``) runs the trie as one sequence, each node under its
 ancestor row and at its depth, through the model's block loop
 (``_decode``), and computes only the rows the cache lacks (``_TriePass``):
-block 0's self-attention on the nodes new to the session, the rest on the
-nodes new to the chunk, and the last block's queries and the output on
-the read nodes, in every pass. A computed row goes into its tier as it is
-made, and its node is marked as having it once the pass has succeeded. A
-row the cache holds is bitwise the row the pass would compute: masked keys
-add exact zeros to the softmax's sequential sum, a node's ancestors keep
-their depth order, and every computed row set has at least two rows
-(``_two``), which keeps each row a row of a matrix product, off BLAS's
-matrix-vector path, which sums in another order.
+block 0 up to its cross-attention query on the nodes new to the session,
+the rest on the nodes new to the chunk, and the last block's queries and
+the output on the read nodes, in every pass. A computed row goes into its
+tier as it is made, and its node is marked as having it once the pass has
+succeeded. A row the cache holds is bitwise the row the pass would
+compute: masked keys add exact zeros to the softmax's sequential sum, a
+node's ancestors keep their depth order, and every computed row set has
+at least two rows (``_two``), which keeps each row a row of a matrix
+product, off BLAS's matrix-vector path, which sums in another order.
 """
 
 from __future__ import annotations
@@ -63,6 +63,13 @@ def _compact(a, old, n):
     a[len(old):n] = 0
 
 
+def _kept(tier, name, at, t):
+    """tier[name], with t's rows written in its rows at unless t is None."""
+    if t is not None:
+        tier[name][at] = t.data
+    return tier[name]
+
+
 def _two(nodes):
     """Sorted trie nodes, with a second if there is one: the root, or its first
     child (node 1) if nodes is the root. Neither has an ancestor outside the
@@ -78,7 +85,7 @@ class DecoderCache:
         self.blocks, self.vocab_size, self.nodes = cfg.n_dec_blocks, cfg.vocab_size, {}
         self.ids, self.depth = np.zeros(size, dtype=np.intp), np.zeros(size, dtype=np.intp)
         self.anc = np.zeros((size, size), dtype=bool)
-        names = ("k0", "v0", "a0") if self.blocks else ()
+        names = ("k0", "v0", "a0", "q0") if self.blocks else ()
         self.session = {name: np.zeros((size, d)) for name in names}
         self.session["held"] = np.zeros(size, dtype=bool)
         self.tier = {f"{kv}{i}": np.zeros((size, d)) for i in range(1, self.blocks) for kv in "kv"}
@@ -136,11 +143,9 @@ class DecoderCache:
                                 "call next_chunk before a pass on the next chunk")
         with ad.no_grad():
             if self.chunk is None:  # make the tier's cross-attention keys
-                self.cross = [[t.data for t in kv] for kv in model._memory(chunk)]
-                self.chunk = state
-            memory = [[Tensor(a) for a in kv] for kv in self.cross]
+                self.cross, self.chunk = model._memory(chunk), state
             rows = _TriePass(self, ends)
-            return rows.outputs(model._decode(self.ids[:rows.n], memory, rows=rows))
+            return rows.outputs(model._decode(self.ids[:rows.n], self.cross, rows=rows))
 
     def next_chunk(self, prefixes):
         """Drop the searched chunk's tier, and every node off the paths of
@@ -166,9 +171,10 @@ class _TriePass:
     ask: the distinct read nodes (ends); they run the last block's queries
     and the output. todo: ask and its ancestors that lack the chunk tier's
     rows; they run everything from block 0's cross-attention on. fresh:
-    todo and its ancestors that the session lacks; they run block 0's
-    self-attention. ask and todo are at least two nodes (_two), fresh empty
-    or at least two.
+    todo and its ancestors that the session lacks; they run block 0 up to
+    its cross-attention query. ask and todo are at least two nodes (_two),
+    fresh empty or at least two. _decode calls attending once per block and
+    chunked once, where block 0 meets the chunk.
     """
 
     def __init__(self, cache, ends):
@@ -185,36 +191,26 @@ class _TriePass:
             self.fresh = _two((up & ~cache.session["held"][:n]).nonzero()[0])
         self.depth = cache.depth
 
-    def keys(self, i, k, v):
-        """Every node's keys and values of block i: k and v in the rows the
-        pass computes, the cache's in the others."""
+    def attending(self, i, h, n, k, v):
+        """Block i's self-attention: the residual, normed input and mask rows
+        of its queries, and every node's keys and values, k and v in the rows
+        the pass computes and the cache's in the others."""
         tier, at = (self.cache.session, self.fresh) if i == 0 else (self.cache.tier, self.todo)
-        out = []
-        for name, t in ((f"k{i}", k), (f"v{i}", v)):
-            tier[name][at] = t.data
-            out.append(Tensor(tier[name][:self.n]))
-        return out
+        k, v = [Tensor(_kept(tier, name, at, t)[:self.n])
+                for name, t in ((f"k{i}", k), (f"v{i}", v))]
+        mask = self.cache.anc.take(at, 0)[:, :self.n]
+        if 0 < i == self.last and len(self.todo) > len(self.ask):  # the last block's: ask's
+            at = np.searchsorted(self.todo, self.ask)
+            h, n, mask = Tensor(h.data[at]), Tensor(n.data[at]), mask[at]
+        return h, n, k, v, mask
 
-    def queries(self, i, h, n):
-        """The residual, normed input and mask rows of block i's self-attention queries."""
-        if i == 0:
-            return h, n, self.cache.anc.take(self.fresh, 0)[:, :self.n]
-        mask = self.cache.anc.take(self.todo, 0)[:, :self.n]
-        if i < self.last or len(self.todo) == len(self.ask):  # todo holds ask
-            return h, n, mask
-        at = np.searchsorted(self.todo, self.ask)
-        return Tensor(h.data[at]), Tensor(n.data[at]), mask[at]
-
-    def residual(self, h):
-        """Block 0's self-attention output of todo: h in fresh, the cache's elsewhere."""
-        rows = self.cache.session["a0"]
-        if h is not None:
-            rows[self.fresh] = h.data
-        return Tensor(rows.take(self.todo, 0))
-
-    def chunked(self, t):
-        """The trie's rows t as they are: a pass reads one chunk."""
-        return t
+    def chunked(self, h, q):
+        """Block 0's residual and cross-attention query rows of todo: h and q
+        in fresh, the session's elsewhere; with no block, h and q as they are."""
+        if self.last < 0:
+            return h, q
+        return [Tensor(_kept(self.cache.session, name, self.fresh, t).take(self.todo, 0))
+                for name, t in (("a0", h), ("q0", q))]
 
     def outputs(self, out):
         """Mark the pass's nodes as having their rows, and return the output

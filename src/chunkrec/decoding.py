@@ -23,13 +23,13 @@ ranked by the same rule in the same passes; ``decoder_steps`` is
 batch-invariant, so its rows score bit for bit as greedy decoding does.
 
 A session keeps a DecoderCache (``decoder_cache``), so a pass computes only
-the keys and values of the prefix nodes it has not met, block 0's
-self-attention once per node for the whole session and the rest once per
-node and chunk, and the output rows it reads. After each chunk, next_chunk
-drops that chunk's tier, and keeps the nodes on the paths of the live
-hypotheses and the floor in their order. A row depends only on (prefix,
-chunk), so results stay bitwise. On the benchmark's decode seed 5 sets
-0-1, beam(5) makes 1,105 passes and greedy 996, and every pass computes.
+the rows of the prefix nodes it has not met: block 0 up to its
+cross-attention query once per node for the whole session, the rest once
+per node and chunk, and the output rows it reads. After each chunk,
+next_chunk drops that chunk's tier, and keeps the nodes on the paths of
+the live hypotheses and the floor in their order. A row depends only on
+(prefix, chunk), so results stay bitwise. On the benchmark's decode seed 5
+sets 0-1, beam(5) makes 1,105 passes and greedy 996, all computing.
 """
 
 from __future__ import annotations

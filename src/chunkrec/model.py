@@ -18,6 +18,8 @@ The decoder's memory, each block's cross-attention keys and values of the
 chunk (``_memory``), is an argument of the one block loop (``_decode``),
 which teacher forcing runs on every row (``_EveryRow``) and a search pass
 (``decoder_steps``) on the rows its decoder cache lacks (``decoder_cache``).
+Both cut a pass at block 0's cross-attention query: teacher forcing gathers
+the rows up to it to the chunks, and the search keeps them for its decode.
 
 Finiteness is checked at sub-layer boundaries, not after every autodiff
 op, and a NumericError names the sub-layer, as in "non-finite value in
@@ -265,18 +267,14 @@ class _EveryRow:
         self.mask = left_context_mask(P, P)
         self.chunk_of = chunk_of
 
-    def keys(self, i, k, v):
-        return k, v
+    def attending(self, i, h, n, k, v):
+        return h, n, k, v, self.mask
 
-    def queries(self, i, h, n):
-        return h, n, self.mask
-
-    def residual(self, h):
-        return h
-
-    def chunked(self, t):
-        """t, rows by utterance, as the rows of each chunk."""
-        return t if self.chunk_of is None else ad.take(t, self.chunk_of)
+    def chunked(self, h, q):
+        """h and q, rows by utterance, as the rows of each chunk."""
+        if self.chunk_of is None:
+            return h, q
+        return [None if t is None else ad.take(t, self.chunk_of) for t in (h, q)]
 
 
 @dataclass
@@ -444,34 +442,35 @@ class ChunkTransducerModel:
         (_EveryRow), so it depends on its ancestors' ids and the chunk alone,
         and right padding reaches no real row. cross_mask broadcasts against
         the (..., heads, P, W) cross-attention scores; chunk positions it marks
-        False get exactly zero attention. rows, a decoder cache's pass
-        (decoder_cache._TriePass, under no_grad), has the blocks compute only
-        the rows the cache lacks, each node under its ancestor row and at its
-        depth, with the other nodes' keys and values from the cache; the
-        output is then the rows of its read nodes.
-        Block 0's residual and query rows pass rows.chunked where its
-        cross-attention first reads the chunk, the embedding's when there is
-        no block: an _EveryRow with chunk_of gathers them there (teacher forcing).
+        False get exactly zero attention.
+
+        rows plans the rows through two hooks. rows.attending gives a block's
+        self-attention its query rows, their mask, and every row's keys and
+        values. rows.chunked takes block 0's residual and cross-attention
+        query rows, which read the prefix alone (with no block, the
+        embedding's and None), and returns the rows the chunk meets: an
+        _EveryRow with chunk_of gathers them to the chunks (teacher forcing).
+        A decoder cache's pass (decoder_cache._TriePass, under no_grad)
+        computes only the rows the cache lacks, each node under its ancestor
+        row and at its depth, and reads the others from the cache; the output
+        is then the rows of its read nodes.
         """
         rows = rows or _EveryRow(ids.shape[-1])
-        h, at = None, rows.fresh
+        h, q, at = None, None, rows.fresh  # h and q stay None when block 0 has no fresh row
         if len(at):
             h = _checked("dec.embed", ad.take(self.params["dec.embed"], ids[..., at]) + Tensor(
                 self._depth_positions(rows.depth[at])))
         if not self.cfg.n_dec_blocks:
-            h = rows.chunked(h)
+            h, q = rows.chunked(h, q)
         for i in range(self.cfg.n_dec_blocks):
             sa, ca = f"dec.{i}.self_attn", f"dec.{i}.cross_attn"
-            if h is not None:  # none when block 0 has no fresh row
+            if h is not None:
                 n = self._ln(f"dec.{i}.ln1", h)
-                k, v = rows.keys(i, *self._kv(sa, n))
-                h, n, mask = rows.queries(i, h, n)
+                h, n, k, v, mask = rows.attending(i, h, n, *self._kv(sa, n))
                 h = _checked(sa, h + self._attend(sa, self._linear(sa, n, "q"), k, v, mask))
+                q = self._linear(ca, self._ln(f"dec.{i}.ln2", h), "q")
             if i == 0:
-                h = rows.residual(h)
-            q = self._linear(ca, self._ln(f"dec.{i}.ln2", h), "q")
-            if i == 0:
-                h, q = rows.chunked(h), rows.chunked(q)
+                h, q = rows.chunked(h, q)
             h = _checked(ca, h + self._attend(ca, q, *memory[i], cross_mask))
             h = _checked(f"dec.{i}.ffn", h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h)))
         return _checked("dec.out", ad.log_softmax(

@@ -253,8 +253,8 @@ class TrainConfig:
     target_eval_cer: float = 0.0  # stop early once held-out CER <= this
 
     def __post_init__(self):
-        check_fields(self, batch_size=1, total_steps=0, warmup_steps=1, grad_clip=0,
-                     eval_interval=0, seed=0)
+        check_fields(self, batch_size=1, total_steps=0, warmup_steps=1, lr_scale=0,
+                     grad_clip=0, eval_interval=0, seed=0)
 
 
 def batch_loss(model, batch):

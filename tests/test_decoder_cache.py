@@ -1,5 +1,6 @@
-"""The decoder cache's node table, chunk tier and cross-attention memory,
-and the op budget of a pass on a tier that holds its keys."""
+"""The decoder cache's node table, session and chunk tiers and
+cross-attention memory, and the op budget of passes on tiers that hold
+their rows."""
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def _tier_holds_memory(m, cache, chunk):
     """Whether the cache's chunk tier is chunk's, its cross-attention keys and
     values bitwise _memory of chunk."""
     return cache.chunk == chunk.tobytes() and len(cache.cross) == m.cfg.n_dec_blocks and all(
-        np.array_equal(held, fresh.data)
+        np.array_equal(held.data, fresh.data)
         for kv, fresh_kv in zip(cache.cross, m._memory(chunk)) for held, fresh in zip(kv, fresh_kv))
 
 
@@ -97,16 +98,17 @@ def test_decoder_cache_node_table_is_the_prefix_relation(search, live, seed):
         # extended by a symbol no pass scored (a forced advance)
         ends = [prefixes[i % len(prefixes)] + (sym,) * (sym < m.cfg.vocab_size)
                 for i, sym in live]
-        before = {p: (cache.session["held"][j], cache.session["a0"][j].copy())
-                  for j, p in enumerate(table)}
+        before = {p: (cache.session["held"][j], cache.session["a0"][j].copy(),
+                      cache.session["q0"][j].copy()) for j, p in enumerate(table)}
         cache.next_chunk(ends)
         # the kept nodes are exactly those on the live paths, in their order,
         # with their session rows; the chunk tier is empty
         kept = _node_table(cache)
         assert kept == [q for q in table if any(e[:len(q)] == q for e in ends)]
         for j, p in enumerate(kept):
-            held, a0 = before[p]
+            held, a0, q0 = before[p]
             assert cache.session["held"][j] == held and np.array_equal(cache.session["a0"][j], a0)
+            assert np.array_equal(cache.session["q0"][j], q0)
         assert not any(a.any() for a in cache.tier.values()) and cache.chunk is None
 
 
@@ -123,6 +125,21 @@ def test_the_chunk_tier_holds_later_blocks_keys_and_values_alone(blocks):
     assert sorted(cache.tier) == sorted(names + ["have"])
     assert all(cache.tier[name].shape == (len(cache.ids), m.cfg.d_model) for name in names)
     assert cache.tier["have"].shape == cache.ids.shape and cache.tier["have"].dtype == bool
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+def test_the_session_tier_holds_block_0_up_to_its_cross_attention_query(blocks):
+    # block 0 reads the prefix alone up to its cross-attention query, so the
+    # session tier keeps its self-attention keys and values, residual rows
+    # and query rows, and the marks of the nodes that have them
+    m = make_tiny_model(n_dec_blocks=blocks)
+    chunk = np.random.default_rng(3).normal(size=(m.cfg.W, m.cfg.d_model))
+    cache = DecoderCache(m.cfg)
+    m.decoder_steps([(m.vocab.start_id, 2, 3), (m.vocab.start_id, 4)], chunk, cache)
+    names = ["k0", "v0", "a0", "q0"] if blocks else []
+    assert sorted(cache.session) == sorted(names + ["held"])
+    assert all(cache.session[name].shape == (len(cache.ids), m.cfg.d_model) for name in names)
+    assert cache.session["held"].shape == cache.ids.shape and cache.session["held"].dtype == bool
 
 
 def test_op_budget_of_a_pass_on_a_tier_that_holds_its_keys(rng, monkeypatch):
@@ -143,6 +160,30 @@ def test_op_budget_of_a_pass_on_a_tier_that_holds_its_keys(rng, monkeypatch):
     monkeypatch.setattr(ad, "_make", counted)
     m.decoder_steps([[start, 2, 3, 4], [start, 5]], states, cache)
     assert 0 < len(ops) <= 40
+
+
+def test_a_pass_on_nodes_the_session_holds_starts_at_block_0s_cross_attention(
+        rng, monkeypatch):
+    # every node of the pass is in the session tier, so the pass runs no
+    # block-0 layer before its cross-attention: 28 ops on a 2-block model,
+    # where also running block 0's ln2 and query projection made 30
+    m = make_tiny_model(n_enc_blocks=2, n_dec_blocks=2)
+    chunk = m.encode_states(rng.normal(size=(24, 4))).data[0:3]
+    start = m.vocab.start_id
+    beam = [(start, 2, 3), (start, 4)]
+    cache = DecoderCache(m.cfg)
+    m.decoder_steps(beam, chunk, cache)
+    ops, make = [], ad._make
+
+    def counted(*args):
+        ops.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(ad, "_make", counted)
+    got = m.decoder_steps(beam, chunk, cache)
+    assert 0 < len(ops) <= 28
+    monkeypatch.undo()
+    assert np.array_equal(got, m.decoder_steps(beam, chunk))
 
 
 def test_a_failed_pass_keeps_its_tiers_cross_attention_keys(monkeypatch):

@@ -340,6 +340,25 @@ def _rows_run(monkeypatch, m):
     return seen
 
 
+def _block_0_run(monkeypatch, m):
+    """Record block 0's layer norms by name and its linear layers by (name, suffix)."""
+    seen, ln, linear = [], m._ln, m._linear
+
+    def recorded_ln(prefix, x):
+        if prefix.startswith("dec.0."):
+            seen.append(prefix)
+        return ln(prefix, x)
+
+    def recorded_linear(prefix, x, suffix=""):
+        if prefix.startswith("dec.0."):
+            seen.append((prefix, suffix))
+        return linear(prefix, x, suffix)
+
+    monkeypatch.setattr(m, "_ln", recorded_ln)
+    monkeypatch.setattr(m, "_linear", recorded_linear)
+    return seen
+
+
 def test_a_cached_pass_computes_only_what_the_cache_lacks(monkeypatch):
     m = make_tiny_model(n_dec_blocks=2)
     rng = np.random.default_rng(4)
@@ -347,16 +366,19 @@ def test_a_cached_pass_computes_only_what_the_cache_lacks(monkeypatch):
     start = m.vocab.start_id
     beam = [(start, 2, 3, 4), (start, 2, 3, 5), (start, 2, 6)]  # 6 nodes
     cache = DecoderCache(m.cfg)
-    seen = _rows_run(monkeypatch, m)
+    seen, block_0 = _rows_run(monkeypatch, m), _block_0_run(monkeypatch, m)
     m.decoder_steps(beam, chunks[0], cache)
     assert seen == [("dec.0.self_attn", 6), ("dec.0.ffn", 6), ("dec.1.self_attn", 3),
                     ("dec.1.ffn", 3)]
+    assert {"dec.0.ln2", ("dec.0.cross_attn", "q")} <= set(block_0)
     # the next chunk's first round: every node is in the session tier, so no
-    # block-0 self-attention row; every node is new to the chunk
+    # block-0 row up to its cross-attention query; every node is new to the chunk
     cache.next_chunk(beam)
     seen.clear()
+    block_0.clear()
     got = m.decoder_steps(beam, chunks[1], cache)
     assert seen == [("dec.0.ffn", 6), ("dec.1.self_attn", 3), ("dec.1.ffn", 3)]
+    assert "dec.0.ln2" not in block_0 and ("dec.0.cross_attn", "q") not in block_0
     assert np.array_equal(got, m.decoder_steps(beam, chunks[1]))
     # a later round runs block 0 and the rest only on the nodes new to the chunk
     later = [p + (s,) for p in beam for s in (2, 7)]

@@ -61,7 +61,7 @@ def test_synthetic_spec_rejects_bad_values(bad):
 
 @pytest.mark.parametrize("bad", [dict(batch_size=2.5), dict(total_steps="3"), dict(seed=-1),
                                  dict(eval_interval=-1), dict(lr_scale=float("inf")),
-                                 dict(grad_clip=-1.0)])
+                                 dict(grad_clip=-1.0), dict(lr_scale=-1.0)])
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
         TrainConfig(**bad)
