@@ -15,6 +15,7 @@ A save/load round trip is bitwise lossless, including optimizer state.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -39,7 +40,10 @@ def _array_bytes(a):
 def save_checkpoint(path, model, optimizer=None):
     """Write model, and optimizer's step and slots; ContractError naming the
     parameter unless model's parameters are the ones its config defines, and
-    CheckpointError naming path if the file cannot be written."""
+    CheckpointError naming path if the file cannot be written. The bytes go to
+    a temporary file beside path, removed if the save fails, and os.replace
+    moves it onto path, so a failed save leaves path as it was. No fsync: the
+    file outlives a killed process, not a power cut, and no save waits on disk."""
     check_parameters(model.cfg, model.params)
     names = [name for name, _shape, _init in parameter_table(model.cfg)]
     header = {"config": asdict(model.cfg), "vocab": list(model.vocab.symbols), "optimizer": None}
@@ -48,15 +52,15 @@ def save_checkpoint(path, model, optimizer=None):
         header["optimizer"] = {"step": optimizer.step_count}
         blobs += [_array_bytes(optimizer.state[n][slot]) for n in names for slot in ("m", "v")]
     hjson = json.dumps(header).encode("utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<Q", len(hjson)))
-            f.write(hjson)
-            for b in blobs:
+        with open(tmp, "wb") as f:
+            for b in [MAGIC, struct.pack("<IQ", VERSION, len(hjson)), hjson, *blobs]:
                 f.write(b)
+        os.replace(tmp, path)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
+        with contextlib.suppress(OSError, ValueError):
+            os.remove(tmp)
         raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
 
 

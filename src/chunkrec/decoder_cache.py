@@ -85,8 +85,7 @@ class DecoderCache:
         self.blocks, self.vocab_size, self.nodes = cfg.n_dec_blocks, cfg.vocab_size, {}
         self.ids, self.depth = np.zeros(size, dtype=np.intp), np.zeros(size, dtype=np.intp)
         self.anc = np.zeros((size, size), dtype=bool)
-        names = ("k0", "v0", "a0", "q0") if self.blocks else ()
-        self.session = {name: np.zeros((size, d)) for name in names}
+        self.session = {name: np.zeros((size, d)) for name in ("k0", "v0", "a0", "q0")}
         self.session["held"] = np.zeros(size, dtype=bool)
         self.tier = {f"{kv}{i}": np.zeros((size, d)) for i in range(1, self.blocks) for kv in "kv"}
         self.tier["have"] = np.zeros(size, dtype=bool)
@@ -180,15 +179,14 @@ class _TriePass:
     def __init__(self, cache, ends):
         self.cache, self.last, self.ends = cache, cache.blocks - 1, ends
         n = self.n = len(cache.nodes)
-        self.ask = self.todo = self.fresh = _two(np.array(sorted(set(ends)), dtype=np.intp))
-        if self.last >= 0:
-            # ask and its ancestors: every ancestor of todo, which holds ask
-            up = np.logical_or.reduce(cache.anc.take(self.ask, 0)[:, :n], axis=0)
-            if self.last > 0:
-                todo = up & ~cache.tier["have"][:n]
-                todo[self.ask] = True
-                self.todo = todo.nonzero()[0]
-            self.fresh = _two((up & ~cache.session["held"][:n]).nonzero()[0])
+        self.ask = self.todo = _two(np.array(sorted(set(ends)), dtype=np.intp))
+        # ask and its ancestors: every ancestor of todo, which holds ask
+        up = np.logical_or.reduce(cache.anc.take(self.ask, 0)[:, :n], axis=0)
+        if self.last > 0:
+            todo = up & ~cache.tier["have"][:n]
+            todo[self.ask] = True
+            self.todo = todo.nonzero()[0]
+        self.fresh = _two((up & ~cache.session["held"][:n]).nonzero()[0])
         self.depth = cache.depth
 
     def attending(self, i, h, n, k, v):
@@ -206,9 +204,7 @@ class _TriePass:
 
     def chunked(self, h, q):
         """Block 0's residual and cross-attention query rows of todo: h and q
-        in fresh, the session's elsewhere; with no block, h and q as they are."""
-        if self.last < 0:
-            return h, q
+        in fresh, the session's elsewhere."""
         return [Tensor(_kept(self.cache.session, name, self.fresh, t).take(self.todo, 0))
                 for name, t in (("a0", h), ("q0", q))]
 

@@ -71,8 +71,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # vocab_size 3 holds blank, unk and one symbol
-        check_fields(self, d_model=2, n_heads=1, n_enc_blocks=0, n_dec_blocks=0, d_in=1,
+        # vocab_size 3 holds blank, unk and one symbol; n_dec_blocks 1 because
+        # cross-attention is the only place the decoder reads its chunk
+        check_fields(self, d_model=2, n_heads=1, n_enc_blocks=0, n_dec_blocks=1, d_in=1,
                      left_context=0, B=0, vocab_size=3, ffn_inner=1, seed=0)
         if self.d_model % self.n_heads or self.d_model % 2:
             raise ConfigError("d_model must be even and divisible by n_heads")
@@ -274,7 +275,7 @@ class _EveryRow:
         """h and q, rows by utterance, as the rows of each chunk."""
         if self.chunk_of is None:
             return h, q
-        return [None if t is None else ad.take(t, self.chunk_of) for t in (h, q)]
+        return [ad.take(t, self.chunk_of) for t in (h, q)]
 
 
 @dataclass
@@ -447,9 +448,9 @@ class ChunkTransducerModel:
         rows plans the rows through two hooks. rows.attending gives a block's
         self-attention its query rows, their mask, and every row's keys and
         values. rows.chunked takes block 0's residual and cross-attention
-        query rows, which read the prefix alone (with no block, the
-        embedding's and None), and returns the rows the chunk meets: an
-        _EveryRow with chunk_of gathers them to the chunks (teacher forcing).
+        query rows, which read the prefix alone, and returns the rows the
+        chunk meets: an _EveryRow with chunk_of gathers them to the chunks
+        (teacher forcing).
         A decoder cache's pass (decoder_cache._TriePass, under no_grad)
         computes only the rows the cache lacks, each node under its ancestor
         row and at its depth, and reads the others from the cache; the output
@@ -460,8 +461,6 @@ class ChunkTransducerModel:
         if len(at):
             h = _checked("dec.embed", ad.take(self.params["dec.embed"], ids[..., at]) + Tensor(
                 self._depth_positions(rows.depth[at])))
-        if not self.cfg.n_dec_blocks:
-            h, q = rows.chunked(h, q)
         for i in range(self.cfg.n_dec_blocks):
             sa, ca = f"dec.{i}.self_attn", f"dec.{i}.cross_attn"
             if h is not None:

@@ -70,6 +70,38 @@ def test_a_path_that_cannot_be_opened_is_a_checkpoint_error_naming_it(tmp_path, 
                for e in (read, write))
 
 
+class _FailingFile:
+    """A file whose second write raises, as a full disk's does."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(28, "No space left on device")
+        return self.f.write(b)
+
+
+def test_a_save_that_fails_partway_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_tiny_model(seed=1))
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: _FailingFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(CheckpointError, match="cannot write checkpoint") as e:
+        save_checkpoint(path, make_tiny_model(seed=2))
+    assert type(e.value) is CheckpointError and str(path) in str(e.value)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file is left
+
+
 def test_version_mismatch_rejected(tmp_path):
     m = make_tiny_model()
     path = tmp_path / "model.ckpt"
@@ -191,6 +223,16 @@ def test_negative_optimizer_step_is_corrupt_header_error(tmp_path):
     path = tmp_path / "bad.ckpt"
     write_with_header(path, header, payload)
     with pytest.raises(CorruptHeaderError):
+        load_checkpoint(path)
+
+
+def test_a_decoder_without_blocks_is_corrupt_header_error(tmp_path):
+    # a decoder reads its chunk only in a block's cross-attention
+    header, payload = saved_parts()
+    header["config"]["n_dec_blocks"] = 0
+    path = tmp_path / "bad.ckpt"
+    write_with_header(path, header, payload)
+    with pytest.raises(CorruptHeaderError, match="n_dec_blocks"):
         load_checkpoint(path)
 
 

@@ -260,6 +260,7 @@ def test_unknown_beam_key_is_config_error(tmp_path, capsys):
     ({"vocab_units": 5}, "decode"),
     ({"vocab_units": [2, 3]}, "decode"),
     ({"vocab_units": "s0 s1"}, "stream-demo"),
+    ({"model": {"n_dec_blocks": 0}}, "train"),
 ])
 def test_bad_section_is_config_error(tmp_path, capsys, cfg, command):
     assert _config_error(tmp_path, capsys, cfg, command) == "config"

@@ -29,8 +29,8 @@ _SEARCH = st.tuples(
 
 
 @pytest.mark.parametrize("overrides", [
-    dict(n_dec_blocks=0), {}, dict(n_dec_blocks=2), _BENCHMARK_SHAPED,
-], ids=["no-block", "one-block", "two-blocks", "benchmark-shaped"])
+    {}, dict(n_dec_blocks=2), _BENCHMARK_SHAPED,
+], ids=["one-block", "two-blocks", "benchmark-shaped"])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(search=_SEARCH, seed=st.integers(0, 2**16))
 def test_cached_passes_equal_uncached_passes(overrides, search, seed):
@@ -112,7 +112,7 @@ def test_decoder_cache_node_table_is_the_prefix_relation(search, live, seed):
         assert not any(a.any() for a in cache.tier.values()) and cache.chunk is None
 
 
-@pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_the_chunk_tier_holds_later_blocks_keys_and_values_alone(blocks):
     # a pass computes the output rows it reads, so the chunk tier keeps no
     # output row: only each block >= 1's self-attention keys and values and
@@ -127,7 +127,7 @@ def test_the_chunk_tier_holds_later_blocks_keys_and_values_alone(blocks):
     assert cache.tier["have"].shape == cache.ids.shape and cache.tier["have"].dtype == bool
 
 
-@pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_the_session_tier_holds_block_0_up_to_its_cross_attention_query(blocks):
     # block 0 reads the prefix alone up to its cross-attention query, so the
     # session tier keeps its self-attention keys and values, residual rows
@@ -136,7 +136,7 @@ def test_the_session_tier_holds_block_0_up_to_its_cross_attention_query(blocks):
     chunk = np.random.default_rng(3).normal(size=(m.cfg.W, m.cfg.d_model))
     cache = DecoderCache(m.cfg)
     m.decoder_steps([(m.vocab.start_id, 2, 3), (m.vocab.start_id, 4)], chunk, cache)
-    names = ["k0", "v0", "a0", "q0"] if blocks else []
+    names = ["k0", "v0", "a0", "q0"]
     assert sorted(cache.session) == sorted(names + ["held"])
     assert all(cache.session[name].shape == (len(cache.ids), m.cfg.d_model) for name in names)
     assert cache.session["held"].shape == cache.ids.shape and cache.session["held"].dtype == bool

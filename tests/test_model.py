@@ -22,7 +22,7 @@ from conftest import make_tiny_model
 def test_config_validation():
     for bad in [dict(d_model=10, n_heads=4), dict(W=3, B=3), dict(d_model=0),
                 dict(d_model=5, n_heads=1), dict(n_enc_blocks=-1), dict(seed=-1),
-                dict(W=4.0), dict(n_heads=True)]:
+                dict(W=4.0), dict(n_heads=True), dict(n_dec_blocks=0)]:
         with pytest.raises(ConfigError):
             ModelConfig(**bad)
 
@@ -233,8 +233,7 @@ TRIE_SETS = {
 }
 
 
-@pytest.mark.parametrize("overrides", [{}, dict(n_dec_blocks=2), dict(n_dec_blocks=0)],
-                         ids=["one-block", "two-blocks", "no-block"])
+@pytest.mark.parametrize("overrides", [{}, dict(n_dec_blocks=2)], ids=["one-block", "two-blocks"])
 @pytest.mark.parametrize("symbols", TRIE_SETS.values(), ids=TRIE_SETS.keys())
 def test_decoder_steps_rows_over_beam_shaped_tries(symbols, overrides, rng):
     m = make_tiny_model(seed=3, **overrides)
@@ -500,7 +499,7 @@ _BLOCK_0 = re.compile(r"dec\.embed|dec\.0\.(ln1|self_attn|ln2)\..*|dec\.0\.cross
 
 
 @pytest.mark.parametrize("overrides", [
-    {}, dict(n_dec_blocks=0), dict(n_dec_blocks=2),
+    {}, dict(n_dec_blocks=3), dict(n_dec_blocks=2),
     dict(d_model=64, n_heads=4, n_enc_blocks=2, n_dec_blocks=2, d_in=8, left_context=8, W=4,
          vocab_size=16, ffn_inner=128),
 ])
@@ -523,7 +522,7 @@ def test_lattice_probs_equal_per_chunk_decoder_rows(overrides):
     (tables, got), (ref_tables, ref) = runs
     assert len(tables) == len(ref_tables) == 2 * len(batch)
     assert all(np.array_equal(a, b) for a, b in zip(tables, ref_tables))
-    assert sum(bool(_BLOCK_0.fullmatch(n)) for n in got) == (15 if m.cfg.n_dec_blocks else 1)
+    assert sum(bool(_BLOCK_0.fullmatch(n)) for n in got) == 15
     for n in got:
         if got[n] is None or ref[n] is None:
             assert got[n] is None and ref[n] is None, n

@@ -131,7 +131,7 @@ def test_padded_batch_loss_matches_the_per_utterance_loop():
     assert ok, dev
 
 
-@pytest.mark.parametrize("overrides", [{}, dict(n_dec_blocks=0), dict(n_dec_blocks=2)])
+@pytest.mark.parametrize("overrides", [{}, dict(n_dec_blocks=3), dict(n_dec_blocks=2)])
 def test_batch_loss_is_bitwise_the_mean_of_sequence_nlls(overrides):
     # one node over the decoder's table against one lattice_nll per utterance,
     # summed and scaled: the same value and gradients, bit for bit. The label
