@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import struct
 from dataclasses import asdict
 
@@ -41,9 +42,11 @@ def save_checkpoint(path, model, optimizer=None):
     """Write model, and optimizer's step and slots; ContractError naming the
     parameter unless model's parameters are the ones its config defines, and
     CheckpointError naming path if the file cannot be written. The bytes go to
-    a temporary file beside path, removed if the save fails, and os.replace
-    moves it onto path, so a failed save leaves path as it was. No fsync: the
-    file outlives a killed process, not a power cut, and no save waits on disk."""
+    a temporary file beside the file that path resolves to, and os.replace
+    moves it onto that file with the permission bits the file had. A failed
+    save removes the temporary file and leaves path as it was, and a symlink
+    at path stays a link, to the new checkpoint. No fsync: the file outlives
+    a killed process, not a power cut, and no save waits on disk."""
     check_parameters(model.cfg, model.params)
     names = [name for name, _shape, _init in parameter_table(model.cfg)]
     header = {"config": asdict(model.cfg), "vocab": list(model.vocab.symbols), "optimizer": None}
@@ -52,15 +55,20 @@ def save_checkpoint(path, model, optimizer=None):
         header["optimizer"] = {"step": optimizer.step_count}
         blobs += [_array_bytes(optimizer.state[n][slot]) for n in names for slot in ("m", "v")]
     hjson = json.dumps(header).encode("utf-8")
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = None
     try:
+        real = os.path.realpath(path)
+        tmp = f"{real}.{os.getpid()}.tmp"
         with open(tmp, "wb") as f:
             for b in [MAGIC, struct.pack("<IQ", VERSION, len(hjson)), hjson, *blobs]:
                 f.write(b)
-        os.replace(tmp, path)
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(real, tmp)
+        os.replace(tmp, real)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
-        with contextlib.suppress(OSError, ValueError):
-            os.remove(tmp)
+        if tmp is not None:
+            with contextlib.suppress(OSError, ValueError):
+                os.remove(tmp)
         raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
 
 

@@ -15,6 +15,8 @@ all in log domain via log-sum-exp. One recursion, ``_sweep``, computes it.
 beta is the same recursion run on the reversed lattice (both axes flipped,
 started at the terminal blank), so ``backward_pass`` has no loop of its own.
 ``lattice_grad`` validates its tables once, as the passes do theirs.
+``lattice_nll`` is the one loss node: training's batch loss and the model's
+``sequence_nll`` both run it over the decoder's log-prob table.
 
 ``enumerate_paths`` is the independent brute-force oracle: it sums
 explicitly over every monotone assignment of the U labels to the M chunks.
@@ -173,18 +175,27 @@ def enumerate_paths(blank_lp, label_lp):
     return _logsumexp(terms)
 
 
-def lattice_nll(blank_lp, label_lp):
-    """Negative log-loss as an autodiff node over Tensor tables.
+def lattice_nll(table, cells):
+    """Mean negative log-probability of pairs (scalar Tensor): the one lattice
+    loss node, over (table, cells) as model.log_prob_table returns them.
 
-    Forward uses the alpha recursion; backward distributes the edge
-    occupancies from lattice_grad (negated, since the loss is -ln p).
+    lattice_grad runs on each pair's (blank, label) cells of table; the NLLs
+    are summed in order and scaled by 1/N, and the backward adds each pair's
+    edge occupancies times -g/N into one zero table.
     """
-    b, l = autodiff._as_tensor(blank_lp), autodiff._as_tensor(label_lp)
-    log_prob, grad_blank, grad_label = lattice_grad(b.data, l.data)
-    data = np.float64(-log_prob)
-    autodiff.check_finite(data, "lattice loss")  # _make checks nothing
+    scale, nlls, occupancies = 1.0 / len(cells), [], []
+    for pair in cells:
+        log_prob, *grads = lattice_grad(*(table.data[at] for at in pair))
+        nlls.append(-log_prob)
+        occupancies.extend(zip(pair, grads))
+    data = np.asarray(sum(nlls[1:], nlls[0]) * scale)
+    autodiff.check_finite(data, "lattice loss")
 
     def bwd(g):
-        return -g * grad_blank, -g * grad_label
+        c = -(g * scale)
+        out = np.zeros(table.data.shape)
+        for at, occupancy in occupancies:
+            np.add.at(out, at, c * occupancy)
+        return (out,)
 
-    return autodiff._make(np.asarray(data), (b, l), bwd)
+    return autodiff._make(data, (table,), bwd)

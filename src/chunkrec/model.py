@@ -575,19 +575,7 @@ class ChunkTransducerModel:
                         (slice(a, b), np.arange(len(p) - 1), p[1:]))
                        for a, b, p in zip(ends - M, ends, prefixes)]
 
-    def lattice_probs(self, batch):
-        """Teacher-forced lattice tables for (features, labels) pairs, in one padded pass.
-
-        Returns one (blank_lp, label_lp) pair of Tensors per pair, of shapes
-        (M, U+1) and (M, U): the cells of log_prob_table that the lattice reads.
-        """
-        table, cells = self.log_prob_table(batch)
-        return [(table[blank], table[label]) for blank, label in cells]
-
-    def sequence_nlls(self, batch):
-        """Negative log-probability of each y given its x (scalar Tensors), in one padded pass."""
-        return [lattice_nll(blank_lp, label_lp) for blank_lp, label_lp in self.lattice_probs(batch)]
-
     def sequence_nll(self, x, y_ids):
-        """Negative log-probability of y given x (scalar Tensor)."""
-        return self.sequence_nlls([(x, y_ids)])[0]
+        """Negative log-probability of y given x (scalar Tensor): the lattice loss
+        node that training runs, over one pair."""
+        return lattice_nll(*self.log_prob_table([(x, y_ids)]))

@@ -1,4 +1,5 @@
-"""Synthetic tasks, warmup schedule, Adam, the training loop and data files.
+"""Synthetic tasks, the batch loss (lattice.lattice_nll, the one loss node, over the
+model's log-prob table), warmup schedule, Adam, the training loop and data files.
 
 The synthetic task stands in for a real corpus: each label sequence is
 drawn uniformly over the non-special vocabulary, and its features are the
@@ -259,31 +260,8 @@ class TrainConfig:
 
 def batch_loss(model, batch):
     """Mean per-sequence lattice NLL over a batch (scalar Tensor), teacher-forced in one
-    padded pass.
-
-    One autodiff node over the decoder's log-prob table (model.log_prob_table):
-    lattice_grad runs per utterance on its cells, the NLLs are summed in batch
-    order and scaled by 1/N, and the backward adds each utterance's edge
-    occupancies times -g/N into one zero table. Its value and the table's
-    gradient are bitwise those of sum(model.sequence_nlls(batch)) * (1/N).
-    """
-    table, cells = model.log_prob_table(batch)
-    scale, nlls, occupancies = 1.0 / len(batch), [], []
-    for pair in cells:
-        log_prob, *grads = lattice.lattice_grad(*(table.data[at] for at in pair))
-        nlls.append(-log_prob)
-        occupancies.extend(zip(pair, grads))
-    data = np.asarray(sum(nlls[1:], nlls[0]) * scale)
-    ad.check_finite(data, "lattice loss")
-
-    def bwd(g):
-        c = -(g * scale)
-        out = np.zeros(table.data.shape)
-        for at, occupancy in occupancies:
-            np.add.at(out, at, c * occupancy)
-        return (out,)
-
-    return ad._make(data, (table,), bwd)
+    padded pass: the one lattice loss node over the decoder's log-prob table."""
+    return lattice.lattice_nll(*model.log_prob_table(batch))
 
 
 def train_step(model, batch, optimizer, step, cfg):
@@ -335,11 +313,14 @@ _FEATURE_HEADER = re.compile(rb"(\d{1,12}) (\d{1,12}) f8\n")
 
 
 def save_features(path, x):
-    """Write one utterance: text header 'rows cols f8\\n' then little-endian payload."""
+    """Write one utterance (header 'rows cols f8\\n', then <f8 payload), or ContractError."""
     x = as_frames(x)
-    with open(path, "wb") as f:
-        f.write(f"{x.shape[0]} {x.shape[1]} f8\n".encode("ascii"))
-        f.write(x.astype("<f8").tobytes())
+    try:
+        with open(path, "wb") as f:
+            f.write(f"{x.shape[0]} {x.shape[1]} f8\n".encode("ascii"))
+            f.write(x.astype("<f8").tobytes())
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
+        raise ContractError(f"cannot write feature file {path}: {e}") from e
 
 
 def load_features(path):

@@ -102,6 +102,26 @@ def test_a_save_that_fails_partway_leaves_the_previous_checkpoint(tmp_path, monk
     assert list(tmp_path.iterdir()) == [path]  # no temporary file is left
 
 
+def test_a_save_through_a_symlink_writes_its_target_and_keeps_the_link(tmp_path):
+    real, link = tmp_path / "real.ckpt", tmp_path / "link.ckpt"
+    save_checkpoint(real, make_tiny_model(seed=1))
+    link.symlink_to(real)
+    m = make_tiny_model(seed=2)
+    save_checkpoint(link, m)
+    assert link.is_symlink() and link.resolve() == real.resolve()
+    loaded, _ = load_checkpoint(real)
+    assert all(np.array_equal(loaded.params[n].data, m.params[n].data) for n in m.params)
+    assert sorted(tmp_path.iterdir()) == [link, real]  # no temporary file is left
+
+
+def test_a_save_keeps_the_permission_bits_of_the_checkpoint_it_replaces(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_tiny_model(seed=1))
+    path.chmod(0o600)
+    save_checkpoint(path, make_tiny_model(seed=2))
+    assert path.stat().st_mode & 0o777 == 0o600
+
+
 def test_version_mismatch_rejected(tmp_path):
     m = make_tiny_model()
     path = tmp_path / "model.ckpt"

@@ -445,7 +445,7 @@ def test_an_infinite_parameter_is_a_numeric_error_not_a_warning(rng):
         with pytest.raises(NumericError, match=named):
             greedy_decode(m, x)
         with pytest.raises(NumericError, match=named):
-            m.sequence_nlls([(x, [2, 3])])
+            m.sequence_nll(x, [2, 3])
 
 
 # -- streaming --------------------------------------------------------------

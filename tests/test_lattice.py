@@ -184,11 +184,48 @@ def test_lattice_grad_validates_its_tables_once(monkeypatch):
 
 
 def test_lattice_nll_tensor_grads():
+    # one pair's tables as columns 0 (blank) and 1 (label) of a table Tensor
     rng = np.random.default_rng(5)
-    blank = Tensor(np.log(rng.uniform(0.05, 1.0, size=(3, 4))), requires_grad=True)
-    label = Tensor(np.log(rng.uniform(0.05, 1.0, size=(3, 3))), requires_grad=True)
-    ok, dev = check_gradients(lambda: lattice_nll(blank, label), [blank, label], tol=1e-6)
+    data = np.zeros((3, 4, 2))
+    data[:, :, 0] = np.log(rng.uniform(0.05, 1.0, size=(3, 4)))
+    data[:, :3, 1] = np.log(rng.uniform(0.05, 1.0, size=(3, 3)))
+    table = Tensor(data, requires_grad=True)
+    cells = [((slice(0, 3), slice(None, 4), 0), (slice(0, 3), np.arange(3), np.ones(3, int)))]
+    ok, dev = check_gradients(lambda: lattice_nll(table, cells), [table], tol=1e-6)
     assert ok, dev
+
+
+def _hand_table_cells():
+    """A (7, 3, 3) table with blank column 0 and three pairs' cells, laid out as
+    model.log_prob_table lays them: U = 0 over chunks 0-1; labels [0, 2] over
+    chunks 2-4, whose label 0 reads the blank column, so its label cells at
+    u = 0 are its blank cells; labels [1] over chunks 5-6."""
+    table = Tensor(np.log(np.random.default_rng(9).uniform(0.05, 1.0, size=(7, 3, 3))),
+                   requires_grad=True)
+    cells = [((slice(a, b), slice(None, len(y) + 1), 0), (slice(a, b), np.arange(len(y)), y))
+             for a, b, y in [(0, 2, np.zeros(0, int)), (2, 5, np.array([0, 2])),
+                             (5, 7, np.array([1]))]]
+    return table, cells
+
+
+def test_lattice_nll_is_the_mean_of_forward_passes_with_occupancy_gradients():
+    table, cells = _hand_table_cells()
+    tables = [[table.data[at] for at in pair] for pair in cells]
+    assert [b.shape for b, _ in tables] == [(2, 1), (3, 3), (2, 2)]
+    loss = lattice_nll(table, cells)
+    assert loss.item() == sum(-forward_pass(*t)[1] for t in tables) * (1 / 3)
+    loss.backward()
+    want = np.zeros(table.shape)
+    for pair, t in zip(cells, tables):
+        _, *occupancies = lattice_grad(*t)
+        for at, occupancy in zip(pair, occupancies):
+            np.add.at(want, at, -(1 / 3) * occupancy)
+    assert np.array_equal(table.grad, want)
+    ok, dev = check_gradients(lambda: lattice_nll(table, cells), [table], tol=1e-6)
+    assert ok, dev
+    table.data[6, 1, 0] = -np.inf  # the last pair's terminal blank: no path reaches the end
+    with pytest.raises(DegenerateLatticeError):
+        lattice_nll(table, cells)
 
 
 def test_degenerate_lattice_error():

@@ -15,6 +15,7 @@ from chunkrec.errors import (AvailabilityError, ConfigError, ContractError, Nume
 from chunkrec.lattice import lattice_nll
 from chunkrec.model import (ChunkTransducerModel, EncoderCache, ModelConfig, Vocabulary,
                             sinusoidal_positions)
+from chunkrec.training import batch_loss
 
 from conftest import make_tiny_model
 
@@ -101,7 +102,7 @@ def test_front_end_too_short(tiny_model):
                                [[0.0] * 4] * 15 + [[0.0] * 3], np.zeros((16, 5)), np.zeros(16)])
 def test_frames_that_are_not_real_2d_are_contract_errors(tiny_model, x):
     for encode in (tiny_model.front_end, lambda x: tiny_model.encode_chunk(x, 0),
-                   lambda x: tiny_model.lattice_probs([(x, [2])])[0]):
+                   lambda x: tiny_model.log_prob_table([(x, [2])])):
         with pytest.raises(ContractError):
             encode(x)
 
@@ -426,7 +427,8 @@ def test_decoder_contract_errors(tiny_model, rng):
 def test_lattice_probs_shapes_and_range(tiny_model, rng):
     x = rng.normal(size=(40, 4))
     y = [2, 5, 3]
-    blank_lp, label_lp = tiny_model.lattice_probs([(x, y)])[0]
+    table, [(blank, label)] = tiny_model.log_prob_table([(x, y)])
+    blank_lp, label_lp = table[blank], table[label]
     M = tiny_model.geometry_for(40).M
     assert blank_lp.shape == (M, 4)
     assert label_lp.shape == (M, 3)
@@ -445,7 +447,8 @@ def test_lattice_probs_match_per_chunk_decoder_passes(tiny_model, rng, T, y, chu
     x = rng.normal(size=(T, 4))
     spans = m.geometry_for(T).spans
     assert [b - a for a, b in spans] == chunk_lens
-    blank_lp, label_lp = m.lattice_probs([(x, y)])[0]
+    table, [(blank, label)] = m.log_prob_table([(x, y)])
+    blank_lp, label_lp = table[blank], table[label]
     assert blank_lp.shape == (len(spans), len(y) + 1) and label_lp.shape == (len(spans), len(y))
     states = m.encode_states(x)
     for row, (a, b) in enumerate(spans):
@@ -467,13 +470,13 @@ def test_lattice_probs_make_one_decoder_pass(tiny_model, rng, monkeypatch):
     monkeypatch.setattr(tiny_model, "_decode", counted)
     for lengths in ([8], [24], [64], [8, 24, 64]):
         calls.clear()
-        tiny_model.lattice_probs([(rng.normal(size=(T, 4)), [2, 5]) for T in lengths])
+        tiny_model.log_prob_table([(rng.normal(size=(T, 4)), [2, 5]) for T in lengths])
         chunks = sum(tiny_model.geometry_for(T).M for T in lengths)
         assert calls == [(len(lengths), [chunks] * tiny_model.cfg.n_dec_blocks)]
 
 
 def _per_chunk_tables(m, batch):
-    """lattice_probs as one _decode pass with every decoder row computed per
+    """log_prob_table as one _decode pass with every decoder row computed per
     chunk: each utterance's prefix repeated for each of its chunks, no row plan."""
     prefixes = [np.array([m.vocab.start_id, *y]) for _, y in batch]
     T = np.array([len(x) for x, _ in batch])
@@ -489,8 +492,9 @@ def _per_chunk_tables(m, batch):
     chunks = states[utt[:, None], np.minimum(pos, spans[:, 1:] - 1)]
     ld = m._decode(ids[utt], m._memory(chunks), (pos < spans[:, 1:])[:, None, None, :])
     ends = np.cumsum(M)
-    return [(ld[a:b, :len(p), m.vocab.blank_id], ld[a:b, np.arange(len(p) - 1), p[1:]])
-            for a, b, p in zip(ends - M, ends, prefixes)]
+    return ld, [((slice(a, b), slice(None, len(p)), m.vocab.blank_id),
+                 (slice(a, b), np.arange(len(p) - 1), p[1:]))
+                for a, b, p in zip(ends - M, ends, prefixes)]
 
 
 # parameters of block 0 up to its cross-attention query, which teacher
@@ -512,12 +516,11 @@ def test_lattice_probs_equal_per_chunk_decoder_rows(overrides):
     batch = [(rng.normal(size=(T, d_in)), rng.integers(2, V, size=U).tolist())
              for T, U in [(8, 2), (24, 3), (64, 5), (20, 0), (40, 4), (13, 1)]]
     runs = []
-    for tables in (m.lattice_probs(batch), _per_chunk_tables(m, batch)):
+    for table, cells in (m.log_prob_table(batch), _per_chunk_tables(m, batch)):
         for p in m.params.values():
             p.zero_grad()
-        nlls = [lattice_nll(b, l) for b, l in tables]
-        sum(nlls[1:], nlls[0]).backward()
-        runs.append(([t.data for pair in tables for t in pair],
+        lattice_nll(table, cells).backward()
+        runs.append(([table.data[at] for pair in cells for at in pair],
                      {n: p.grad for n, p in m.params.items()}))
     (tables, got), (ref_tables, ref) = runs
     assert len(tables) == len(ref_tables) == 2 * len(batch)
@@ -534,20 +537,22 @@ def test_lattice_probs_equal_per_chunk_decoder_rows(overrides):
 
 
 def test_lattice_probs_empty_target(tiny_model, rng):
-    blank_lp, label_lp = tiny_model.lattice_probs([(rng.normal(size=(16, 4)), [])])[0]
+    table, [(blank, label)] = tiny_model.log_prob_table([(rng.normal(size=(16, 4)), [])])
+    blank_lp, label_lp = table[blank], table[label]
     assert blank_lp.shape[1] == 1 and label_lp.shape[1] == 0
 
 
 def test_lattice_probs_vocab_error(tiny_model, rng):
     with pytest.raises(VocabError):
-        tiny_model.lattice_probs([(rng.normal(size=(16, 4)), [99])])
+        tiny_model.log_prob_table([(rng.normal(size=(16, 4)), [99])])
 
 
 def test_single_chunk_loss_is_teacher_forced_product(rng):
     m = make_tiny_model(W=6, B=0)
     x = rng.normal(size=(16, 4))  # L=4 <= W: one chunk
     y = [2, 4]
-    blank_lp, label_lp = m.lattice_probs([(x, y)])[0]
+    table, [(blank, label)] = m.log_prob_table([(x, y)])
+    blank_lp, label_lp = table[blank], table[label]
     assert blank_lp.shape[0] == 1
     direct = float(label_lp.data[0, 0] + label_lp.data[0, 1] + blank_lp.data[0, 2])
     nll = m.sequence_nll(x, y).item()
@@ -668,7 +673,7 @@ def test_a_non_finite_op_output_anywhere_is_a_numeric_error(monkeypatch):
                                                  cache=dataclasses.replace(warm)),
         "decoder_steps": lambda: m.decoder_steps(prefixes, chunk),
         "cached decoder_steps": lambda: m.decoder_steps(prefixes, chunk, copy.deepcopy(filled)),
-        "sequence_nlls": lambda: m.sequence_nlls([(x, [2, 3, 4]), (x2, [5])]),
+        "batch_loss": lambda: batch_loss(m, [(x, [2, 3, 4]), (x2, [5])]),
     }
     named = {what: set() for what in runs}
     for what, run in runs.items():
@@ -704,7 +709,7 @@ def test_a_nan_parameter_is_reported_under_its_sub_layer(param, sublayer, rng):
     x = rng.normal(size=(24, 4))
     named = rf"non-finite value in (attention scores of )?{re.escape(sublayer)}$"
     with pytest.raises(NumericError, match=named):
-        m.sequence_nlls([(x, [2, 3])])
+        m.sequence_nll(x, [2, 3])
     if param.startswith("dec."):
         chunk = rng.normal(size=(m.cfg.W, m.cfg.d_model))
         with pytest.raises(NumericError, match=named):

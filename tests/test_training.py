@@ -6,6 +6,7 @@ from chunkrec import autodiff as ad
 from chunkrec.checkpoint import save_checkpoint
 from chunkrec.errors import (ConfigError, ContractError, NumericError, ShapeError,
                              UndefinedMetricError)
+from chunkrec.lattice import lattice_nll
 from chunkrec.training import (Adam, SyntheticTaskSpec, TrainConfig, batch_loss,
                                clip_grad_norm, gen_synthetic, load_features,
                                load_manifest, noam_lr, save_features, train, train_step)
@@ -117,8 +118,9 @@ def test_padded_batch_loss_matches_the_per_utterance_loop():
     batch = [(rng.normal(size=(T, 4)), y) for T, y in [
         (24, []), (8, [2, 5]), (12, [3]), (24, [2, 5, 3]), (13, [4]), (37, [6, 2, 7, 3])]]
     alone = [m.sequence_nll(x, y) for x, y in batch]
-    for nll, ref in zip(m.sequence_nlls(batch), alone):
-        assert abs(nll.item() - ref.item()) <= 1e-12
+    table, cells = m.log_prob_table(batch)
+    for pair, ref in zip(cells, alone):
+        assert abs(lattice_nll(table, [pair]).item() - ref.item()) <= 1e-12
     (sum(alone[1:], alone[0]) * (1.0 / len(batch))).backward()  # the per-utterance loop
     want = {n: p.grad.copy() for n, p in m.params.items()}
     for p in m.params.values():
@@ -133,16 +135,18 @@ def test_padded_batch_loss_matches_the_per_utterance_loop():
 
 @pytest.mark.parametrize("overrides", [{}, dict(n_dec_blocks=3), dict(n_dec_blocks=2)])
 def test_batch_loss_is_bitwise_the_mean_of_sequence_nlls(overrides):
-    # one node over the decoder's table against one lattice_nll per utterance,
-    # summed and scaled: the same value and gradients, bit for bit. The label
-    # 0 is the blank id, so its label cells are blank cells too.
+    # one node over all pairs of the decoder's table against one single-pair
+    # node per utterance over the same table, summed and scaled: the same value
+    # and gradients, bit for bit. The label 0 is the blank id, so its label
+    # cells are blank cells too.
     m = make_tiny_model(seed=5, **overrides)
     rng = np.random.default_rng(5)
     batch = [(rng.normal(size=(T, 4)), y) for T, y in [
         (24, [2, 5, 3]), (8, []), (37, [6, 2, 7, 3, 4]), (24, [0, 3]), (20, [1])]]
 
     def reference():
-        nlls = m.sequence_nlls(batch)
+        table, cells = m.log_prob_table(batch)
+        nlls = [lattice_nll(table, [pair]) for pair in cells]
         return sum(nlls[1:], nlls[0]) * (1.0 / len(batch))
 
     runs = []
@@ -397,7 +401,8 @@ def test_eval_on_empty_references_is_undefined_metric():
 def nats_per_symbol(model, samples):
     """Mean teacher-forced NLL per reference symbol."""
     with ad.no_grad():
-        nlls = model.sequence_nlls(samples)
+        table, cells = model.log_prob_table(samples)
+        nlls = [lattice_nll(table, [pair]) for pair in cells]
     return sum(nll.item() for nll in nlls) / sum(len(y) for _, y in samples)
 
 
@@ -464,6 +469,15 @@ def test_feature_files_reject_frames_that_are_not_real_2d_and_nul_paths(tmp_path
             save_features(tmp_path / "u.feat", x)
     with pytest.raises(ContractError):
         load_features(str(tmp_path / "u\x00.feat"))
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "nul"])
+def test_a_feature_file_that_cannot_be_written_is_a_contract_error_naming_it(tmp_path, where):
+    path = {"missing-directory": str(tmp_path / "no" / "u.feat"),
+            "nul": str(tmp_path / "u\x00.feat")}[where]
+    with pytest.raises(ContractError, match="cannot write feature file") as e:
+        save_features(path, np.zeros((2, 4)))
+    assert type(e.value) is ContractError and path in str(e.value)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
