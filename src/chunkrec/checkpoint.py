@@ -27,7 +27,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import (CheckpointError, ConfigError, CorruptHeaderError, TruncatedFileError,
-                     VersionMismatchError)
+                     VersionMismatchError, VocabError)
 from .model import ChunkTransducerModel, ModelConfig, Vocabulary, check_parameters, parameter_table
 
 MAGIC = b"CKTD"
@@ -127,8 +127,11 @@ def load_checkpoint(path):
         _check_header(header)
         try:
             cfg = ModelConfig(**header["config"])
-        except (TypeError, ConfigError) as e:
-            raise CorruptHeaderError(f"checkpoint config does not fit ModelConfig: {e}") from e
+            vocab = Vocabulary(symbols=tuple(header["vocab"]))
+        except (TypeError, ConfigError, VocabError) as e:
+            raise CorruptHeaderError(f"checkpoint config or vocabulary is malformed: {e}") from e
+        if len(vocab) != cfg.vocab_size:
+            raise CorruptHeaderError(f"header vocab size {len(vocab)} != config {cfg.vocab_size}")
         # every block adds parameters of at least one float each, so a block
         # count past the payload's floats fails before parameter_table lists it
         if cfg.n_enc_blocks + cfg.n_dec_blocks > _room(f) // 8:
@@ -144,5 +147,4 @@ def load_checkpoint(path):
             opt = {"step": header["optimizer"]["step"], "slots": slots}
         if f.read(1):
             raise CorruptHeaderError("trailing bytes after checkpoint payload")
-    vocab = Vocabulary(symbols=tuple(header["vocab"]))
     return ChunkTransducerModel(cfg, vocab, params=params), opt

@@ -141,12 +141,12 @@ def as_frames(x, d_in=None):
 class StreamBuffer:
     """Accumulates raw frames and releases encoded chunk ranges exactly once.
 
-    A chunk is released as soon as frames_needed says its last encoded frame
-    is final, which also guarantees the chunk is not the (truncated) final
-    one. Remaining chunks are released on flush(), when the true encoded
-    length is known. frames holds the stream's last raw_count raw frames as
-    one array, and keep_from drops those no later encoding reads. Frames
-    are d_in wide; without d_in, as wide as the first fragment.
+    A chunk is released as soon as final_len covers it, so its last encoded
+    frame is final and the chunk is not the (truncated) final one. Remaining
+    chunks are released on flush(), when the true encoded length is known.
+    frames holds the stream's last raw_count raw frames as one array, and
+    keep_from drops those no later encoding reads. Frames are d_in wide;
+    without d_in, as wide as the first fragment.
     """
 
     def __init__(self, W, B, d_in=None):
@@ -173,7 +173,7 @@ class StreamBuffer:
         self.frames = np.concatenate([self.frames, frames]) if self.raw_count else frames
         self.end += len(frames)
         out = []
-        while frames_needed(self.next_start + self.W) <= self.end:
+        while self.next_start + self.W <= final_len(self.end):
             out.append((self.next_start, self.next_start + self.W))
             self.next_start += self.W - self.B
         return out

@@ -237,6 +237,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args, _load_config(args.config))
     except ChunkrecError as e:
         sys.stderr.write(json.dumps({"error": e.category, "message": str(e)}) + "\n")

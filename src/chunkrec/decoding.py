@@ -179,9 +179,11 @@ class StreamSession:
     Each chunk the StreamBuffer releases goes through _advance_chunk. A push
     that releases one, or a flush after new frames, encodes the positions
     not yet final from the raw frames the buffer keeps for them and the
-    EncoderCache, so one fragment is encoded once; the DecoderCache keeps
-    the search's decoder rows. Above width 1 the greedy path is carried as
-    floor; at width 1 the search is the greedy path.
+    EncoderCache, so one fragment is encoded once. Only that encode changes
+    the window of encoded states: it keeps the old states from the first
+    released chunk up to the new ones. The DecoderCache keeps the search's
+    decoder rows. Above width 1 the greedy path is carried as floor; at
+    width 1 the search is the greedy path.
 
     A symbol is emitted once every surviving hypothesis and the floor
     share it, and the rest of the transcript at flush, so the emitted
@@ -196,7 +198,7 @@ class StreamSession:
         self.buf = StreamBuffer(model.cfg.W, model.cfg.B, model.cfg.d_in)
         self.cache, self.decoder_cache = EncoderCache(), DecoderCache(model.cfg)
         # the states of encoded positions _first onward, from _n_encoded raw frames
-        self._states, self._first, self._n_encoded = None, 0, 0
+        self._states, self._first, self._n_encoded = np.zeros((0, model.cfg.d_model)), 0, 0
         start = Hypothesis((model.vocab.start_id,), 0.0)
         self.hyps, self.floor = [start], [start] if cfg.width > 1 else []
         self._chunk, self._emitted = -1, 0  # the last chunk searched, symbols emitted
@@ -218,11 +220,12 @@ class StreamSession:
         with ad.no_grad():
             if self.buf.end > self._n_encoded:
                 start = self.cache.start
+                first = min(spans[0][0], start)
                 new = ad._as_tensor(self.model.encode_states(self.buf.frames,
                                                              cache=self.cache)).data
-                if self._states is not None:
-                    new = np.concatenate([self._states[:start - self._first], new])
-                self._states, self._n_encoded = new, self.buf.end
+                old = self._states[first - self._first:start - self._first]
+                self._states, self._first = np.concatenate([old, new]), first
+                self._n_encoded = self.buf.end
                 self.buf.keep_from(self.cache.start)
             for a, b in spans:
                 chunk = self._states[a - self._first:b - self._first]
@@ -231,9 +234,6 @@ class StreamSession:
                 self.decoder_cache.next_chunk([h.prefix for h in self.hyps + self.floor])
                 self._chunk += 1
                 out += self._emit(_shared_prefix(self.hyps + self.floor))
-        # the next chunk reads states from next_start, the next encode adds them at cache.start
-        keep = min(self.buf.next_start, self.cache.start)
-        self._states, self._first = self._states[keep - self._first:], keep
         return out
 
     def _emit(self, settled):

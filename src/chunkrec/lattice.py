@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import autodiff
-from .errors import CapacityError, DegenerateLatticeError, NumericError, ShapeError
+from .errors import CapacityError, ContractError, DegenerateLatticeError, NumericError, ShapeError
 
 NEG_INF = -np.inf
 
@@ -181,8 +181,10 @@ def lattice_nll(table, cells):
 
     lattice_grad runs on each pair's (blank, label) cells of table; the NLLs
     are summed in order and scaled by 1/N, and the backward adds each pair's
-    edge occupancies times -g/N into one zero table.
+    edge occupancies times -g/N into one zero table. ContractError without pairs.
     """
+    if not cells:
+        raise ContractError("lattice_nll needs at least one pair of cells")
     scale, nlls, occupancies = 1.0 / len(cells), [], []
     for pair in cells:
         log_prob, *grads = lattice_grad(*(table.data[at] for at in pair))

@@ -218,8 +218,13 @@ def _set(keys, value):
     _set(["optimizer"], {"step": 0, "slots": []}),
     _set(["params"], []),
     lambda h: h.pop("optimizer"),
+    lambda h: h["vocab"].pop(),
+    _set(["vocab", 2], 7),
+    _set(["vocab", 3], "s0"),
+    _set(["vocab", 0], "x"),
 ], ids=["unknown-config-key", "float-config-value", "config-list", "vocab-string",
-        "optimizer-string-step", "optimizer-extra-key", "extra-key", "no-optimizer"])
+        "optimizer-string-step", "optimizer-extra-key", "extra-key", "no-optimizer",
+        "vocab-one-short", "vocab-non-string-symbol", "vocab-duplicate-symbol", "vocab-no-blank"])
 def test_misshapen_header_is_corrupt_header_error(tmp_path, mutate):
     header, payload = saved_parts()
     mutate(header)

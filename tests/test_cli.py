@@ -151,6 +151,13 @@ def test_a_checkpoint_file_error_is_one_json_record(tmp_path, capsys, argv):
     assert _one_record(capsys) == "checkpoint"
 
 
+@pytest.mark.parametrize("command", ["train", "decode", "stream-demo", "eval-cer", "gradcheck",
+                                     "oracle-check", "latency"])
+def test_a_negative_seed_is_one_config_record_under_every_command(tmp_path, capsys, command):
+    assert main(["--config", tiny_config(tmp_path), "--seed", "-1", command]) == 1
+    assert _one_record(capsys) == "config"
+
+
 def test_an_out_file_that_cannot_be_opened_is_one_json_record(tmp_path, capsys):
     for out in (tmp_path / "no" / "x.txt", tmp_path):
         assert main(["--out", str(out), "latency"]) == 1

@@ -507,10 +507,11 @@ def test_long_stream_encodes_each_frame_once():
     x = np.random.default_rng(3).normal(size=(2000, 4))
     cfg = BeamConfig(width=2, max_symbols_per_chunk=1)
     calls = _logging_encoder(m)
-    session, kept = StreamSession(m, cfg), []
+    session, kept, window = StreamSession(m, cfg), [], []
     for i in range(0, len(x), 8):
         session.push(x[i:i + 8])
         kept.append(session.buf.raw_count)
+        window.append(len(session._states))
         # the decoder cache holds the paths of the live hypotheses and no more
         cache = session.decoder_cache
         live = {h.prefix[:k] for h in session.hyps + session.floor
@@ -527,6 +528,8 @@ def test_long_stream_encodes_each_frame_once():
     assert len(handed) == len(x) // 8 - 1
     assert handed[1:21] == handed[-20:] and max(handed[1:]) <= 16
     assert kept[1:21] == kept[-20:] and max(kept) <= 16
+    # and neither do the encoded states the session keeps between pushes
+    assert window[1:21] == window[-20:] and max(window) <= 4
     # the streamed states of each position, the last encode's for the provisional ones
     starts = [start for start, _n, _states in calls]
     streamed = np.concatenate([states[:nxt - start] for (start, _n, states), nxt

@@ -5,7 +5,8 @@ import pytest
 
 from chunkrec import lattice
 from chunkrec.autodiff import Tensor, check_gradients
-from chunkrec.errors import CapacityError, DegenerateLatticeError, NumericError, ShapeError
+from chunkrec.errors import (CapacityError, ContractError, DegenerateLatticeError, NumericError,
+                             ShapeError)
 from chunkrec.lattice import (alignment_paths, backward_pass,
                               diagonal_identity_check, enumerate_paths,
                               forward_pass, lattice_grad, lattice_nll)
@@ -226,6 +227,12 @@ def test_lattice_nll_is_the_mean_of_forward_passes_with_occupancy_gradients():
     table.data[6, 1, 0] = -np.inf  # the last pair's terminal blank: no path reaches the end
     with pytest.raises(DegenerateLatticeError):
         lattice_nll(table, cells)
+
+
+def test_lattice_nll_without_pairs_is_a_contract_error():
+    table, _cells = _hand_table_cells()
+    with pytest.raises(ContractError):
+        lattice_nll(table, [])
 
 
 def test_degenerate_lattice_error():
