@@ -1,5 +1,5 @@
 """Front-end receptive field, chunk geometry, left-context masks, the raw
-frame check, streaming frame buffering and latency.
+frame check, streaming chunk release and latency.
 
 An encoded sequence of length L is cut into M windows of W frames whose
 starts advance by W-B, so adjacent windows share B frames. The final window
@@ -139,14 +139,12 @@ def as_frames(x, d_in=None):
 
 
 class StreamBuffer:
-    """Accumulates raw frames and releases encoded chunk ranges exactly once.
+    """Counts a stream's raw frames and releases each encoded chunk range exactly once.
 
     A chunk is released as soon as final_len covers it, so its last encoded
     frame is final and the chunk is not the (truncated) final one. Remaining
     chunks are released on flush(), when the true encoded length is known.
-    frames holds the stream's last raw_count raw frames as one array, and
-    keep_from drops those no later encoding reads. Frames are d_in wide;
-    without d_in, as wide as the first fragment.
+    Frames are d_in wide; without d_in, as wide as the first fragment.
     """
 
     def __init__(self, W, B, d_in=None):
@@ -154,23 +152,17 @@ class StreamBuffer:
         self.W = W
         self.B = B
         self.d_in = d_in
-        self.frames = np.zeros((0, d_in or 0))
         self.end = 0  # raw frames the stream has delivered
         self.next_start = 0  # the first encoded position of the next chunk
         self._flushed = False
 
-    @property
-    def raw_count(self):
-        return len(self.frames)
-
     def push(self, frames):
-        """Append raw frames, d_in wide (as_frames checks them); return the
+        """Count raw frames, d_in wide (as_frames checks them); return the
         encoded [start, end) ranges now complete."""
         if self._flushed:
             raise ProtocolError("push after end-of-stream flush")
         frames = as_frames(frames, self.d_in)
         self.d_in = frames.shape[1]
-        self.frames = np.concatenate([self.frames, frames]) if self.raw_count else frames
         self.end += len(frames)
         out = []
         while self.next_start + self.W <= final_len(self.end):
@@ -187,14 +179,3 @@ class StreamBuffer:
             raise EmptyInputError("flush with no frames buffered")
         spans = chunk_spans(encoded_len(self.end), self.W, self.B)
         return [s for s in spans if s[0] >= self.next_start]
-
-    def keep_from(self, e):
-        """Drop the raw frames that encoded positions e and later do not read.
-        The kept position only moves forward, within the frames pushed:
-        ProtocolError for an e whose first raw frame is dropped or not pushed."""
-        first = self.end - self.raw_count  # the stream index of frames[0]
-        needed = first_frame(e)
-        if not first <= needed <= self.end:
-            raise ProtocolError(f"keep_from({e}) reads from raw frame {needed}; "
-                                f"the buffer holds frames {first} to {self.end - 1}")
-        self.frames = self.frames[needed - first:]

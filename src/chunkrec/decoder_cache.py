@@ -46,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ProtocolError, VocabError
+from .errors import ProtocolError, check_ids
 
 
 def _grown(a, axis, size):
@@ -107,10 +107,7 @@ class DecoderCache:
         known, number = self._deepest(prefix)
         if known == len(prefix):
             return number
-        if not all((type(t) is int or isinstance(t, np.integer)) and 0 <= t < self.vocab_size
-                   for t in prefix[known:]):
-            raise VocabError(f"prefix ids {prefix[known:]!r} are not integers in the "
-                             f"vocabulary [0, {self.vocab_size})")
+        check_ids(prefix[known:], self.vocab_size)
         n = len(self.nodes)
         if n + len(prefix) - known > len(self.ids):
             self._grow(max(n + len(prefix) - known, 2 * len(self.ids)))

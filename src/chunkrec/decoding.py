@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .chunking import StreamBuffer
+from .chunking import StreamBuffer, first_frame
 from .decoder_cache import DecoderCache
 from .errors import UndefinedMetricError, check_fields
 from .model import EncoderCache
@@ -178,8 +178,9 @@ class StreamSession:
 
     Each chunk the StreamBuffer releases goes through _advance_chunk. A push
     that releases one, or a flush after new frames, encodes the positions
-    not yet final from the raw frames the buffer keeps for them and the
-    EncoderCache, so one fragment is encoded once. Only that encode changes
+    not yet final from the raw frames the session keeps for them and the
+    EncoderCache, so one fragment is encoded once. Only that encode cuts the
+    raw frames, to those the positions it leaves not final read, and changes
     the window of encoded states: it keeps the old states from the first
     released chunk up to the new ones. The DecoderCache keeps the search's
     decoder rows. Above width 1 the greedy path is carried as floor; at
@@ -197,7 +198,9 @@ class StreamSession:
         self.t0 = self.clock()
         self.buf = StreamBuffer(model.cfg.W, model.cfg.B, model.cfg.d_in)
         self.cache, self.decoder_cache = EncoderCache(), DecoderCache(model.cfg)
+        # the raw frames from first_frame(cache.start) up to buf.end, and
         # the states of encoded positions _first onward, from _n_encoded raw frames
+        self._raw = np.zeros((0, model.cfg.d_in))
         self._states, self._first, self._n_encoded = np.zeros((0, model.cfg.d_model)), 0, 0
         start = Hypothesis((model.vocab.start_id,), 0.0)
         self.hyps, self.floor = [start], [start] if cfg.width > 1 else []
@@ -205,7 +208,9 @@ class StreamSession:
 
     def push(self, fragment):
         """Take the next fragment; returns the Emissions of the chunks it released."""
-        return self._search(self.buf.push(fragment))
+        spans = self.buf.push(fragment)
+        self._raw = np.concatenate([self._raw, fragment], dtype=np.float64)
+        return self._search(spans)
 
     def flush(self):
         """End the stream; returns the last Emissions."""
@@ -219,14 +224,12 @@ class StreamSession:
         out = []
         with ad.no_grad():
             if self.buf.end > self._n_encoded:
-                start = self.cache.start
-                first = min(spans[0][0], start)
-                new = ad._as_tensor(self.model.encode_states(self.buf.frames,
-                                                             cache=self.cache)).data
+                start, first = self.cache.start, spans[0][0]
+                new = ad._as_tensor(self.model.encode_states(self._raw, cache=self.cache)).data
                 old = self._states[first - self._first:start - self._first]
                 self._states, self._first = np.concatenate([old, new]), first
                 self._n_encoded = self.buf.end
-                self.buf.keep_from(self.cache.start)
+                self._raw = self._raw[first_frame(self.cache.start) - first_frame(start):]
             for a, b in spans:
                 chunk = self._states[a - self._first:b - self._first]
                 self.hyps, self.floor = _advance_chunk(self.model, self.hyps, self.floor, chunk,

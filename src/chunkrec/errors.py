@@ -1,8 +1,10 @@
 """Exception hierarchy, each error with a short machine-readable category,
-and the field check that every config dataclass runs."""
+the field check that every config dataclass runs, and the label id check."""
 
 import math
 from dataclasses import fields
+
+import numpy as np
 
 
 class ChunkrecError(Exception):
@@ -87,3 +89,10 @@ def check_fields(cfg, **minimums):
             raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {v!r}")
         if v < minimums.get(f.name, v):
             raise ConfigError(f"{f.name} must be >= {minimums[f.name]}, got {v}")
+
+
+def check_ids(ids, size):
+    """Raise VocabError unless each id is an int or numpy integer, never a bool, in [0, size)."""
+    bad = [i for i in ids if not ((type(i) is int or isinstance(i, np.integer)) and 0 <= i < size)]
+    if bad:
+        raise VocabError(f"ids {bad!r} are not integers in the vocabulary [0, {size})")

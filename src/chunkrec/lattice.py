@@ -40,13 +40,14 @@ NEG_INF = -np.inf
 def _validate(blank_lp, label_lp):
     blank_lp = np.asarray(blank_lp, dtype=np.float64)
     label_lp = np.asarray(label_lp, dtype=np.float64)
-    if blank_lp.ndim != 2:
-        raise ShapeError("blank_lp must be 2-d (M, U+1)")
+    if blank_lp.ndim != 2 or len(blank_lp) == 0:
+        raise ShapeError(f"blank_lp must be 2-d (M, U+1) with M >= 1, got {blank_lp.shape}")
     M, U1 = blank_lp.shape
     if label_lp.shape != (M, U1 - 1):
         raise ShapeError(f"label_lp shape {label_lp.shape} != ({M}, {U1 - 1})")
-    if np.isnan(blank_lp).any() or np.isnan(label_lp).any():
-        raise NumericError("NaN in lattice log-probabilities")
+    # -inf is probability zero; a NaN max compares False
+    if not all(t.max(initial=NEG_INF) < np.inf for t in (blank_lp, label_lp)):
+        raise NumericError("NaN or +inf in lattice log-probabilities")
     return blank_lp, label_lp
 
 

@@ -52,7 +52,7 @@ from .chunking import (FRONT_END_KERNEL, FRONT_END_STRIDE, ChunkGeometry, as_fra
                        left_context_mask)
 from .decoder_cache import DecoderCache
 from .errors import (AvailabilityError, ConfigError, ContractError, EmptyInputError,
-                     NumericError, ShapeError, VocabError, check_fields)
+                     NumericError, ShapeError, VocabError, check_fields, check_ids)
 from .lattice import lattice_nll
 
 
@@ -140,11 +140,9 @@ class Vocabulary:
         return [table.get(u, unk) for u in (text.split() if self.separator else text)]
 
     def decode(self, ids):
-        """The text of ids; VocabError for an id outside [0, len(self))."""
+        """The text of ids; VocabError unless each is an integer in [0, len(self))."""
         ids = list(ids)
-        bad = [i for i in ids if not 0 <= i < len(self)]
-        if bad:
-            raise VocabError(f"ids {bad} outside the vocabulary [0, {len(self)})")
+        check_ids(ids, len(self))
         return self.separator.join(self.symbols[i] for i in ids)
 
 
@@ -426,10 +424,8 @@ class ChunkTransducerModel:
     def _check_prefix(self, prefix_ids):
         if len(prefix_ids) == 0 or prefix_ids[0] != self.vocab.start_id:
             raise ContractError("decoder prefix must start with the blank start symbol")
-        ids = np.asarray(prefix_ids)
-        if ids.dtype.kind not in "iu" or (ids < 0).any() or (ids >= self.cfg.vocab_size).any():
-            raise VocabError(f"prefix ids must be integers in the vocabulary, got {ids!r}")
-        return ids.astype(np.intp, copy=False)
+        check_ids(prefix_ids, self.cfg.vocab_size)
+        return np.asarray(prefix_ids, dtype=np.intp)
 
     def _memory(self, chunks):
         """Each decoder block's cross-attention keys and values of chunks, (k, v) pairs."""

@@ -25,7 +25,7 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError, check_
 # -- synthetic data ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticTaskSpec:
     vocab_size: int = 16
     min_len: int = 2
@@ -242,7 +242,7 @@ def clip_grad_norm(params, max_norm):
 # -- training loop ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 8
     total_steps: int = 2000

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chunkrec import decoding
-from chunkrec.chunking import ChunkGeometry, StreamBuffer
+from chunkrec.chunking import ChunkGeometry, StreamBuffer, final_len, first_frame
 from chunkrec.decoding import (BeamConfig, Hypothesis, StreamSession, _advance_chunk,
                                beam_decode, cer, edit_distance, greedy_decode, stream_decode)
 from chunkrec.errors import (ChunkrecError, ConfigError, ContractError, EmptyInputError,
@@ -60,7 +60,10 @@ def test_edit_distance_symmetric():
 
 class ScriptedModel:
     """Deterministic stand-in: decoder_steps maps a fixed log-distribution,
-    optionally depending on (chunk span, prefix length), over the prefixes."""
+    optionally depending on (chunk span, prefix length), over the prefixes.
+    encode_states keeps the EncoderCache contract: with a cache, x starts at
+    first_frame(cache.start), the states are positions cache.start onward,
+    and the cache moves on to the first position not yet final."""
 
     def __init__(self, dist_fn, W=4, B=1, L=8, vocab=None):
         self.vocab = vocab or Vocabulary.from_units("ab")
@@ -71,7 +74,11 @@ class ScriptedModel:
         self._W, self._B, self._L = W, B, L
 
     def encode_states(self, x, cache=None):
-        return np.arange(self._L)[:, None].astype(float)
+        states = np.arange(self._L)[:, None].astype(float)
+        if cache is None:
+            return states
+        start, cache.start = cache.start, final_len(first_frame(cache.start) + len(x))
+        return states[start:]
 
     def geometry_for(self, T):
         return ChunkGeometry(W=self._W, B=self._B, L=self._L)
@@ -510,7 +517,8 @@ def test_long_stream_encodes_each_frame_once():
     session, kept, window = StreamSession(m, cfg), [], []
     for i in range(0, len(x), 8):
         session.push(x[i:i + 8])
-        kept.append(session.buf.raw_count)
+        kept.append(len(session._raw))
+        assert np.array_equal(session._raw, x[first_frame(session.cache.start):i + 8])
         window.append(len(session._states))
         # the decoder cache holds the paths of the live hypotheses and no more
         cache = session.decoder_cache

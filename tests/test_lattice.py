@@ -155,11 +155,18 @@ def test_nan_rejected():
     blank = np.array([[np.nan]])
     with pytest.raises(NumericError):
         forward_pass(blank, np.zeros((1, 0)))
+    # +inf is no log-probability; -inf is probability zero
+    for blank, label in (([[np.inf]], np.zeros((1, 0))), ([[0.0, 0.0]], [[np.inf]])):
+        for fn in (forward_pass, backward_pass, lattice_grad, enumerate_paths):
+            with pytest.raises(NumericError):
+                fn(np.array(blank), np.array(label))
+    assert forward_pass(np.array([[-np.inf, 0.0]]), np.array([[0.0]]))[1] == 0.0
 
 
-@pytest.mark.parametrize("blank, label", [((2, 3), (2, 1)), ((2, 2), (1, 1)), ((3,), (1, 2))])
+@pytest.mark.parametrize("blank, label", [((2, 3), (2, 1)), ((2, 2), (1, 1)), ((3,), (1, 2)),
+                                          ((0, 1), (0, 0))])
 def test_misshapen_tables_are_shape_errors(blank, label):
-    for fn in (forward_pass, backward_pass, lattice_grad):
+    for fn in (forward_pass, backward_pass, lattice_grad, enumerate_paths):
         with pytest.raises(ShapeError):
             fn(np.zeros(blank), np.zeros(label))
 

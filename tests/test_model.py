@@ -52,7 +52,8 @@ def test_vocab_roundtrip():
     units = Vocabulary.from_units(["s0", "s1", "s12"])  # multi-character units
     assert units.encode("s1 s12  s0\tx") == [3, 4, 2, units.unk_id]
     assert units.decode([3, 4, 2]) == "s1 s12 s0"
-    for ids in ([-1, 2], [2, len(v)]):  # a negative id must not read from the end
+    # a negative id must not read from the end, and only an integer, never a bool, is an id
+    for ids in ([-1, 2], [2, len(v)], [2.0], [None], [True], ["a"]):
         with pytest.raises(VocabError):
             v.decode(ids)
     for bad in (["s0", "s 1"], ["ab", ""], ["a", ""], [3, "a"]):
@@ -304,7 +305,8 @@ def test_a_non_integer_id_is_a_vocab_error(tiny_model, rng):
     # numpy would truncate 2.9 to 2 and parse "2" as 2
     chunk = tiny_model.encode_chunk(rng.normal(size=(16, 4)), 0).states
     start = tiny_model.vocab.start_id
-    for bad in ([start, 2.9], [start, "2"], [start, 2.0], [start, None]):
+    for bad in ([start, 2.9], [start, "2"], [start, 2.0], [start, None], [start, True],
+                [start, np.bool_(True)]):
         with pytest.raises(VocabError):
             tiny_model.decoder_steps([bad], chunk)
         with pytest.raises(VocabError):
@@ -312,7 +314,7 @@ def test_a_non_integer_id_is_a_vocab_error(tiny_model, rng):
         with pytest.raises(VocabError):
             tiny_model.decoder_forward(bad, chunk)
     x = rng.normal(size=(16, 4))
-    for y in ([2.5, 3], np.array([2.0, 3.0]), ["2", "3"]):
+    for y in ([2.5, 3], np.array([2.0, 3.0]), ["2", "3"], [True], [np.bool_(True)]):
         with pytest.raises(VocabError):
             tiny_model.sequence_nll(x, y)
     # integer ids of any integer type are accepted

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +68,16 @@ def test_synthetic_spec_rejects_bad_values(bad):
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
         TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("cfg, field, value", [(TrainConfig(), "lr_scale", -1.0),
+                                               (TrainConfig(), "batch_size", 0),
+                                               (TrainConfig(), "grad_clip", float("nan")),
+                                               (SyntheticTaskSpec(), "min_len", 0)])
+def test_configs_are_frozen(cfg, field, value):
+    # a field set after construction would skip check_fields
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
 
 
 # -- schedule ---------------------------------------------------------------
